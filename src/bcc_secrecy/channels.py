@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 SUM_TOL = 1e-9
 DEGRADED_TOL = 1e-7
@@ -38,26 +37,46 @@ class BudgetExceeded(RuntimeError):
     """A configured enumeration or memory budget would be exceeded."""
 
 
+def _first(mask: np.ndarray) -> tuple[int, ...] | None:
+    hits = np.argwhere(mask)
+    return tuple(int(v) for v in hits[0]) if hits.size else None
+
+
+def _position(idx: tuple[int, ...]) -> str:
+    if len(idx) == 2:
+        return f"row {idx[0]}, column {idx[1]}"
+    return f"index {idx[0] if len(idx) == 1 else idx}"
+
+
+def _check_stochastic(arr: np.ndarray, lead: int, what: str, part: str = "row") -> None:
+    """Raise on the first non-finite or negative entry, or slice not summing to 1.
+
+    The first `lead` axes index the slices (lead 0: one pmf).  Messages name
+    the array, the offending index or the slice (`part`).  Signs are checked
+    before sums, so -1e-12 is rejected even when the sum is within tolerance.
+    """
+    idx = _first(~np.isfinite(arr))
+    if idx is not None:
+        raise InvalidDistribution(f"non-finite entry in {what} at {_position(idx)}")
+    idx = _first(arr < 0.0)
+    if idx is not None:
+        raise NegativeEntry(f"entry {float(arr[idx])!r} at {_position(idx)} of {what} is negative")
+    sums = np.atleast_1d(arr.reshape(arr.shape[:lead] + (-1,)).sum(axis=-1))
+    idx = _first(np.abs(sums - 1.0) > SUM_TOL)
+    if idx is not None:
+        where = f"{part} {idx[0] if lead == 1 else idx} of {what}" if lead else what
+        raise SumNotOne(f"{where} sums to {float(sums[idx])!r}, expected 1 within {SUM_TOL}")
+
+
 def validate_pmf(probs) -> None:
     """Check the pmf invariants, raising on the first violation.
 
     Raises NegativeEntry or SumNotOne naming the offending index or total.
-    The sign check runs first, so an entry like -1e-12 is rejected even
-    though the sum may still be within tolerance.
     """
     arr = np.asarray(probs, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise InvalidDistribution(f"expected a nonempty 1-d vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        idx = int(np.flatnonzero(~np.isfinite(arr))[0])
-        raise InvalidDistribution(f"non-finite entry at index {idx}")
-    neg = np.flatnonzero(arr < 0.0)
-    if neg.size:
-        idx = int(neg[0])
-        raise NegativeEntry(f"entry {arr[idx]!r} at index {idx} is negative")
-    total = float(arr.sum())
-    if abs(total - 1.0) > SUM_TOL:
-        raise SumNotOne(f"entries sum to {total!r}, expected 1 within {SUM_TOL}")
+    _check_stochastic(arr, 0, "pmf")
 
 
 def _freeze(obj, name, arr):
@@ -101,17 +120,7 @@ class DiscreteChannel:
         arr = np.array(self.matrix, dtype=np.float64)
         if arr.ndim != 2 or arr.size == 0:
             raise InvalidDistribution(f"expected a nonempty 2-d matrix, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidDistribution("non-finite entry in channel matrix")
-        neg = np.argwhere(arr < 0.0)
-        if neg.size:
-            i, j = (int(v) for v in neg[0])
-            raise NegativeEntry(f"entry {arr[i, j]!r} at row {i}, column {j} is negative")
-        sums = arr.sum(axis=1)
-        bad = np.flatnonzero(np.abs(sums - 1.0) > SUM_TOL)
-        if bad.size:
-            i = int(bad[0])
-            raise SumNotOne(f"row {i} sums to {sums[i]!r}, expected 1 within {SUM_TOL}")
+        _check_stochastic(arr, 1, "channel matrix")
         _freeze(self, "matrix", arr)
 
     @property
@@ -153,17 +162,7 @@ class BroadcastChannel:
         arr = np.array(self.joint, dtype=np.float64)
         if arr.ndim != 4 or arr.size == 0:
             raise InvalidDistribution(f"expected a rank-4 tensor, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidDistribution("non-finite entry in broadcast tensor")
-        neg = np.argwhere(arr < 0.0)
-        if neg.size:
-            idx = tuple(int(v) for v in neg[0])
-            raise NegativeEntry(f"entry {arr[idx]!r} at index {idx} is negative")
-        sums = arr.reshape(arr.shape[0], -1).sum(axis=1)
-        bad = np.flatnonzero(np.abs(sums - 1.0) > SUM_TOL)
-        if bad.size:
-            x = int(bad[0])
-            raise SumNotOne(f"slice for input {x} sums to {sums[x]!r}, expected 1 within {SUM_TOL}")
+        _check_stochastic(arr, 1, "broadcast tensor", part="slice for input")
         _freeze(self, "joint", arr)
 
     @property
@@ -201,15 +200,7 @@ class JointPmf:
             )
         if len(set(names)) != len(names):
             raise InvalidDistribution(f"duplicate axis names in {names}")
-        if not np.all(np.isfinite(arr)):
-            raise InvalidDistribution("non-finite entry in joint tensor")
-        neg = np.argwhere(arr < 0.0)
-        if neg.size:
-            idx = tuple(int(v) for v in neg[0])
-            raise NegativeEntry(f"entry {arr[idx]!r} at index {idx} is negative")
-        total = float(arr.sum())
-        if abs(total - 1.0) > SUM_TOL:
-            raise SumNotOne(f"entries sum to {total!r}, expected 1 within {SUM_TOL}")
+        _check_stochastic(arr, 0, "joint tensor")
         _freeze(self, "probs", arr)
         object.__setattr__(self, "axes", names)
 
@@ -276,6 +267,8 @@ def check_stochastic_degraded(
     tolerance.  The feasible set can be a polytope; one point of it is
     returned, with no uniqueness claim.
     """
+    from scipy.optimize import linprog  # deferred: the import costs more than most commands
+
     if stronger.input_size != weaker.input_size:
         raise DimensionMismatch(
             f"channels disagree on the input alphabet: "

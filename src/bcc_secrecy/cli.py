@@ -174,15 +174,22 @@ def check_degraded(path):
 @click.option("--n3", type=float, required=True)
 @click.option("--tol", type=float, default=1e-12, show_default=True)
 def check_frontier(path, power, n1, n2, n3, tol):
-    """Recompute a Gaussian sweep CSV from its alpha column and compare."""
+    """Recompute a Gaussian sweep CSV; --tol bounds deviation beyond its rounding."""
     header, rows = read_frontier_csv(path)
     if header != ["alpha", "r1_bits", "r2_bits"]:
         raise InvalidDistribution(f"{path}: expected a Gaussian sweep CSV, got header {header}")
     g = GaussianParams(power=power, n1=n1, n2=n2, n3=n3)
+    # format_sig keeps 12 significant digits: each column may be off by half
+    # a unit in its 12th digit (0 for a 0 entry).  r1 rises and r2 falls with
+    # alpha, so a faithful rate lies between the rates at the two ends of its
+    # alpha's rounding interval, widened by its own rounding.
+    with np.errstate(divide="ignore"):
+        half = 0.5 * 10.0 ** (np.floor(np.log10(np.abs(rows))) - 11)
     worst = 0.0
-    for alpha, r1, r2 in rows:
-        point = gaussian_region_point(g, float(alpha))
-        worst = max(worst, abs(point.r1 - r1), abs(point.r2 - r2))
+    for (alpha, *stored), (h, *slack) in zip(rows.tolist(), half.tolist()):
+        ends = [gaussian_region_point(g, a) for a in (max(alpha - h, 0.0), min(alpha + h, 1.0))]
+        for value, s, a, b in zip(stored, slack, *ends):
+            worst = max(worst, min(a, b) - s - value, value - max(a, b) - s)
     if worst > tol:
         raise InvalidDistribution(f"{path}: frontier deviates by {worst:.3e} > {tol:.3e}")
     click.echo(f"frontier reproduced, max deviation {worst:.3e}")

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import BudgetExceeded, DimensionMismatch, DiscreteChannel, Pmf, cascade
+from .channels import _check_stochastic
 
 DEFAULT_CODEBOOK_SYMBOL_BUDGET = 1 << 22
 DEFAULT_Z_SEQUENCE_BUDGET = 1 << 20
@@ -356,8 +357,7 @@ def _validate_conditional(arr: np.ndarray, name: str) -> np.ndarray:
     rows = np.asarray(arr, dtype=np.float64)
     if rows.ndim < 2:
         raise DimensionMismatch(f"{name} must have at least 2 axes, got shape {rows.shape}")
-    if np.any(rows < 0.0) or np.any(np.abs(rows.sum(axis=-1) - 1.0) > 1e-9):
-        raise ValueError(f"{name} rows must be probability vectors")
+    _check_stochastic(rows, rows.ndim - 1, name)
     return rows
 
 

@@ -59,13 +59,21 @@ def _require(data: dict, key: str):
     return data[key]
 
 
+def _integer(data: dict, key: str, default: int | None = None) -> int:
+    """A field that must be a JSON integer: 4.9, 4.0, true and "4" are all rejected."""
+    value = _require(data, key) if default is None else data.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidDistribution(f"field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def parse_channel(data: dict) -> BroadcastChannel | MarginalTriple | GaussianParams:
     """Parse a channel description dict, naming the violated invariant on error."""
     if not isinstance(data, dict):
         raise InvalidDistribution(f"channel description must be an object, got {type(data).__name__}")
     kind = _require(data, "type")
     if kind == "bcc":
-        sizes = tuple(int(_require(data, k)) for k in ("x", "y1", "y2", "z"))
+        sizes = tuple(_integer(data, k) for k in ("x", "y1", "y2", "z"))
         if any(s < 1 for s in sizes):
             raise InvalidDistribution(f"alphabet sizes must be positive, got {sizes}")
         flat = _clamp_grace(np.asarray(_require(data, "joint"), dtype=np.float64))
@@ -161,13 +169,13 @@ def parse_experiment(data: dict, base_dir: Path | None = None) -> ExperimentConf
 
     return ExperimentConfig(
         scheme=scheme,
-        n=int(_require(data, "n")),
-        m1=int(_require(data, "m1")),
-        m2=int(_require(data, "m2")),
-        l1=int(data.get("l1", 1)),
-        l2=int(data.get("l2", 1)),
-        seed=int(data.get("seed", 0)),
-        trials=int(data.get("trials", 1000)),
+        n=_integer(data, "n"),
+        m1=_integer(data, "m1"),
+        m2=_integer(data, "m2"),
+        l1=_integer(data, "l1", 1),
+        l2=_integer(data, "l2", 1),
+        seed=_integer(data, "seed", 0),
+        trials=_integer(data, "trials", 1000),
         marginals=marginals,
         pu=pu,
         pxu=pxu,
@@ -217,4 +225,6 @@ def read_frontier_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
         raise InvalidDistribution(f"{path}: malformed CSV row ({exc})") from exc
     if rows.ndim != 2 or rows.shape[1] != len(header):
         raise InvalidDistribution(f"{path}: rows do not match header {header}")
+    if not np.all(np.isfinite(rows)):
+        raise InvalidDistribution(f"{path}: non-finite value in a CSV row")
     return header, rows

@@ -16,9 +16,11 @@ Auxiliary distributions are searched on an explicit simplex grid: every
 probability vector whose entries are integer multiples of the resolution
 step.  The search is exhaustive and reproducible; its accuracy is
 grid-limited and candidate counts are capped by an explicit budget rather
-than silently truncated.  Candidates are independent, so evaluation is a
-pure map followed by one hull reduction, and the result does not depend
-on evaluation order.
+than silently truncated.  Both region searches share one search loop:
+the budget is checked before any grid is built, each outer-grid step's
+candidates go through a running Pareto filter, and one hull runs on the
+survivors.  Candidates are independent, so the result does not depend on
+evaluation order.
 
 Negative values of the rate formulas are clamped to zero pointwise: a
 negative bound just means that candidate contributes nothing in that
@@ -30,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -168,52 +170,68 @@ def gaussian_region_sweep(g: GaussianParams, num_alphas: int = 101) -> RegionFro
 
 
 def _pareto(arr: np.ndarray) -> np.ndarray:
-    """Deduplicated Pareto-maximal points, sorted by r1 ascending."""
-    arr = np.unique(np.asarray(arr, dtype=np.float64), axis=0)  # lex sort (r1, r2)
-    keep: list[np.ndarray] = []
-    best = -np.inf
-    for row in arr[::-1]:  # r1 descending, ties resolved by r2 descending
-        if row[1] > best:
-            keep.append(row)
-            best = row[1]
-    return np.array(keep[::-1])
+    """Deduplicated Pareto-maximal points, sorted by r1 ascending.
+
+    Visiting rows r1 descending (ties: r2 descending), keep each row whose
+    r2 strictly exceeds every r2 before it.
+    """
+    arr = np.asarray(arr, dtype=np.float64)
+    desc = arr[np.lexsort((arr[:, 1], arr[:, 0]))[::-1]]
+    prior_best = np.maximum.accumulate(np.concatenate(([-np.inf], desc[:, 1])))[:-1]
+    return desc[desc[:, 1] > prior_best][::-1]
 
 
 def _cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _hull_vertices(pts: np.ndarray) -> np.ndarray:
-    """Convex hull by monotone chain; input rows unique and lex-sorted."""
-    if len(pts) <= 2:
-        return pts
-
-    def chain(points):
-        out: list[np.ndarray] = []
-        for p in points:
-            while len(out) >= 2 and _cross(out[-2], out[-1], p) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = chain(pts)
-    upper = chain(pts[::-1])
-    return np.array(lower[:-1] + upper[:-1])
-
-
-def upper_right_hull(points: Sequence[RatePoint] | np.ndarray) -> RegionFrontier:
-    """Pareto-maximal vertices of the convex hull of the points and (0, 0)."""
+def _rate_points(points) -> np.ndarray:
+    """Candidate rate pairs as an (N, 2) array, rejecting non-finite or negative ones."""
     arr = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    if arr.size == 0:
-        raise ValueError("empty point set")
     if not np.all(np.isfinite(arr)):
         raise ValueError("non-finite rate point")
     if np.any(arr < 0.0):
         raise ValueError("rate points must be nonnegative")
-    arr = np.vstack([arr, [0.0, 0.0]])
-    verts = _hull_vertices(np.unique(arr, axis=0))
-    front = _pareto(verts)
-    return RegionFrontier(points=[RatePoint(float(x), float(y)) for x, y in front], hulled=True)
+    return arr
+
+
+def upper_right_hull(points: Sequence[RatePoint] | np.ndarray) -> RegionFrontier:
+    """Pareto-maximal vertices of the convex hull of the points and (0, 0).
+
+    Only the Pareto staircase can hold them: one monotone chain runs over
+    it r1 descending, then the origin, which is dropped at the end.
+    """
+    arr = _rate_points(points)
+    if arr.size == 0:
+        raise ValueError("empty point set")
+    origin = [0.0, 0.0]
+    chain: list[list[float]] = []
+    for p in _pareto(np.vstack([arr, origin]))[::-1].tolist() + [origin]:
+        while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
+            chain.pop()
+        chain.append(p)
+    return RegionFrontier(points=[RatePoint(x, y) for x, y in chain[-2::-1]], hulled=True)
+
+
+def _check_budget(n_outer: int, n_inner: int, budget: int) -> None:
+    total = n_outer * n_inner
+    if total > budget:
+        raise BudgetExceeded(
+            f"grid too large: {n_outer} x {n_inner} = {total} candidates exceed budget {budget}"
+        )
+
+
+def _search(n_outer: int, n_inner: int, budget: int, chunks: Iterator) -> RegionFrontier:
+    """Hull over the rate pairs that `chunks` yields, after one budget check.
+
+    `chunks` is a generator, so its grids are built only after the check
+    passes.  The running Pareto staircase is all the final hull needs.
+    """
+    _check_budget(n_outer, n_inner, budget)
+    front = np.zeros((1, 2))
+    for points in chunks:
+        front = _pareto(np.vstack([front, _rate_points(points)]))
+    return upper_right_hull(front)
 
 
 def simplex_grid(dim: int, steps: int) -> np.ndarray:
@@ -246,16 +264,6 @@ def _row_product(rows: np.ndarray, n_inputs: int) -> np.ndarray:
     return rows[idx]
 
 
-def _deterministic_maps(n_inputs: int, n_outputs: int) -> np.ndarray:
-    """One-hot conditionals for every function from inputs to outputs."""
-    count = n_outputs**n_inputs
-    maps = np.zeros((count, n_inputs, n_outputs))
-    src = np.arange(n_inputs)
-    for c, assignment in enumerate(itertools.product(range(n_outputs), repeat=n_inputs)):
-        maps[c, src, list(assignment)] = 1.0
-    return maps
-
-
 def _check_shared_input(*channels: DiscreteChannel) -> int:
     sizes = {ch.input_size for ch in channels}
     if len(sizes) != 1:
@@ -271,27 +279,37 @@ def _mi_from_joint(joint: np.ndarray) -> np.ndarray:
     return ha + hb - hab
 
 
-def _degraded_rate_arrays(pu, pxu_batch, my1, my2, mz):
-    """Clamped (r1, r2) for a batch of cloud-to-input conditionals.
+def _mi_rows(pu, rows, h_rows):
+    """I(U;Y) per candidate from P(y|u) rows (C, U, Y) and their entropies (C, U)."""
+    return entropy_last_axis(np.einsum("u,cuy->cy", pu, rows)) - np.einsum("u,cu->c", pu, h_rows)
 
-    pu: (U,) cloud distribution; pxu_batch: (C, U, X) conditionals.
+
+def _degraded_rows(pxu_batch, my1, my2, mz):
+    """The terms of the layered kernel that do not depend on P(u).
+
+    For (C, U, X) conditionals: P(y2|u) (C, U, Y2) and, per (candidate, u),
+    H(Y2|U=u), H(Z|U=u) and I(X;Y1|U=u).
+    """
+    uy2 = pxu_batch @ my2
+    i_xy1_rows = entropy_last_axis(pxu_batch @ my1) - pxu_batch @ entropy_last_axis(my1)
+    return uy2, entropy_last_axis(uy2), entropy_last_axis(pxu_batch @ mz), i_xy1_rows
+
+
+def _degraded_rate_arrays(pu, pxu_batch, mz, rows):
+    """Clamped (r1, r2) pairs (C, 2) for one cloud distribution pu (U,).
+
     r1 = I(X;Y1|U) + I(U;Z) - I(X;Z),  r2 = I(U;Y2) - I(U;Z).
     """
-    h_y1_rows = entropy_last_axis(my1)
-    h_z_rows = entropy_last_axis(mz)
-    uy1 = pxu_batch @ my1
-    uy2 = pxu_batch @ my2
-    uz = pxu_batch @ mz
+    uy2, h_uy2, h_uz, i_xy1_rows = rows
     px = np.einsum("u,cux->cx", pu, pxu_batch)
-    pz = px @ mz
-    py2 = np.einsum("u,cuy->cy", pu, uy2)
-    i_xz = entropy_last_axis(pz) - px @ h_z_rows
-    i_uz = entropy_last_axis(pz) - np.einsum("u,cu->c", pu, entropy_last_axis(uz))
-    i_uy2 = entropy_last_axis(py2) - np.einsum("u,cu->c", pu, entropy_last_axis(uy2))
-    i_xy1_u = np.einsum("u,cu->c", pu, entropy_last_axis(uy1) - pxu_batch @ h_y1_rows)
+    h_z = entropy_last_axis(px @ mz)
+    i_xz = h_z - px @ entropy_last_axis(mz)
+    i_uz = h_z - np.einsum("u,cu->c", pu, h_uz)
+    i_uy2 = _mi_rows(pu, uy2, h_uy2)
+    i_xy1_u = np.einsum("u,cu->c", pu, i_xy1_rows)
     r1 = np.maximum(i_xy1_u + i_uz - i_xz, 0.0)
     r2 = np.maximum(i_uy2 - i_uz, 0.0)
-    return r1, r2
+    return np.column_stack([r1, r2])
 
 
 def degraded_rate_pair(
@@ -307,10 +325,9 @@ def degraded_rate_pair(
         raise DimensionMismatch("cloud distribution does not match the conditional's input")
     if pxu.output_size != py1x.input_size:
         raise DimensionMismatch("conditional output does not match the channel input")
-    r1, r2 = _degraded_rate_arrays(
-        pu.probs, pxu.matrix[None], py1x.matrix, py2x.matrix, pzx.matrix
-    )
-    return RatePoint(float(r1[0]), float(r2[0]))
+    batch = pxu.matrix[None]
+    rows = _degraded_rows(batch, py1x.matrix, py2x.matrix, pzx.matrix)
+    return RatePoint(*_degraded_rate_arrays(pu.probs, batch, pzx.matrix, rows)[0].tolist())
 
 
 def degraded_region_inner(
@@ -324,21 +341,15 @@ def degraded_region_inner(
     nx = _check_shared_input(py1x, py2x, pzx)
     u_card = grid.u_card if grid.u_card is not None else nx
     steps = grid.steps
-    n_pu = _simplex_count(u_card, steps)
-    n_rows = _simplex_count(nx, steps)
-    n_cond = n_rows**u_card
-    total = n_pu * n_cond
-    if total > budget:
-        raise BudgetExceeded(
-            f"grid too large: {n_pu} x {n_cond} = {total} candidates exceed budget {budget}"
-        )
-    pu_grid = simplex_grid(u_card, steps)
-    pxu_batch = _row_product(simplex_grid(nx, steps), u_card)
-    chunks = [np.array([[0.0, 0.0]])]
-    for pu in pu_grid:
-        r1, r2 = _degraded_rate_arrays(pu, pxu_batch, py1x.matrix, py2x.matrix, pzx.matrix)
-        chunks.append(np.column_stack([r1, r2]))
-    return upper_right_hull(np.vstack(chunks))
+
+    def chunks():
+        pxu_batch = _row_product(simplex_grid(nx, steps), u_card)
+        rows = _degraded_rows(pxu_batch, py1x.matrix, py2x.matrix, pzx.matrix)
+        for pu in simplex_grid(u_card, steps):
+            yield _degraded_rate_arrays(pu, pxu_batch, pzx.matrix, rows)
+
+    n_cond = _simplex_count(nx, steps) ** u_card
+    return _search(_simplex_count(u_card, steps), n_cond, budget, chunks())
 
 
 def _general_corner_arrays(joint_batch, xmap, my1, my2, mz):
@@ -389,11 +400,8 @@ def general_rate_corners(
             f"and input alphabet {py1x.input_size}"
         )
     corners = _general_corner_arrays(joint[None], xmap, py1x.matrix, py2x.matrix, pzx.matrix)
-    first, second = corners
-    return (
-        RatePoint(float(first[0]), float(first[1])),
-        RatePoint(float(second[0]), float(second[1])),
-    )
+    first, second = corners.tolist()
+    return RatePoint(*first), RatePoint(*second)
 
 
 def general_inner_bound(
@@ -413,27 +421,17 @@ def general_inner_bound(
     v1 = grid.v1_card if grid.v1_card is not None else nx
     v2 = grid.v2_card if grid.v2_card is not None else nx
     steps = grid.steps
-    n_joint = _simplex_count(v1 * v2, steps)
-    if grid.deterministic_x:
-        n_maps = nx ** (v1 * v2)
-    else:
-        n_maps = _simplex_count(nx, steps) ** (v1 * v2)
-    total = n_joint * n_maps
-    if total > budget:
-        raise BudgetExceeded(
-            f"grid too large: {n_joint} x {n_maps} = {total} candidates exceed budget {budget}"
-        )
-    joint_batch = simplex_grid(v1 * v2, steps).reshape(-1, v1, v2)
-    if grid.deterministic_x:
-        xmaps = _deterministic_maps(v1 * v2, nx).reshape(-1, v1, v2, nx)
-    else:
-        xmaps = _row_product(simplex_grid(nx, steps), v1 * v2).reshape(-1, v1, v2, nx)
-    chunks = [np.array([[0.0, 0.0]])]
-    for xmap in xmaps:
-        chunks.append(
-            _general_corner_arrays(joint_batch, xmap, py1x.matrix, py2x.matrix, pzx.matrix)
-        )
-    return upper_right_hull(np.vstack(chunks))
+    # A deterministic map picks a one-hot row for every (v1, v2) pair.
+    n_rows = nx if grid.deterministic_x else _simplex_count(nx, steps)
+
+    def chunks():
+        joint_batch = simplex_grid(v1 * v2, steps).reshape(-1, v1, v2)
+        x_rows = np.eye(nx) if grid.deterministic_x else simplex_grid(nx, steps)
+        for pick in itertools.product(range(n_rows), repeat=v1 * v2):
+            xmap = x_rows[list(pick)].reshape(v1, v2, nx)
+            yield _general_corner_arrays(joint_batch, xmap, py1x.matrix, py2x.matrix, pzx.matrix)
+
+    return _search(_simplex_count(v1 * v2, steps), n_rows ** (v1 * v2), budget, chunks())
 
 
 def wiretap_secrecy_capacity(
@@ -452,24 +450,14 @@ def wiretap_secrecy_capacity(
     nx = _check_shared_input(main, eve)
     v_card = grid.v1_card if grid.v1_card is not None else nx
     steps = grid.steps
-    n_pv = _simplex_count(v_card, steps)
-    n_cond = _simplex_count(nx, steps) ** v_card
-    if n_pv * n_cond > budget:
-        raise BudgetExceeded(
-            f"grid too large: {n_pv} x {n_cond} = {n_pv * n_cond} candidates "
-            f"exceed budget {budget}"
-        )
-    pv_grid = simplex_grid(v_card, steps)
+    _check_budget(_simplex_count(v_card, steps), _simplex_count(nx, steps) ** v_card, budget)
     cond = _row_product(simplex_grid(nx, steps), v_card)
     t_y = cond @ main.matrix
     t_z = cond @ eve.matrix
     h_y_rows = entropy_last_axis(t_y)
     h_z_rows = entropy_last_axis(t_z)
     best = 0.0
-    for pv in pv_grid:
-        py = np.einsum("v,cvy->cy", pv, t_y)
-        pz = np.einsum("v,cvz->cz", pv, t_z)
-        i_y = entropy_last_axis(py) - np.einsum("v,cv->c", pv, h_y_rows)
-        i_z = entropy_last_axis(pz) - np.einsum("v,cv->c", pv, h_z_rows)
-        best = max(best, float(np.max(i_y - i_z)))
+    for pv in simplex_grid(v_card, steps):
+        gain = _mi_rows(pv, t_y, h_y_rows) - _mi_rows(pv, t_z, h_z_rows)
+        best = max(best, float(np.max(gain)))
     return best

@@ -216,3 +216,35 @@ def verify_frontier_shape(frontier, cloud, tol=1e-9) -> None:
         (x0, y0), (x1, y1), (x2, y2) = pts[k - 1], pts[k], pts[k + 1]
         cross = (x1 - x0) * (y2 - y0) - (y1 - y0) * (x2 - x0)
         assert cross <= tol, "frontier chain is not concave"
+
+
+def hull_two_chain(points) -> list[tuple[float, float]]:
+    """Pareto-maximal hull vertices of the points and (0, 0), sorted by r1.
+
+    The full convex hull is built by Andrew's monotone chain (a lower and
+    an upper chain over every distinct point, collinear points popped),
+    then Pareto-filtered with a plain loop.  This is the reference for the
+    library's single chain over the Pareto staircase.
+    """
+    arr = np.vstack([np.asarray(points, dtype=float).reshape(-1, 2), [0.0, 0.0]])
+    pts = np.unique(arr, axis=0)  # lex sort (r1, r2), duplicates dropped
+
+    def cross(o, a, b):
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
+    def chain(rows):
+        out: list = []
+        for p in rows:
+            while len(out) >= 2 and cross(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    verts = pts if len(pts) <= 2 else np.array(chain(pts)[:-1] + chain(pts[::-1])[:-1])
+    keep: list[tuple[float, float]] = []
+    best = -math.inf
+    for x, y in np.unique(verts, axis=0)[::-1]:  # r1 descending, ties r2 descending
+        if y > best:
+            keep.append((float(x), float(y)))
+            best = y
+    return keep[::-1]

@@ -9,7 +9,9 @@ from bcc_secrecy import (
     CodeParams,
     DimensionMismatch,
     DiscreteChannel,
+    InvalidDistribution,
     Pmf,
+    SumNotOne,
     SuperpositionCodebook,
     build_double_binning,
     build_superposition,
@@ -349,6 +351,18 @@ class TestDoubleBinning:
         ones = int(cb.v1_words.sum())
         sigma = math.sqrt(draws * 0.3 * 0.7)
         assert abs(ones - draws * 0.7) <= 3 * sigma
+
+    def test_non_finite_pair_map_rejected(self):
+        x_map = np.tile(np.array([0.5, 0.5]), (2, 2, 1))
+        x_map[1, 0] = [np.nan, np.nan]
+        with pytest.raises(InvalidDistribution, match=r"non-finite entry in x_map at index \(1, 0, 0\)"):
+            build_double_binning(small_params(), Pmf.uniform(2), Pmf.uniform(2), x_map, 0.1)
+
+    def test_pair_map_row_sum_names_the_pair(self):
+        x_map = np.tile(np.array([0.5, 0.5]), (2, 2, 1))
+        x_map[0, 1] = [0.5, 0.6]
+        with pytest.raises(SumNotOne, match=r"row \(0, 1\) of x_map"):
+            build_double_binning(small_params(), Pmf.uniform(2), Pmf.uniform(2), x_map, 0.1)
 
     def test_epsilon_validated(self):
         x_map = np.tile(np.array([0.5, 0.5]), (2, 2, 1))

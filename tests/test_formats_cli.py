@@ -14,6 +14,7 @@ from bcc_secrecy.cli import run
 from bcc_secrecy.formats import (
     MarginalTriple,
     as_marginals,
+    format_sig,
     parse_channel,
     read_frontier_csv,
     write_csv,
@@ -88,6 +89,13 @@ class TestParseChannel:
         with pytest.raises(InvalidDistribution, match="16"):
             parse_channel({"type": "bcc", "x": 2, "y1": 2, "y2": 2, "z": 2, "joint": [1.0]})
 
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None])
+    def test_non_integer_alphabet_size_rejected(self, value):
+        joint = np.full(16, 0.125).tolist()
+        data = {"type": "bcc", "x": 2, "y1": 2, "y2": value, "z": 2, "joint": joint}
+        with pytest.raises(InvalidDistribution, match="'y2' must be an integer"):
+            parse_channel(data)
+
     def test_unknown_type(self):
         with pytest.raises(InvalidDistribution, match="unknown channel type"):
             parse_channel({"type": "mystery"})
@@ -113,6 +121,14 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1.0,zap\n")
         with pytest.raises(InvalidDistribution):
+            read_frontier_csv(path)
+
+    @pytest.mark.parametrize("row", ["1.0,inf", "nan,1.0"])
+    def test_non_finite_csv_value_rejected(self, tmp_path, row):
+        # the check's rounding slack for inf is inf, and max() skips nan
+        path = tmp_path / "bad.csv"
+        path.write_text(f"a,b\n{row}\n")
+        with pytest.raises(InvalidDistribution, match="non-finite"):
             read_frontier_csv(path)
 
 
@@ -154,6 +170,19 @@ class TestCliRegionGaussian:
         lines = out.read_text().splitlines()
         alpha, r1, r2 = lines[5].split(",")
         lines[5] = ",".join([alpha, str(float(r1) + 1e-6), r2])
+        out.write_text("\n".join(lines) + "\n")
+        assert run(["check", "frontier", "--file", str(out), *args]) == 3
+
+    def test_check_frontier_accepts_rates_above_one_bit(self, tmp_path):
+        # r1 reaches about 1.7 bits here, where 12 significant digits
+        # round by up to 5e-12, more than the default tolerance
+        out = tmp_path / "region.csv"
+        args = ["--power", "10", "--n1", "0.1", "--n2", "0.5", "--n3", "1"]
+        assert run(["region", "gaussian", *args, "--out", str(out)]) == 0
+        assert run(["check", "frontier", "--file", str(out), *args]) == 0
+        lines = out.read_text().splitlines()
+        alpha, r1, r2 = lines[60].split(",")
+        lines[60] = ",".join([alpha, r1, format_sig(float(r2) + 1e-10)])
         out.write_text("\n".join(lines) + "\n")
         assert run(["check", "frontier", "--file", str(out), *args]) == 3
 
@@ -332,6 +361,26 @@ class TestCliSimulate:
         path = tmp_path / "sim.json"
         path.write_text(json.dumps(config))
         assert run(["simulate", "--config", str(path), "--out", str(tmp_path / "o.json")]) == 3
+
+    @pytest.mark.parametrize(
+        "field,value", [("n", 4.9), ("m1", True), ("l1", 2.5), ("seed", "7"), ("trials", 50.5)]
+    )
+    def test_non_integer_field_exit_3(self, tmp_path, capsys, superposition_config, field, value):
+        config = json.loads(superposition_config.read_text())
+        config[field] = value
+        superposition_config.write_text(json.dumps(config))
+        out = tmp_path / "o.json"
+        assert run(["simulate", "--config", str(superposition_config), "--out", str(out)]) == 3
+        assert f"field '{field}' must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_integer_channel_size_exit_3(self, tmp_path, capsys):
+        joint = np.full(16, 0.125).tolist()
+        path = tmp_path / "bcc.json"
+        path.write_text(json.dumps({"type": "bcc", "x": True, "y1": 2, "y2": 2, "z": 2, "joint": joint}))
+        code = run(["region", "degraded", "--file", str(path), "--out", str(tmp_path / "r.csv")])
+        assert code == 3
+        assert "field 'x' must be an integer" in capsys.readouterr().err
 
     def test_z_budget_exit_4(self, tmp_path, superposition_config):
         code = run(

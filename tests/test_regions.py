@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcc_secrecy import (
     AuxGridSpec,
@@ -21,12 +24,18 @@ from bcc_secrecy import (
     general_inner_bound,
     general_rate_corners,
     mutual_information,
+    regions,
     simplex_grid,
     upper_right_hull,
     wiretap_secrecy_capacity,
 )
 from bcc_secrecy.channels import JointPmf
-from oracles import degraded_rates_direct, frontier_deviation, verify_frontier_shape
+from oracles import (
+    degraded_rates_direct,
+    frontier_deviation,
+    hull_two_chain,
+    verify_frontier_shape,
+)
 
 BSC = DiscreteChannel.binary_symmetric
 CANONICAL = GaussianParams(power=1.0, n1=0.25, n2=0.5, n3=1.0)
@@ -34,6 +43,32 @@ CANONICAL = GaussianParams(power=1.0, n1=0.25, n2=0.5, n3=1.0)
 
 def uninformative(n_inputs, row=(0.5, 0.5)):
     return DiscreteChannel.constant_rows(row, n_inputs)
+
+
+def bits(points):
+    """Exact float identity of a point list (hex keeps the sign of zero too)."""
+    return [(float(x).hex(), float(y).hex()) for x, y in points]
+
+
+def dominated(point, cloud):
+    x, y = point
+    weakly = (cloud[:, 0] >= x) & (cloud[:, 1] >= y)
+    return bool(np.any(weakly & ((cloud[:, 0] > x) | (cloud[:, 1] > y))))
+
+
+def near_collinear_cloud(rng):
+    """Points on a segment or a finely sampled arc, nudged by a few ulps."""
+    k = int(rng.integers(3, 40))
+    t = np.sort(rng.uniform(0.0, 1.0, k))
+    if rng.random() < 0.5:
+        a, b = rng.uniform(0.1, 2.0, 2)
+        cloud = np.column_stack([t * b, (1.0 - t) * a])
+    else:
+        theta = rng.uniform(0.0, np.pi / 2) + 1e-7 * t
+        cloud = np.column_stack([np.cos(theta), np.sin(theta)])
+    steps = rng.integers(-3, 4, size=cloud.shape)
+    cloud = cloud + steps * np.spacing(cloud)
+    return np.abs(cloud)
 
 
 class TestCapacityFn:
@@ -172,6 +207,52 @@ class TestUpperRightHull:
         frontier = upper_right_hull([RatePoint(0, 0), RatePoint(0, 0)])
         assert frontier.points == [RatePoint(0, 0)]
 
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 8), st.integers(0, 8)), min_size=1, max_size=40
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_lattice_clouds_match_two_chain_oracle(self, cells):
+        # eighths are exact, so ties and exactly collinear runs are common
+        cloud = np.array(cells, dtype=float) / 8.0
+        assert bits(upper_right_hull(cloud).points) == bits(hull_two_chain(cloud))
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(0.0, 4.0), st.floats(0.0, 4.0)), min_size=1, max_size=40
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_float_clouds_match_two_chain_oracle(self, pairs):
+        cloud = np.array(pairs, dtype=float)
+        got = upper_right_hull(cloud).points
+        expected = hull_two_chain(cloud)
+        if any(dominated(p, cloud) for p in expected):
+            # see test_no_dominated_vertex_at_extreme_magnitude_ratio
+            assert not any(dominated(p, cloud) for p in got)
+        else:
+            assert bits(got) == bits(expected)
+
+    def test_no_dominated_vertex_at_extreme_magnitude_ratio(self):
+        # (tiny - 1) rounds to -1, so the reference's cross product through
+        # (tiny, 1) cancels to 0 and keeps (0, 1), which (tiny, 1) dominates.
+        # The staircase drops (0, 1) before any cross product is taken.
+        tiny = 4.258530098825195e-306
+        cloud = np.array([(0.0, 1.0), (1.0, 0.0), (tiny, 1.0)])
+        assert hull_two_chain(cloud) == [(0.0, 1.0), (1.0, 0.0)]
+        assert upper_right_hull(cloud).points == [RatePoint(tiny, 1.0), RatePoint(1.0, 0.0)]
+
+    @pytest.mark.parametrize("kind", ["random", "near-collinear"])
+    def test_seeded_clouds_match_two_chain_oracle(self, kind):
+        rng = np.random.default_rng(53)
+        for _ in range(500):
+            if kind == "random":
+                cloud = rng.uniform(0, 2, size=(int(rng.integers(1, 60)), 2))
+            else:
+                cloud = near_collinear_cloud(rng)
+            assert bits(upper_right_hull(cloud).points) == bits(hull_two_chain(cloud))
+
     def test_random_clouds_satisfy_invariants(self):
         rng = np.random.default_rng(47)
         for _ in range(20):
@@ -301,6 +382,69 @@ class TestDegradedRegion:
         frontier = degraded_region_inner(*DEGRADED, AuxGridSpec(resolution=0.1, u_card=2))
         pts = frontier.points
         assert all(a.r1 < b.r1 and a.r2 > b.r2 for a, b in zip(pts, pts[1:]))
+
+
+class TestRegionSearch:
+    def one_shot(self, monkeypatch, search, *args):
+        """Run a search while keeping every chunk its candidate generator yields."""
+        chunks = []
+        real = regions._search
+
+        def keep_chunks(n_outer, n_inner, budget, gen):
+            def tee():
+                for chunk in gen:
+                    chunks.append(chunk)
+                    yield chunk
+
+            return real(n_outer, n_inner, budget, tee())
+
+        monkeypatch.setattr(regions, "_search", keep_chunks)
+        frontier = search(*args)
+        return frontier, np.vstack(chunks)
+
+    def test_degraded_streaming_equals_one_shot_hull(self, monkeypatch):
+        grid = AuxGridSpec(resolution=0.1, u_card=2)
+        frontier, cloud = self.one_shot(monkeypatch, degraded_region_inner, *DEGRADED, grid)
+        assert len(cloud) == 11 * 11**2
+        assert bits(frontier.points) == bits(hull_two_chain(cloud))
+        assert bits(frontier.points) == bits(upper_right_hull(cloud).points)
+
+    def test_general_streaming_equals_one_shot_hull(self, monkeypatch):
+        ternary = [
+            DiscreteChannel(m)
+            for m in (
+                [[0.7, 0.09, 0.21], [0.12, 0.83, 0.05], [0.43, 0.1, 0.47]],
+                [[0.14, 0.44, 0.42], [0.05, 0.92, 0.03], [0.84, 0.03, 0.13]],
+                [[0.02, 0.52, 0.46], [0.1, 0.74, 0.16], [0.4, 0.54, 0.06]],
+            )
+        ]
+        for grid in (
+            AuxGridSpec(resolution=0.2, v1_card=2, v2_card=2),
+            AuxGridSpec(resolution=0.5, v1_card=2, v2_card=2, deterministic_x=False),
+        ):
+            frontier, cloud = self.one_shot(monkeypatch, general_inner_bound, *ternary, grid)
+            assert len(frontier.points) >= 2
+            assert bits(frontier.points) == bits(hull_two_chain(cloud))
+
+    def test_astronomical_grid_refused_without_allocating(self):
+        huge = AuxGridSpec(resolution=0.001, u_card=12, v1_card=12, v2_card=12)
+        huge_stochastic = AuxGridSpec(
+            resolution=0.001, v1_card=12, v2_card=12, deterministic_x=False
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match="grid too large"):
+                degraded_region_inner(*DEGRADED, huge)
+            with pytest.raises(BudgetExceeded, match="grid too large"):
+                general_inner_bound(*DEGRADED, huge)
+            with pytest.raises(BudgetExceeded, match="grid too large"):
+                general_inner_bound(*DEGRADED, huge_stochastic)
+            with pytest.raises(BudgetExceeded, match="grid too large"):
+                wiretap_secrecy_capacity(DEGRADED[0], DEGRADED[2], huge)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
 
 
 class TestGeneralInnerBound:
