@@ -185,33 +185,6 @@ class BroadcastChannel:
 
 
 @dataclass(frozen=True)
-class JointPmf:
-    """Joint pmf over a product alphabet, with one name per tensor axis."""
-
-    probs: np.ndarray
-    axes: tuple[str, ...]
-
-    def __post_init__(self):
-        arr = np.array(self.probs, dtype=np.float64)
-        names = tuple(self.axes)
-        if arr.ndim != len(names):
-            raise InvalidDistribution(
-                f"tensor has {arr.ndim} axes but {len(names)} axis names were given"
-            )
-        if len(set(names)) != len(names):
-            raise InvalidDistribution(f"duplicate axis names in {names}")
-        _check_stochastic(arr, 0, "joint tensor")
-        _freeze(self, "probs", arr)
-        object.__setattr__(self, "axes", names)
-
-    def axis_index(self, name: str) -> int:
-        try:
-            return self.axes.index(name)
-        except ValueError:
-            raise ValueError(f"no axis named {name!r}; have {self.axes}") from None
-
-
-@dataclass(frozen=True)
 class DegradednessReport:
     """Outcome of a stochastic-degradedness search.
 
@@ -244,15 +217,6 @@ def marginal_channel(bcc: BroadcastChannel, which: str) -> DiscreteChannel:
     if key not in _MARGINAL_AXES:
         raise ValueError(f"which must be one of 'y1', 'y2', 'z'; got {which!r}")
     return DiscreteChannel(bcc.joint.sum(axis=_MARGINAL_AXES[key]))
-
-
-def joint_from_input(input_dist: Pmf, ch: DiscreteChannel, axes=("x", "y")) -> JointPmf:
-    """Joint pmf p(x, y) = p(x) P(y|x)."""
-    if input_dist.alphabet_size != ch.input_size:
-        raise DimensionMismatch(
-            f"input has {input_dist.alphabet_size} symbols, channel expects {ch.input_size}"
-        )
-    return JointPmf(input_dist.probs[:, None] * ch.matrix, tuple(axes))
 
 
 def check_stochastic_degraded(

@@ -18,7 +18,6 @@ from .channels import (
     DimensionMismatch,
     DiscreteChannel,
     InvalidDistribution,
-    JointPmf,
     Pmf,
     cascade,
     check_stochastic_degraded,
@@ -42,7 +41,7 @@ from .formats import (
     write_csv,
     write_json,
 )
-from .information import conditional_mutual_information, mutual_information
+from .information import entropy_last_axis, mutual_information
 from .regions import (
     DEFAULT_BUDGET,
     AuxGridSpec,
@@ -187,6 +186,8 @@ def check_frontier(path, power, n1, n2, n3, tol):
         half = 0.5 * 10.0 ** (np.floor(np.log10(np.abs(rows))) - 11)
     worst = 0.0
     for (alpha, *stored), (h, *slack) in zip(rows.tolist(), half.tolist()):
+        if not 0.0 <= alpha <= 1.0:
+            raise InvalidDistribution(f"{path}: alpha must lie in [0, 1], got {alpha!r}")
         ends = [gaussian_region_point(g, a) for a in (max(alpha - h, 0.0), min(alpha + h, 1.0))]
         for value, s, a, b in zip(stored, slack, *ends):
             worst = max(worst, min(a, b) - s - value, value - max(a, b) - s)
@@ -203,13 +204,16 @@ def _simulate_superposition(config: ExperimentConfig, z_budget: int) -> dict:
     cb = build_superposition(params, config.pu, config.pxu)
     report = exact_equivocation(cb, m.pzx, z_budget=z_budget)
     trial = run_error_experiment(cb, (m.py1x, m.py2x), trials=config.trials, seed=config.seed)
-    joint_uxy1 = np.einsum("u,ux,xy->uxy", config.pu.probs, config.pxu.matrix, m.py1x.matrix)
+    # I(X;Y1|U) = H(U,X) + H(U,Y1) - H(U,X,Y1) - H(U), clamped at 0.
+    joint = np.einsum("u,ux,xy->uxy", config.pu.probs, config.pxu.matrix, m.py1x.matrix)
+    h_ux, h_uy1, h_uxy1, h_u = (
+        float(entropy_last_axis(p.ravel()))
+        for p in (joint.sum(axis=2), joint.sum(axis=1), joint, joint.sum(axis=(1, 2)))
+    )
     mis = {
         "i_u_y2": mutual_information(config.pu, cascade(config.pxu, m.py2x)),
         "i_u_z": mutual_information(config.pu, cascade(config.pxu, m.pzx)),
-        "i_x_y1_given_u": conditional_mutual_information(
-            JointPmf(joint_uxy1, ("u", "x", "y1")), "x", "y1", ("u",)
-        ),
+        "i_x_y1_given_u": max(h_ux + h_uy1 - h_uxy1 - h_u, 0.0),
         "i_x_z": mutual_information(Pmf(config.pu.probs @ config.pxu.matrix), m.pzx),
     }
     equivocation = {

@@ -273,14 +273,16 @@ def decode_rx1(
     return int(w1), int(w2)
 
 
-def _sequence_digits(alphabet: int, n: int) -> np.ndarray:
-    """digits[i] holds symbol i of every length-n sequence, row-major order."""
-    count = alphabet**n
-    idx = np.arange(count)
-    digits = np.empty((n, count), dtype=np.int64)
-    for i in range(n):
-        digits[i] = (idx // (alphabet ** (n - 1 - i))) % alphabet
-    return digits
+def _likelihoods(words: np.ndarray, mz: np.ndarray) -> np.ndarray:
+    """P(z^n | word) for every row of words[W, n], z^n in row-major order.
+
+    Prefix products multiply the per-symbol factors in position order, so
+    each likelihood is the same float as the plain product over i.
+    """
+    probs = np.ones((len(words), 1))
+    for i in range(words.shape[1]):
+        probs = (probs[:, :, None] * mz[words[:, i]][:, None, :]).reshape(len(words), -1)
+    return probs
 
 
 def _plogp_sum(values: np.ndarray) -> float:
@@ -307,7 +309,10 @@ def exact_equivocation(
     pzx : DiscreteChannel
         Eavesdropper channel P(z|x).
     z_budget : int
-        Cap on |Z|^n, the number of enumerated observation sequences.
+        Cap on |Z|^n, the number of enumerated observation sequences, and
+        on the likelihood block: bin members are taken z_budget // |Z|^n
+        at a time, so the working set stays within a few times z_budget
+        floats whatever l1*l2 is.
     combo_budget : int
         Cap on m1*m2*l1*l2, the number of codeword roles enumerated.
     """
@@ -322,8 +327,7 @@ def exact_equivocation(
     if combos > combo_budget:
         raise BudgetExceeded(f"{combos} message/randomization combinations exceed {combo_budget}")
 
-    mz = pzx.matrix
-    digits = _sequence_digits(pzx.output_size, n)
+    block = z_budget // count
     inv_messages = 1.0 / (m1 * m2)
     pz = np.zeros(count)
     pw1z = np.zeros((m1, count))
@@ -332,10 +336,14 @@ def exact_equivocation(
     for w2 in range(m2):
         for w1 in range(m1):
             words = cb.x_words[w2, :, w1, :, :].reshape(l2 * l1, n)
-            probs = np.ones((l2 * l1, count))
-            for i in range(n):
-                probs *= mz[words[:, i]][:, digits[i]]
-            conditional = probs.sum(axis=0) / (l1 * l2)
+            conditional = _likelihoods(words[:block], pzx.matrix).sum(axis=0)
+            for start in range(block, l2 * l1, block):
+                probs = _likelihoods(words[start : start + block], pzx.matrix)
+                # Fold the running sum into the first row: the rows are then
+                # added one after another, in the same order as one sum.
+                probs[0] += conditional
+                conditional = probs.sum(axis=0)
+            conditional = conditional / (l1 * l2)
             joint = conditional * inv_messages
             pz += joint
             pw1z[w1] += joint
@@ -397,12 +405,6 @@ def build_double_binning(
     )
 
 
-def _empirical_joint(v1_word: np.ndarray, v2_word: np.ndarray, a1: int, a2: int) -> np.ndarray:
-    counts = np.zeros((a1, a2))
-    np.add.at(counts, (v1_word, v2_word), 1.0)
-    return counts / len(v1_word)
-
-
 def encode_double_binning(
     cb: BinningCodebook, w1: int, w2: int, noise_seed: int
 ) -> np.ndarray | None:
@@ -420,22 +422,18 @@ def encode_double_binning(
     if not 0 <= w2 < params.m2:
         raise ValueError(f"message w2={w2!r} outside [0, {params.m2})")
     a1, a2 = cb.pv1.alphabet_size, cb.pv2.alphabet_size
-    target = np.outer(cb.pv1.probs, cb.pv2.probs)
-    qualifying = []
-    for j1 in range(params.l1):
-        v1_word = cb.v1_words[w1, j1]
-        for j2 in range(params.l2):
-            v2_word = cb.v2_words[w2, j2]
-            deviation = np.max(np.abs(_empirical_joint(v1_word, v2_word, a1, a2) - target))
-            if deviation <= cb.epsilon:
-                qualifying.append((j1, j2))
-    if not qualifying:
+    target = np.outer(cb.pv1.probs, cb.pv2.probs).ravel()
+    # Pair symbols of every (j1, j2), row j1 * l2 + j2, and their joint types.
+    pairs = (cb.v1_words[w1][:, None, :] * a2 + cb.v2_words[w2][None, :, :]).reshape(-1, params.n)
+    counts = np.zeros((len(pairs), a1 * a2))
+    np.add.at(counts, (np.arange(len(pairs))[:, None], pairs), 1.0)
+    deviation = np.max(np.abs(counts / params.n - target), axis=1)
+    qualifying = np.flatnonzero(deviation <= cb.epsilon)
+    if qualifying.size == 0:
         return None
     rng = _rng(noise_seed, _TAG_ENCODE)
-    j1, j2 = qualifying[int(rng.integers(len(qualifying)))]
-    pair_rows = cb.x_map.reshape(a1 * a2, -1)
-    pair_index = cb.v1_words[w1, j1] * a2 + cb.v2_words[w2, j2]
-    return _sample_conditional(rng, pair_rows, pair_index)
+    pair_index = pairs[qualifying[int(rng.integers(len(qualifying)))]]
+    return _sample_conditional(rng, cb.x_map.reshape(a1 * a2, -1), pair_index)
 
 
 def _decode_binned(words: np.ndarray, y: np.ndarray, log_matrix: np.ndarray) -> int:
@@ -478,8 +476,6 @@ def run_error_experiment(
     superposition = isinstance(cb, SuperpositionCodebook)
     if superposition:
         composite_rx2 = cascade(cb.pxu, py2x)
-        log_rx1 = _log_matrix(py1x.matrix)
-        log_rx2 = _log_matrix(composite_rx2.matrix)
     else:
         comp1, comp2 = _binning_composites(cb, py1x, py2x)
         log_rx1 = _log_matrix(comp1.matrix)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -67,6 +68,16 @@ def _integer(data: dict, key: str, default: int | None = None) -> int:
     return value
 
 
+def _number(data: dict, key: str, default: float | None = None) -> float:
+    """A field that must be a finite JSON number: true, "0.25", NaN and Infinity are rejected."""
+    value = _require(data, key) if default is None else data.get(key, default)
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    # The comparison is False for NaN, for infinities and for integers beyond the float range.
+    if not (numeric and abs(value) <= sys.float_info.max):
+        raise InvalidDistribution(f"field {key!r} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def parse_channel(data: dict) -> BroadcastChannel | MarginalTriple | GaussianParams:
     """Parse a channel description dict, naming the violated invariant on error."""
     if not isinstance(data, dict):
@@ -92,12 +103,7 @@ def parse_channel(data: dict) -> BroadcastChannel | MarginalTriple | GaussianPar
             raise InvalidDistribution("marginal matrices disagree on the input alphabet size")
         return MarginalTriple(*matrices)
     if kind == "awgn-bcc":
-        return GaussianParams(
-            power=float(_require(data, "power")),
-            n1=float(_require(data, "n1")),
-            n2=float(_require(data, "n2")),
-            n3=float(_require(data, "n3")),
-        )
+        return GaussianParams(**{k: _number(data, k) for k in ("power", "n1", "n2", "n3")})
     raise InvalidDistribution(f"unknown channel type {kind!r}")
 
 
@@ -182,7 +188,7 @@ def parse_experiment(data: dict, base_dir: Path | None = None) -> ExperimentConf
         pv1=pv1,
         pv2=pv2,
         pxv=pxv,
-        epsilon=float(data.get("epsilon", 0.1)),
+        epsilon=_number(data, "epsilon", 0.1),
     )
 
 

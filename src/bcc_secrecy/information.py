@@ -3,15 +3,10 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
 
 import numpy as np
 
-from .channels import DimensionMismatch, DiscreteChannel, JointPmf, Pmf
-
-
-class AxisOverlap(ValueError):
-    """Conditioning axes overlap the argument axes."""
+from .channels import DimensionMismatch, DiscreteChannel, Pmf
 
 
 def entropy_last_axis(probs: np.ndarray) -> np.ndarray:
@@ -48,35 +43,4 @@ def mutual_information(input_dist: Pmf, ch: DiscreteChannel) -> float:
         )
     py = input_dist.probs @ ch.matrix
     value = float(entropy_last_axis(py) - input_dist.probs @ entropy_last_axis(ch.matrix))
-    return max(value, 0.0)
-
-
-def _marginal_entropy(probs: np.ndarray, keep: tuple[int, ...]) -> float:
-    drop = tuple(i for i in range(probs.ndim) if i not in keep)
-    marginal = probs.sum(axis=drop) if drop else probs
-    return float(entropy_last_axis(marginal.ravel()))
-
-
-def conditional_mutual_information(
-    joint: JointPmf, a: str, b: str, cond: Iterable[str] = ()
-) -> float:
-    """I(A;B|C) for named axes of a joint pmf, clamped at 0.
-
-    Computed as H(A,C) + H(B,C) - H(A,B,C) - H(C), which equals the
-    per-condition average sum_c p(c) I(A;B|C=c).
-    """
-    cond_names = tuple(cond)
-    names = (a, b, *cond_names)
-    if len(set(names)) != len(names):
-        raise AxisOverlap(f"axes must be disjoint, got a={a!r}, b={b!r}, cond={cond_names!r}")
-    ia = joint.axis_index(a)
-    ib = joint.axis_index(b)
-    ic = tuple(joint.axis_index(name) for name in cond_names)
-    p = joint.probs
-    value = (
-        _marginal_entropy(p, (ia, *ic))
-        + _marginal_entropy(p, (ib, *ic))
-        - _marginal_entropy(p, (ia, ib, *ic))
-        - _marginal_entropy(p, ic)
-    )
     return max(value, 0.0)

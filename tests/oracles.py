@@ -248,3 +248,65 @@ def hull_two_chain(points) -> list[tuple[float, float]]:
             keep.append((float(x), float(y)))
             best = y
     return keep[::-1]
+
+
+def equivocation_digit_table(x_words, mz, m1, m2, l1, l2, n) -> tuple[float, ...]:
+    """(re1, re2, re12, *gaps) by the library's former digit-table path.
+
+    An n x |Z|^n table holds symbol i of every z^n (row-major), and each
+    message pair's likelihoods are built by gathering n full-width rows for
+    all of its bin members at once.  The library must match it bit for bit.
+    """
+    mz = np.asarray(mz, float)
+    nz = mz.shape[1]
+    count = nz**n
+    idx = np.arange(count)
+    digits = np.empty((n, count), dtype=np.int64)
+    for i in range(n):
+        digits[i] = (idx // (nz ** (n - 1 - i))) % nz
+
+    def plogp_sum(values):
+        v = values[values > 0.0]
+        return float((v * np.log2(v)).sum())
+
+    inv_messages = 1.0 / (m1 * m2)
+    pz = np.zeros(count)
+    pw1z = np.zeros((m1, count))
+    pw2z = np.zeros((m2, count))
+    joint_plogp = 0.0
+    for w2 in range(m2):
+        for w1 in range(m1):
+            words = x_words[w2, :, w1, :, :].reshape(l2 * l1, n)
+            probs = np.ones((l2 * l1, count))
+            for i in range(n):
+                probs *= mz[words[:, i]][:, digits[i]]
+            joint = probs.sum(axis=0) / (l1 * l2) * inv_messages
+            pz += joint
+            pw1z[w1] += joint
+            pw2z[w2] += joint
+            joint_plogp += plogp_sum(joint)
+    h_z = -plogp_sum(pz)
+    re1 = max((-plogp_sum(pw1z.ravel()) - h_z) / n, 0.0)
+    re2 = max((-plogp_sum(pw2z.ravel()) - h_z) / n, 0.0)
+    re12 = max((-joint_plogp - h_z) / n, 0.0)
+    rate1, rate2 = math.log2(m1) / n, math.log2(m2) / n
+    return re1, re2, re12, rate1 - re1, rate2 - re2, rate1 + rate2 - re12
+
+
+def typical_pair_loop(v1_words, v2_words, pv1, pv2, epsilon, w1, w2) -> list[tuple[int, int]]:
+    """Every (j1, j2) whose joint type is within epsilon of pv1 x pv2 (max norm).
+
+    The library's former per-pair loop, in (j1, j2) order.
+    """
+    a1, a2 = len(pv1), len(pv2)
+    target = np.outer(pv1, pv2)
+    qualifying = []
+    for j1 in range(v1_words.shape[1]):
+        v1_word = v1_words[w1, j1]
+        for j2 in range(v2_words.shape[1]):
+            v2_word = v2_words[w2, j2]
+            counts = np.zeros((a1, a2))
+            np.add.at(counts, (v1_word, v2_word), 1.0)
+            if np.max(np.abs(counts / len(v1_word) - target)) <= epsilon:
+                qualifying.append((j1, j2))
+    return qualifying

@@ -6,13 +6,11 @@ from bcc_secrecy import (
     DimensionMismatch,
     DiscreteChannel,
     InvalidDistribution,
-    JointPmf,
     NegativeEntry,
     Pmf,
     SumNotOne,
     cascade,
     check_stochastic_degraded,
-    joint_from_input,
     marginal_channel,
     validate_pmf,
 )
@@ -172,50 +170,6 @@ class TestMarginalChannel:
         bcc = BroadcastChannel(np.full((1, 2, 2, 2), 1.0 / 8))
         with pytest.raises(ValueError, match="y1"):
             marginal_channel(bcc, "y3")
-
-
-class TestJointFromInput:
-    def test_identity_gives_diagonal(self):
-        joint = joint_from_input(Pmf.uniform(3), DiscreteChannel.identity(3))
-        assert np.allclose(joint.probs, np.eye(3) / 3)
-
-    def test_point_mass_input_single_row(self):
-        joint = joint_from_input(Pmf.point_mass(2, 1), BSC(0.1))
-        assert joint.probs[0].tolist() == [0.0, 0.0]
-
-    def test_generic_instance_matches_elementwise_product(self):
-        rng = np.random.default_rng(2)
-        ch = random_stochastic(rng, 2, 3)
-        p = Pmf((0.3, 0.7))
-        joint = joint_from_input(p, ch)
-        for x in range(2):
-            for y in range(3):
-                assert joint.probs[x, y] == p.probs[x] * ch.matrix[x, y]
-        assert np.max(np.abs(joint.probs.sum(axis=1) - p.probs)) <= 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            joint_from_input(Pmf.uniform(3), BSC(0.1))
-
-
-class TestJointPmf:
-    def test_axis_count_must_match(self):
-        with pytest.raises(InvalidDistribution, match="axis names"):
-            JointPmf(np.full((2, 2), 0.25), ("a",))
-
-    def test_duplicate_axis_names_rejected(self):
-        with pytest.raises(InvalidDistribution, match="duplicate"):
-            JointPmf(np.full((2, 2), 0.25), ("a", "a"))
-
-    def test_total_must_be_one(self):
-        with pytest.raises(SumNotOne):
-            JointPmf(np.full((2, 2), 0.3), ("a", "b"))
-
-    def test_axis_lookup(self):
-        joint = JointPmf(np.full((2, 2), 0.25), ("a", "b"))
-        assert joint.axis_index("b") == 1
-        with pytest.raises(ValueError, match="no axis"):
-            joint.axis_index("c")
 
 
 class TestCheckStochasticDegraded:

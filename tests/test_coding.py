@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,13 @@ from bcc_secrecy import (
     run_error_experiment,
     transmit,
 )
-from oracles import equivocation_direct, posterior_argmax_exact
+from bcc_secrecy.coding import _TAG_ENCODE, _rng, _sample_conditional
+from oracles import (
+    equivocation_digit_table,
+    equivocation_direct,
+    posterior_argmax_exact,
+    typical_pair_loop,
+)
 
 BSC = DiscreteChannel.binary_symmetric
 UNIFORM_Z = DiscreteChannel.constant_rows([0.5, 0.5], 2)
@@ -310,6 +317,42 @@ class TestExactEquivocation:
             report = exact_equivocation(cb, UNIFORM_Z)
             assert report.gaps == (0.0, 0.0, 0.0)
 
+    def test_matches_digit_table_bit_for_bit(self):
+        rng = np.random.default_rng(2024)
+        for trial in range(24):
+            params = CodeParams(
+                n=int(rng.integers(1, 7)),
+                m1=int(rng.integers(1, 4)),
+                m2=int(rng.integers(1, 4)),
+                l1=int(rng.integers(1, 6)),
+                l2=int(rng.integers(1, 6)),
+                seed=trial,
+            )
+            nx = int(rng.integers(2, 4))
+            nz = int(rng.integers(2, 4))
+            cb = build_superposition(params, Pmf.uniform(2), random_channel(rng, 2, nx))
+            pzx = random_channel(rng, nx, nz)
+            expected = equivocation_digit_table(
+                cb.x_words, pzx.matrix, params.m1, params.m2, params.l1, params.l2, params.n
+            )
+            count = nz**params.n
+            # one block per pair, then blocks of 3 and of 1 bin members
+            for z_budget in (1 << 20, 3 * count, count):
+                report = exact_equivocation(cb, pzx, z_budget=z_budget)
+                assert (report.re1, report.re2, report.re12, *report.gaps) == expected
+
+    def test_likelihood_blocks_bound_the_working_set(self):
+        params = CodeParams(n=12, m1=1, m2=1, l1=16, l2=16, seed=4)
+        cb = build_superposition(params, Pmf.uniform(2), BSC(0.1))
+        tracemalloc.start()
+        try:
+            exact_equivocation(cb, BSC(0.2), z_budget=4 * 2**12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # all 256 bin members at once would need 2 x 8 MiB
+        assert peak < 2 * 2**20
+
     def test_budgets_enforced(self):
         params = CodeParams(n=24, m1=2, m2=2, l1=1, l2=1, seed=0)
         cb = build_superposition(params, Pmf.uniform(2), BSC(0.1))
@@ -408,6 +451,46 @@ class TestDoubleBinning:
                     failures += 1
             rates.append(failures / trials)
         assert rates[0] > rates[1] > rates[2], rates
+
+    def test_pair_search_matches_loop(self):
+        rng = np.random.default_rng(606)
+        for trial in range(20):
+            if trial % 2:
+                # dyadic types and target, so deviations equal to epsilon occur
+                a1 = a2 = 2
+                params = CodeParams(n=8, m1=2, m2=2, l1=4, l2=4, seed=trial)
+                pv1 = pv2 = Pmf.uniform(2)
+                epsilon = 0.125
+            else:
+                a1, a2 = (int(a) for a in rng.integers(2, 4, size=2))
+                params = CodeParams(
+                    n=int(rng.integers(2, 9)),
+                    m1=int(rng.integers(1, 4)),
+                    m2=int(rng.integers(1, 4)),
+                    l1=int(rng.integers(1, 7)),
+                    l2=int(rng.integers(1, 7)),
+                    seed=trial,
+                )
+                pv1 = Pmf((raw := rng.random(a1) + 0.2) / raw.sum())
+                pv2 = Pmf((raw := rng.random(a2) + 0.2) / raw.sum())
+                epsilon = float(rng.uniform(0.05, 0.5))
+            x_map = rng.random((a1, a2, 2)) + 0.05
+            x_map /= x_map.sum(axis=-1, keepdims=True)
+            cb = build_double_binning(params, pv1, pv2, x_map, epsilon)
+            for w1 in range(params.m1):
+                for w2 in range(params.m2):
+                    qualifying = typical_pair_loop(
+                        cb.v1_words, cb.v2_words, pv1.probs, pv2.probs, cb.epsilon, w1, w2
+                    )
+                    got = encode_double_binning(cb, w1, w2, noise_seed=trial)
+                    if not qualifying:
+                        assert got is None
+                        continue
+                    pick = _rng(trial, _TAG_ENCODE)
+                    j1, j2 = qualifying[int(pick.integers(len(qualifying)))]
+                    pair_index = cb.v1_words[w1, j1] * a2 + cb.v2_words[w2, j2]
+                    expected = _sample_conditional(pick, x_map.reshape(a1 * a2, -1), pair_index)
+                    assert np.array_equal(got, expected)
 
     def test_message_range_checked(self):
         params = small_params()

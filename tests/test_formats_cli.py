@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from bcc_secrecy.formats import (
     read_frontier_csv,
     write_csv,
 )
+from oracles import cmi_direct
 
 BSC = DiscreteChannel.binary_symmetric
 
@@ -95,6 +97,25 @@ class TestParseChannel:
         data = {"type": "bcc", "x": 2, "y1": 2, "y2": value, "z": 2, "joint": joint}
         with pytest.raises(InvalidDistribution, match="'y2' must be an integer"):
             parse_channel(data)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("power", True),
+            ("n1", "0.25"),
+            ("power", math.inf),
+            ("n3", math.nan),
+            pytest.param("n2", 10**400, id="n2-beyond-float-range"),
+        ],
+    )
+    def test_non_finite_gaussian_field_exit_3(self, tmp_path, capsys, field, value):
+        data = {"type": "awgn-bcc", "power": 1, "n1": 0.25, "n2": 0.5, "n3": 1}
+        data[field] = value
+        path = tmp_path / "awgn.json"
+        path.write_text(json.dumps(data))  # writes the NaN and Infinity literals
+        code = run(["region", "degraded", "--file", str(path), "--out", str(tmp_path / "r.csv")])
+        assert code == 3
+        assert f"field '{field}' must be a finite number" in capsys.readouterr().err
 
     def test_unknown_type(self):
         with pytest.raises(InvalidDistribution, match="unknown channel type"):
@@ -185,6 +206,17 @@ class TestCliRegionGaussian:
         lines[60] = ",".join([alpha, r1, format_sig(float(r2) + 1e-10)])
         out.write_text("\n".join(lines) + "\n")
         assert run(["check", "frontier", "--file", str(out), *args]) == 3
+
+    @pytest.mark.parametrize("alpha", ["1.5", "-0.5"])
+    def test_check_frontier_quotes_out_of_range_alpha(self, tmp_path, capsys, alpha):
+        out = tmp_path / "region.csv"
+        args = ["--power", "1", "--n1", "0.25", "--n2", "0.5", "--n3", "1"]
+        assert run(["region", "gaussian", *args, "--alphas", "11", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        lines[3] = ",".join([alpha, *lines[3].split(",")[1:]])
+        out.write_text("\n".join(lines) + "\n")
+        assert run(["check", "frontier", "--file", str(out), *args]) == 3
+        assert capsys.readouterr().err.endswith(f"alpha must lie in [0, 1], got {alpha}\n")
 
     def test_invalid_params_exit_3(self, tmp_path):
         code = run(
@@ -302,6 +334,14 @@ class TestCliSimulate:
         assert payload["trials"]["count"] == 50
         assert payload["rates"]["r1_bits"] == pytest.approx(1 / 3)
 
+    def test_conditional_mutual_information_matches_oracle(self, tmp_path, superposition_config):
+        out = tmp_path / "results.json"
+        assert run(["simulate", "--config", str(superposition_config), "--out", str(out)]) == 0
+        value = json.loads(out.read_text())["mutual_informations"]["i_x_y1_given_u"]
+        pxu = np.array([[0.9, 0.1], [0.1, 0.9]])
+        joint = np.einsum("u,ux,xy->uxy", [0.5, 0.5], pxu, BSC(0.05).matrix)
+        assert value == pytest.approx(cmi_direct(joint, 1, 2, (0,)), abs=1e-12)
+
     def test_identical_invocation_byte_identical(self, tmp_path, superposition_config):
         out = tmp_path / "repeat.json"
         argv = ["simulate", "--config", str(superposition_config), "--out", str(out)]
@@ -372,6 +412,21 @@ class TestCliSimulate:
         out = tmp_path / "o.json"
         assert run(["simulate", "--config", str(superposition_config), "--out", str(out)]) == 3
         assert f"field '{field}' must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, True, "0.1"])
+    def test_non_finite_epsilon_exit_3(self, tmp_path, capsys, cascade_file, value):
+        config = {
+            "scheme": "double-binning", "n": 4, "m1": 2, "m2": 2, "l1": 4, "l2": 4,
+            "trials": 50, "epsilon": value, "channel": cascade_file,
+            "pv1": [0.5, 0.5], "pv2": [0.5, 0.5],
+            "pxv": [[[0.9, 0.1], [0.1, 0.9]], [[0.1, 0.9], [0.9, 0.1]]],
+        }
+        path = tmp_path / "bin.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o.json"
+        assert run(["simulate", "--config", str(path), "--out", str(out)]) == 3
+        assert "field 'epsilon' must be a finite number" in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_integer_channel_size_exit_3(self, tmp_path, capsys):

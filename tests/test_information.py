@@ -6,18 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcc_secrecy import (
-    AxisOverlap,
     DimensionMismatch,
     DiscreteChannel,
-    JointPmf,
     Pmf,
     binary_entropy,
-    conditional_mutual_information,
     entropy,
-    joint_from_input,
     mutual_information,
 )
-from oracles import cmi_direct, entropy_direct, mi_direct
+from oracles import entropy_direct, mi_direct
 
 BSC = DiscreteChannel.binary_symmetric
 
@@ -106,52 +102,3 @@ class TestMutualInformation:
                 Pmf(probs[perm_in]), DiscreteChannel(ch.matrix[perm_in][:, perm_out])
             )
             assert relabeled == pytest.approx(base, abs=1e-12)
-
-
-class TestConditionalMutualInformation:
-    def test_self_information_no_conditioning(self):
-        joint = JointPmf(np.eye(2) / 2, ("a", "b"))  # A = B, uniform over 2
-        assert conditional_mutual_information(joint, "a", "b") == pytest.approx(1.0, abs=1e-12)
-
-    def test_independence_gives_zero(self):
-        pa = np.array([0.3, 0.7])
-        pbc = np.array([[0.1, 0.2], [0.3, 0.4]])
-        joint = JointPmf(np.einsum("a,bc->abc", pa, pbc), ("a", "b", "c"))
-        assert conditional_mutual_information(joint, "a", "b", ("c",)) == pytest.approx(
-            0.0, abs=1e-12
-        )
-
-    def test_markov_chain_matches_direct_definition(self):
-        rng = np.random.default_rng(41)
-        pu = rng.random(2) + 0.1
-        pu /= pu.sum()
-        pxu = rng.random((2, 3)) + 0.1
-        pxu /= pxu.sum(axis=1, keepdims=True)
-        py1x = rng.random((3, 2)) + 0.1
-        py1x /= py1x.sum(axis=1, keepdims=True)
-        tensor = np.einsum("u,ux,xy->uxy", pu, pxu, py1x)
-        joint = JointPmf(tensor, ("u", "x", "y1"))
-        value = conditional_mutual_information(joint, "x", "y1", ("u",))
-        assert value == pytest.approx(cmi_direct(tensor, 1, 2, (0,)), abs=1e-12)
-        # conditioning on the middle of the chain removes all dependence
-        value_mid = conditional_mutual_information(joint, "u", "y1", ("x",))
-        assert value_mid == pytest.approx(0.0, abs=1e-12)
-
-    def test_empty_conditioning_matches_mutual_information(self):
-        rng = np.random.default_rng(13)
-        for _ in range(10):
-            raw = rng.random((2, 3)) + 0.05
-            ch = DiscreteChannel(raw / raw.sum(axis=1, keepdims=True))
-            probs = rng.random(2) + 0.05
-            probs /= probs.sum()
-            joint = joint_from_input(Pmf(probs), ch)
-            left = conditional_mutual_information(joint, "x", "y")
-            right = mutual_information(Pmf(probs), ch)
-            assert left == pytest.approx(right, abs=1e-12)
-
-    def test_axis_overlap_rejected(self):
-        joint = JointPmf(np.full((2, 2), 0.25), ("a", "b"))
-        with pytest.raises(AxisOverlap):
-            conditional_mutual_information(joint, "a", "a")
-        with pytest.raises(AxisOverlap):
-            conditional_mutual_information(joint, "a", "b", ("b",))

@@ -16,7 +16,6 @@ from bcc_secrecy import (
     RatePoint,
     capacity_fn,
     cascade,
-    conditional_mutual_information,
     degraded_rate_pair,
     degraded_region_inner,
     gaussian_region_point,
@@ -29,8 +28,8 @@ from bcc_secrecy import (
     upper_right_hull,
     wiretap_secrecy_capacity,
 )
-from bcc_secrecy.channels import JointPmf
 from oracles import (
+    cmi_direct,
     degraded_rates_direct,
     frontier_deviation,
     hull_two_chain,
@@ -358,10 +357,8 @@ class TestDegradedRegion:
         pxu = DiscreteChannel.identity(2)  # raw r1 is slightly negative here
         py1x, py2x, pzx = DEGRADED
         point = degraded_rate_pair(pu, pxu, py1x, py2x, pzx)
-        joint_uxy1 = JointPmf(
-            np.einsum("u,ux,xy->uxy", pu.probs, pxu.matrix, py1x.matrix), ("u", "x", "y")
-        )
-        i_xy1_u = conditional_mutual_information(joint_uxy1, "x", "y", ("u",))
+        joint_uxy1 = np.einsum("u,ux,xy->uxy", pu.probs, pxu.matrix, py1x.matrix)
+        i_xy1_u = cmi_direct(joint_uxy1, 1, 2, (0,))
         i_uz = mutual_information(pu, cascade(pxu, pzx))
         i_uy2 = mutual_information(pu, cascade(pxu, py2x))
         px = Pmf(pu.probs @ pxu.matrix)
