@@ -38,8 +38,9 @@ class BudgetExceeded(RuntimeError):
 
 
 def _first(mask: np.ndarray) -> tuple[int, ...] | None:
-    hits = np.argwhere(mask)
-    return tuple(int(v) for v in hits[0]) if hits.size else None
+    if not mask.any():
+        return None
+    return tuple(int(v) for v in np.argwhere(mask)[0])
 
 
 def _position(idx: tuple[int, ...]) -> str:

@@ -268,10 +268,8 @@ def simulate(config_path, out, seed, trials, budget):
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidDistribution(f"{config_path}: not valid JSON ({exc})") from exc
-    if seed is not None:
-        raw["seed"] = seed
-    if trials is not None:
-        raw["trials"] = trials
+    if isinstance(raw, dict):
+        raw.update({k: v for k, v in (("seed", seed), ("trials", trials)) if v is not None})
     config = parse_experiment(raw, base_dir=Path(config_path).parent)
 
     if config.scheme == "superposition":

@@ -39,6 +39,10 @@ DEFAULT_CODEBOOK_SYMBOL_BUDGET = 1 << 22
 DEFAULT_Z_SEQUENCE_BUDGET = 1 << 20
 DEFAULT_COMBO_BUDGET = 1 << 16
 
+# Floats in one likelihood tile of exact_equivocation (512 KiB): a tile and
+# the prefix it grows from stay in cache, which is most of the speed.
+_TILE = 1 << 16
+
 _MASK64 = (1 << 64) - 1
 
 # Purpose tags for substream derivation.
@@ -273,21 +277,31 @@ def decode_rx1(
     return int(w1), int(w2)
 
 
-def _likelihoods(words: np.ndarray, mz: np.ndarray) -> np.ndarray:
-    """P(z^n | word) for every row of words[W, n], z^n in row-major order.
+def _likelihoods(factors: np.ndarray, probs: np.ndarray, buffers: tuple) -> np.ndarray:
+    """Extend probs (R, K) by prefix products over factors[R, i, z] = P(z | row r, i).
 
-    Prefix products multiply the per-symbol factors in position order, so
-    each likelihood is the same float as the plain product over i.
+    Positions multiply in order, so each likelihood is the same float as
+    the plain product over i, and each new position becomes the
+    fastest-varying part of the z order.  The steps write alternately into
+    the two flat buffers (neither may hold probs), and each symbol's
+    columns in their own pass: a (R, K, 1) * (R, 1, |Z|) broadcast into a
+    fresh array runs a length-|Z| inner loop and faults in new pages, and
+    is several times slower for the same products.
     """
-    probs = np.ones((len(words), 1))
-    for i in range(words.shape[1]):
-        probs = (probs[:, :, None] * mz[words[:, i]][:, None, :]).reshape(len(words), -1)
+    nz = factors.shape[2]
+    for i in range(factors.shape[1]):
+        out = buffers[i % 2][: probs.size * nz].reshape(len(probs), -1, nz)
+        for z in range(nz):
+            np.multiply(probs, factors[:, i, z, None], out=out[:, :, z])
+        probs = out.reshape(len(probs), -1)
     return probs
 
 
 def _plogp_sum(values: np.ndarray) -> float:
-    v = values[values > 0.0]
-    return float((v * np.log2(v)).sum())
+    v = values if values.min() > 0.0 else values[values > 0.0]
+    terms = np.log2(v)
+    terms *= v
+    return float(terms.sum())
 
 
 def exact_equivocation(
@@ -310,9 +324,13 @@ def exact_equivocation(
         Eavesdropper channel P(z|x).
     z_budget : int
         Cap on |Z|^n, the number of enumerated observation sequences, and
-        on the likelihood block: bin members are taken z_budget // |Z|^n
-        at a time, so the working set stays within a few times z_budget
-        floats whatever l1*l2 is.
+        on the likelihood tile.  z^n splits into a head of n - t positions
+        and a tail of t >= 1, the most with |Z|^t <= min(z_budget, 65536).
+        Bin members are taken max(tile // |Z|^t, 1) at a time; for each
+        head sequence their likelihoods over the tail form one tile, which
+        is added into its slice of the pair's sum.  The working set stays
+        within a few tiles plus the |Z|^n sums, whatever l1*l2 is, and the
+        members are still added one after another in row order.
     combo_budget : int
         Cap on m1*m2*l1*l2, the number of codeword roles enumerated.
     """
@@ -320,14 +338,22 @@ def exact_equivocation(
     n, m1, m2, l1, l2 = params.n, params.m1, params.m2, params.l1, params.l2
     if pzx.input_size != cb.pxu.output_size:
         raise DimensionMismatch("eavesdropper channel input does not match the transmit alphabet")
-    count = pzx.output_size**n
+    nz = pzx.output_size
+    count = nz**n
     if count > z_budget:
         raise BudgetExceeded(f"|Z|^n = {count} observation sequences exceed budget {z_budget}")
     combos = m1 * m2 * l1 * l2
     if combos > combo_budget:
         raise BudgetExceeded(f"{combos} message/randomization combinations exceed {combo_budget}")
 
-    block = z_budget // count
+    tile = min(z_budget, _TILE)
+    tail = 1
+    while tail < n and nz ** (tail + 1) <= tile:
+        tail += 1
+    width = nz**tail
+    rows = max(tile // width, 1)
+    buffers = (np.empty(rows * width), np.empty(rows * width))
+    head_buffers = (np.empty(rows * count // width), np.empty(rows * count // width))
     inv_messages = 1.0 / (m1 * m2)
     pz = np.zeros(count)
     pw1z = np.zeros((m1, count))
@@ -336,15 +362,24 @@ def exact_equivocation(
     for w2 in range(m2):
         for w1 in range(m1):
             words = cb.x_words[w2, :, w1, :, :].reshape(l2 * l1, n)
-            conditional = _likelihoods(words[:block], pzx.matrix).sum(axis=0)
-            for start in range(block, l2 * l1, block):
-                probs = _likelihoods(words[start : start + block], pzx.matrix)
-                # Fold the running sum into the first row: the rows are then
-                # added one after another, in the same order as one sum.
-                probs[0] += conditional
-                conditional = probs.sum(axis=0)
-            conditional = conditional / (l1 * l2)
-            joint = conditional * inv_messages
+            conditional = np.zeros(count)
+            for start in range(0, l2 * l1, rows):
+                factors = pzx.matrix[words[start : start + rows]]
+                ones = np.ones((len(factors), 1))
+                heads = _likelihoods(factors[:, : n - tail], ones, head_buffers)
+                for column in range(heads.shape[1]):
+                    probs = _likelihoods(factors[:, n - tail :], heads[:, column, None], buffers)
+                    span = slice(column * width, (column + 1) * width)
+                    # Fold the running sum into the first row: the rows are
+                    # then added one after another, in the same order as one
+                    # sum over all members.  tail >= 1 keeps |Z| columns in
+                    # a tile, so its sum runs row by row; a one-column sum
+                    # would be pairwise.
+                    probs[0] += conditional[span]
+                    probs.sum(axis=0, out=conditional[span])
+            joint = conditional
+            joint /= l1 * l2
+            joint *= inv_messages
             pz += joint
             pw1z[w1] += joint
             pw2z[w2] += joint

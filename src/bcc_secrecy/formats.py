@@ -18,6 +18,7 @@ place, so a failed run never leaves a partial artifact.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 import tempfile
@@ -47,10 +48,22 @@ class MarginalTriple:
     pzx: DiscreteChannel
 
 
-def _clamp_grace(arr: np.ndarray) -> np.ndarray:
-    out = np.asarray(arr, dtype=np.float64).copy()
-    mask = (out < 0.0) & (out >= -NEGATIVE_GRACE)
-    out[mask] = 0.0
+def _array(data: dict, key: str) -> np.ndarray:
+    """A field that must be a JSON number or a nested array of them, with the grace floor applied.
+
+    Strings, booleans, null, objects, ragged arrays and integers beyond
+    the float range are rejected naming the field.
+    """
+    value = _require(data, key)
+    try:
+        cells = np.array(value, dtype=object)
+        if not all(type(cell) in (int, float) for cell in cells.flat):
+            raise TypeError
+        out = cells.astype(np.float64)
+    except (TypeError, ValueError, OverflowError):
+        message = f"field {key!r} must be an array of numbers, got {value!r}"
+        raise InvalidDistribution(message) from None
+    out[(out < 0.0) & (out >= -NEGATIVE_GRACE)] = 0.0
     return out
 
 
@@ -87,8 +100,8 @@ def parse_channel(data: dict) -> BroadcastChannel | MarginalTriple | GaussianPar
         sizes = tuple(_integer(data, k) for k in ("x", "y1", "y2", "z"))
         if any(s < 1 for s in sizes):
             raise InvalidDistribution(f"alphabet sizes must be positive, got {sizes}")
-        flat = _clamp_grace(np.asarray(_require(data, "joint"), dtype=np.float64))
-        expected = int(np.prod(sizes))
+        flat = _array(data, "joint")
+        expected = math.prod(sizes)
         if flat.ndim != 1 or flat.size != expected:
             raise InvalidDistribution(
                 f"joint array has {flat.size} entries, expected {expected} for sizes {sizes}"
@@ -96,7 +109,7 @@ def parse_channel(data: dict) -> BroadcastChannel | MarginalTriple | GaussianPar
         return BroadcastChannel(flat.reshape(sizes))
     if kind == "bcc-marginals":
         matrices = [
-            DiscreteChannel(_clamp_grace(np.asarray(_require(data, k), dtype=np.float64)))
+            DiscreteChannel(_array(data, k))
             for k in ("py1x", "py2x", "pzx")
         ]
         if not (matrices[0].input_size == matrices[1].input_size == matrices[2].input_size):
@@ -151,6 +164,8 @@ class ExperimentConfig:
 
 
 def parse_experiment(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
+    if not isinstance(data, dict):
+        raise InvalidDistribution(f"experiment config must be an object, got {type(data).__name__}")
     scheme = _require(data, "scheme")
     if scheme not in ("superposition", "double-binning"):
         raise InvalidDistribution(f"unknown scheme {scheme!r}")
@@ -166,12 +181,12 @@ def parse_experiment(data: dict, base_dir: Path | None = None) -> ExperimentConf
 
     pu = pxu = pv1 = pv2 = pxv = None
     if scheme == "superposition":
-        pu = Pmf(_clamp_grace(np.asarray(_require(data, "pu"), dtype=np.float64)))
-        pxu = DiscreteChannel(_clamp_grace(np.asarray(_require(data, "pxu"), dtype=np.float64)))
+        pu = Pmf(_array(data, "pu"))
+        pxu = DiscreteChannel(_array(data, "pxu"))
     else:
-        pv1 = Pmf(_clamp_grace(np.asarray(_require(data, "pv1"), dtype=np.float64)))
-        pv2 = Pmf(_clamp_grace(np.asarray(_require(data, "pv2"), dtype=np.float64)))
-        pxv = _clamp_grace(np.asarray(_require(data, "pxv"), dtype=np.float64))
+        pv1 = Pmf(_array(data, "pv1"))
+        pv2 = Pmf(_array(data, "pv2"))
+        pxv = _array(data, "pxv")
 
     return ExperimentConfig(
         scheme=scheme,

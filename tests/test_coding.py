@@ -24,6 +24,7 @@ from bcc_secrecy import (
     run_error_experiment,
     transmit,
 )
+from bcc_secrecy import coding
 from bcc_secrecy.coding import _TAG_ENCODE, _rng, _sample_conditional
 from oracles import (
     equivocation_digit_table,
@@ -317,11 +318,12 @@ class TestExactEquivocation:
             report = exact_equivocation(cb, UNIFORM_Z)
             assert report.gaps == (0.0, 0.0, 0.0)
 
-    def test_matches_digit_table_bit_for_bit(self):
+    def test_matches_digit_table_bit_for_bit(self, monkeypatch):
         rng = np.random.default_rng(2024)
         for trial in range(24):
+            nz = 2 + trial % 3
             params = CodeParams(
-                n=int(rng.integers(1, 7)),
+                n=1 if trial < 3 else int(rng.integers(2, 7 if nz == 2 else 5)),
                 m1=int(rng.integers(1, 4)),
                 m2=int(rng.integers(1, 4)),
                 l1=int(rng.integers(1, 6)),
@@ -329,17 +331,37 @@ class TestExactEquivocation:
                 seed=trial,
             )
             nx = int(rng.integers(2, 4))
-            nz = int(rng.integers(2, 4))
             cb = build_superposition(params, Pmf.uniform(2), random_channel(rng, 2, nx))
             pzx = random_channel(rng, nx, nz)
             expected = equivocation_digit_table(
                 cb.x_words, pzx.matrix, params.m1, params.m2, params.l1, params.l2, params.n
             )
             count = nz**params.n
-            # one block per pair, then blocks of 3 and of 1 bin members
-            for z_budget in (1 << 20, 3 * count, count):
-                report = exact_equivocation(cb, pzx, z_budget=z_budget)
-                assert (report.re1, report.re2, report.re12, *report.gaps) == expected
+            # Small tiles span several head sequences and several row blocks;
+            # z_budget gives one tile per pair, then rows of 3 and of 1.
+            for tile in (2, 8, 64, 1 << 16):
+                monkeypatch.setattr(coding, "_TILE", tile)
+                for z_budget in (1 << 20, 3 * count, count):
+                    report = exact_equivocation(cb, pzx, z_budget=z_budget)
+                    assert (report.re1, report.re2, report.re12, *report.gaps) == expected
+        # The benchmark's wide shape: 256 roles over 2^16 sequences.
+        params = CodeParams(n=16, m1=4, m2=4, l1=4, l2=4, seed=5)
+        cb = build_superposition(params, Pmf.uniform(2), random_channel(rng, 2, 2))
+        pzx = random_channel(rng, 2, 2)
+        expected = equivocation_digit_table(cb.x_words, pzx.matrix, 4, 4, 4, 4, 16)
+        for tile in (1 << 12, 1 << 16):
+            monkeypatch.setattr(coding, "_TILE", tile)
+            report = exact_equivocation(cb, pzx)
+            assert (report.re1, report.re2, report.re12, *report.gaps) == expected
+
+    def test_plogp_sum_matches_masked_expression(self):
+        rng = np.random.default_rng(8)
+        for size in (1, 7, 8, 9, 127, 128, 129, 1000, 4099):
+            values = rng.random(size) ** 3
+            for zeros in (0, 1, size // 3, size):
+                values[rng.choice(size, zeros, replace=False)] = 0.0
+                kept = values[values > 0.0]
+                assert coding._plogp_sum(values) == float((kept * np.log2(kept)).sum())
 
     def test_likelihood_blocks_bound_the_working_set(self):
         params = CodeParams(n=12, m1=1, m2=1, l1=16, l2=16, seed=4)
@@ -352,6 +374,18 @@ class TestExactEquivocation:
             tracemalloc.stop()
         # all 256 bin members at once would need 2 x 8 MiB
         assert peak < 2 * 2**20
+
+    def test_likelihood_tiles_bound_the_working_set_at_the_default_budget(self):
+        params = CodeParams(n=16, m1=1, m2=1, l1=16, l2=16, seed=4)
+        cb = build_superposition(params, Pmf.uniform(2), BSC(0.1))
+        tracemalloc.start()
+        try:
+            exact_equivocation(cb, BSC(0.2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 16 bin members at a time over 2^16 sequences would take 8 MiB a block
+        assert peak < 6 * 2**20
 
     def test_budgets_enforced(self):
         params = CodeParams(n=24, m1=2, m2=2, l1=1, l2=1, seed=0)

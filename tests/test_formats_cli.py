@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bcc_secrecy import (
     BroadcastChannel,
@@ -90,6 +92,15 @@ class TestParseChannel:
     def test_wrong_joint_length(self):
         with pytest.raises(InvalidDistribution, match="16"):
             parse_channel({"type": "bcc", "x": 2, "y1": 2, "y2": 2, "z": 2, "joint": [1.0]})
+
+    @pytest.mark.parametrize(
+        "row", [[True, 0.0], ["1", 0.0], [None, 1.0], [{}, 1.0], [1.0], [10**400, 0.0]]
+    )
+    def test_non_numeric_matrix_entry_rejected(self, row):
+        data = bsc_marginals_dict(0.1, 0.2, 0.3)
+        data["pzx"] = [row, [0.5, 0.5]]
+        with pytest.raises(InvalidDistribution, match="'pzx' must be an array of numbers"):
+            parse_channel(data)
 
     @pytest.mark.parametrize("value", [2.5, 2.0, True, "2", None])
     def test_non_integer_alphabet_size_rejected(self, value):
@@ -450,3 +461,109 @@ class TestCliSimulate:
         out = tmp_path / "o.json"
         run(["simulate", "--config", str(superposition_config), "--budget", "4", "--out", str(out)])
         assert not out.exists()
+
+
+# Malformed values of every JSON kind, nested a little.
+json_junk = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 10)
+    | st.integers(min_value=2**62)
+    | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6,
+)
+small = st.integers(1, 3)
+
+
+@st.composite
+def stochastic(draw, *shape):
+    """A nonnegative array of the given shape whose last axis sums to 1."""
+    cells = math.prod(shape)
+    weights = np.array(draw(st.lists(st.integers(0, 4), min_size=cells, max_size=cells)), float)
+    weights = weights.reshape(shape)
+    weights[..., 0] += weights.sum(axis=-1) == 0
+    return (weights / weights.sum(axis=-1, keepdims=True)).tolist()
+
+
+@st.composite
+def with_fault(draw, fields: dict):
+    """Valid fields, then at most one of them replaced by junk or dropped."""
+    data = {key: draw(value) for key, value in fields.items()}
+    fault = draw(st.sampled_from(["none", "junk", "drop"]))
+    if fault != "none":
+        key = draw(st.sampled_from(sorted(data)))
+        if fault == "junk":
+            data[key] = draw(json_junk)
+        else:
+            del data[key]
+    return data
+
+
+def channels_with_input(nx: int):
+    outputs = st.tuples(small, small, small)
+    marginals = outputs.flatmap(lambda o: with_fault({
+        "type": st.just("bcc-marginals"),
+        "py1x": stochastic(nx, o[0]), "py2x": stochastic(nx, o[1]), "pzx": stochastic(nx, o[2]),
+    }))
+    tensor = outputs.flatmap(lambda o: with_fault({
+        "type": st.just("bcc"), "x": st.just(nx), "y1": st.just(o[0]), "y2": st.just(o[1]),
+        "z": st.just(o[2]), "joint": stochastic(nx, math.prod(o)).map(lambda rows: sum(rows, [])),
+    }))
+    return marginals | tensor
+
+
+channels = (
+    small.flatmap(channels_with_input)
+    | with_fault({"type": st.just("awgn-bcc")}
+                 | {key: st.floats(0.01, 10) for key in ("power", "n1", "n2", "n3")})
+    | json_junk
+)
+
+
+@st.composite
+def experiments(draw):
+    nx, nu, a1, a2 = draw(st.tuples(small, small, small, small))
+    return draw(with_fault({
+        "scheme": st.sampled_from(["superposition", "double-binning"]),
+        "channel": channels_with_input(nx) | st.just("channel.json"),
+        "n": st.integers(1, 4), "m1": small, "m2": small, "l1": small, "l2": small,
+        "seed": st.integers(0, 2**70), "trials": st.integers(1, 4),
+        "epsilon": st.floats(0.01, 1.0),
+        "pu": stochastic(nu), "pxu": stochastic(nu, nx),
+        "pv1": stochastic(a1), "pv2": stochastic(a2), "pxv": stochastic(a1, a2, nx),
+    }))
+
+
+class TestFileFormatFuzz:
+    """Any channel or experiment file ends in exit 0, 3 or 4, never a traceback."""
+
+    @given(channel=channels)
+    @settings(max_examples=120, deadline=None)
+    def test_channel_files(self, tmp_path_factory, channel):
+        path = tmp_path_factory.mktemp("channel") / "channel.json"
+        path.write_text(json.dumps(channel))
+        out = str(path.parent / "frontier.csv")
+        # A small budget keeps |X| = 3 searches quick: they exit 4.
+        search = ["--file", str(path), "--grid", "0.5", "--budget", "5000"]
+        for argv in (
+            ["check", "degraded", "--file", str(path)],
+            ["wiretap", *search],
+            ["region", "degraded", *search, "--out", out],
+            ["region", "general", *search, "--out", out],
+        ):
+            assert run(argv) in (0, 3, 4)
+
+    @given(
+        channel=channels, experiment=experiments() | json_junk, seed=st.none() | st.integers(0, 9)
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_experiment_files(self, tmp_path_factory, channel, experiment, seed):
+        folder = tmp_path_factory.mktemp("experiment")
+        (folder / "channel.json").write_text(json.dumps(channel))
+        config = folder / "experiment.json"
+        config.write_text(json.dumps(experiment))
+        argv = ["simulate", "--config", str(config), "--out", str(folder / "out.json")]
+        assert run(argv + ([] if seed is None else ["--seed", str(seed)])) in (0, 3, 4)
