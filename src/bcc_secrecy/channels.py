@@ -132,9 +132,6 @@ class DiscreteChannel:
     def output_size(self) -> int:
         return self.matrix.shape[1]
 
-    def row(self, x: int) -> Pmf:
-        return Pmf(self.matrix[x])
-
     @classmethod
     def identity(cls, k: int) -> "DiscreteChannel":
         return cls(np.eye(k))
@@ -169,10 +166,6 @@ class BroadcastChannel:
     @property
     def input_size(self) -> int:
         return self.joint.shape[0]
-
-    @property
-    def output_sizes(self) -> tuple[int, int, int]:
-        return self.joint.shape[1], self.joint.shape[2], self.joint.shape[3]
 
     @classmethod
     def from_marginals(

@@ -6,6 +6,7 @@ invariant is named on stderr), 4 enumeration budget exceeded.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -24,7 +25,6 @@ from .channels import (
 )
 from .coding import (
     DEFAULT_Z_SEQUENCE_BUDGET,
-    CodeParams,
     build_double_binning,
     build_superposition,
     exact_equivocation,
@@ -75,10 +75,8 @@ def region_gaussian(power, n1, n2, n3, alphas, out):
     if alphas < 2:
         raise click.UsageError("--alphas must be at least 2")
     g = GaussianParams(power=power, n1=n1, n2=n2, n3=n3)
-    rows = []
-    for alpha in np.linspace(0.0, 1.0, alphas):
-        point = gaussian_region_point(g, float(alpha))
-        rows.append([float(alpha), point.r1, point.r2])
+    grid = np.linspace(0.0, 1.0, alphas)
+    rows = np.column_stack([grid, *gaussian_region_point(g, grid)]).tolist()
     write_csv(out, ["alpha", "r1_bits", "r2_bits"], rows)
     click.echo(f"wrote {len(rows)} rows to {out}")
 
@@ -178,19 +176,22 @@ def check_frontier(path, power, n1, n2, n3, tol):
     if header != ["alpha", "r1_bits", "r2_bits"]:
         raise InvalidDistribution(f"{path}: expected a Gaussian sweep CSV, got header {header}")
     g = GaussianParams(power=power, n1=n1, n2=n2, n3=n3)
+    alpha = rows[:, 0]
+    outside = alpha[(alpha < 0.0) | (alpha > 1.0)]
+    if outside.size:
+        raise InvalidDistribution(f"{path}: alpha must lie in [0, 1], got {float(outside[0])!r}")
     # format_sig keeps 12 significant digits: each column may be off by half
     # a unit in its 12th digit (0 for a 0 entry).  r1 rises and r2 falls with
     # alpha, so a faithful rate lies between the rates at the two ends of its
     # alpha's rounding interval, widened by its own rounding.
     with np.errstate(divide="ignore"):
         half = 0.5 * 10.0 ** (np.floor(np.log10(np.abs(rows))) - 11)
+    lo = gaussian_region_point(g, np.maximum(alpha - half[:, 0], 0.0))
+    hi = gaussian_region_point(g, np.minimum(alpha + half[:, 0], 1.0))
     worst = 0.0
-    for (alpha, *stored), (h, *slack) in zip(rows.tolist(), half.tolist()):
-        if not 0.0 <= alpha <= 1.0:
-            raise InvalidDistribution(f"{path}: alpha must lie in [0, 1], got {alpha!r}")
-        ends = [gaussian_region_point(g, a) for a in (max(alpha - h, 0.0), min(alpha + h, 1.0))]
-        for value, s, a, b in zip(stored, slack, *ends):
-            worst = max(worst, min(a, b) - s - value, value - max(a, b) - s)
+    for value, s, a, b in zip(rows.T[1:], half.T[1:], lo, hi):
+        low, high = np.minimum(a, b), np.maximum(a, b)
+        worst = max(worst, float(np.max(low - s - value)), float(np.max(value - high - s)))
     if worst > tol:
         raise InvalidDistribution(f"{path}: frontier deviates by {worst:.3e} > {tol:.3e}")
     click.echo(f"frontier reproduced, max deviation {worst:.3e}")
@@ -198,12 +199,9 @@ def check_frontier(path, power, n1, n2, n3, tol):
 
 def _simulate_superposition(config: ExperimentConfig, z_budget: int) -> dict:
     m = config.marginals
-    params = CodeParams(
-        n=config.n, m1=config.m1, m2=config.m2, l1=config.l1, l2=config.l2, seed=config.seed
-    )
-    cb = build_superposition(params, config.pu, config.pxu)
+    cb = build_superposition(config.code, config.pu, config.pxu)
     report = exact_equivocation(cb, m.pzx, z_budget=z_budget)
-    trial = run_error_experiment(cb, (m.py1x, m.py2x), trials=config.trials, seed=config.seed)
+    trial = run_error_experiment(cb, (m.py1x, m.py2x), trials=config.trials, seed=config.code.seed)
     # I(X;Y1|U) = H(U,X) + H(U,Y1) - H(U,X,Y1) - H(U), clamped at 0.
     joint = np.einsum("u,ux,xy->uxy", config.pu.probs, config.pxu.matrix, m.py1x.matrix)
     h_ux, h_uy1, h_uxy1, h_u = (
@@ -222,16 +220,13 @@ def _simulate_superposition(config: ExperimentConfig, z_budget: int) -> dict:
         "re12": report.re12,
         "gaps": list(report.gaps),
     }
-    return {"equivocation": equivocation, "mutual_informations": mis, "trial": trial, "params": params}
+    return {"equivocation": equivocation, "mutual_informations": mis, "trial": trial}
 
 
 def _simulate_double_binning(config: ExperimentConfig) -> dict:
     m = config.marginals
-    params = CodeParams(
-        n=config.n, m1=config.m1, m2=config.m2, l1=config.l1, l2=config.l2, seed=config.seed
-    )
-    cb = build_double_binning(params, config.pv1, config.pv2, config.pxv, config.epsilon)
-    trial = run_error_experiment(cb, (m.py1x, m.py2x), trials=config.trials, seed=config.seed)
+    cb = build_double_binning(config.code, config.pv1, config.pv2, config.pxv, config.epsilon)
+    trial = run_error_experiment(cb, (m.py1x, m.py2x), trials=config.trials, seed=config.code.seed)
     # Per-letter composites under the independent product of pv1 and pv2.
     x_given_v1 = DiscreteChannel(np.einsum("w,vwx->vx", config.pv2.probs, config.pxv))
     x_given_v2 = DiscreteChannel(np.einsum("v,vwx->wx", config.pv1.probs, config.pxv))
@@ -246,7 +241,7 @@ def _simulate_double_binning(config: ExperimentConfig) -> dict:
         "i_v1v2_z": mutual_information(pair_pmf, cascade(pair_channel, m.pzx)),
         "i_x_z": mutual_information(px, m.pzx),
     }
-    return {"equivocation": None, "mutual_informations": mis, "trial": trial, "params": params}
+    return {"equivocation": None, "mutual_informations": mis, "trial": trial}
 
 
 @cli.command()
@@ -277,18 +272,11 @@ def simulate(config_path, out, seed, trials, budget):
     else:
         result = _simulate_double_binning(config)
 
-    params = result["params"]
+    params = config.code
     trial = result["trial"]
     payload = {
         "scheme": config.scheme,
-        "code": {
-            "n": params.n,
-            "m1": params.m1,
-            "m2": params.m2,
-            "l1": params.l1,
-            "l2": params.l2,
-            "seed": params.seed,
-        },
+        "code": dataclasses.asdict(params),
         "rates": {
             "r1_bits": params.rate1,
             "r2_bits": params.rate2,

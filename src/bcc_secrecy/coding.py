@@ -12,6 +12,11 @@ Two code constructions are implemented at small blocklength n:
   pair inside the selected bins and synthesizes x^n from it.  At small n
   the search can come up empty, which is reported rather than hidden.
 
+Both schemes share one trial path: one inverse-CDF sampler draws every
+codeword, x^n and channel output; one ML index (`_ml_index`) serves every
+receiver; and `run_error_experiment` picks the scheme's encoder and
+decoder once, then runs one loop body.
+
 Decoders are maximum likelihood rather than typical-set decoders: at
 n <= 16 typicality is vacuous, and ML is the optimal benchmark, so the
 measured error rate lower-bounds any typicality decoder's.  Eavesdropper
@@ -60,17 +65,14 @@ def _rng(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(seed) & _MASK64, *tags]))
 
 
-def _sample_iid(rng: np.random.Generator, probs: np.ndarray, shape: tuple) -> np.ndarray:
-    """i.i.d. symbols by inverse-CDF on raw uniforms (stable across numpy versions)."""
-    cdf = np.cumsum(probs)
-    draws = np.searchsorted(cdf, rng.random(shape), side="right")
-    return np.minimum(draws, len(probs) - 1).astype(np.int64)
-
-
 def _sample_conditional(
     rng: np.random.Generator, rows: np.ndarray, conditions: np.ndarray
 ) -> np.ndarray:
-    """One symbol per entry of `conditions`, drawn from the matching row."""
+    """One symbol per entry of `conditions`, drawn from the matching row.
+
+    Inverse CDF on raw uniforms (stable across numpy versions).  An i.i.d.
+    draw from a pmf passes probs[None] and all-zero conditions.
+    """
     cdf = np.cumsum(rows, axis=1)
     u = rng.random(conditions.shape)
     draws = (cdf[conditions] <= u[..., None]).sum(axis=-1)
@@ -114,6 +116,18 @@ class CodeParams:
     @property
     def randomization_rate2(self) -> float:
         return math.log2(self.l2) / self.n
+
+
+def _check_messages(params: CodeParams, w1: int, w2: int) -> None:
+    if not 0 <= w1 < params.m1:
+        raise ValueError(f"message w1={w1!r} outside [0, {params.m1})")
+    if not 0 <= w2 < params.m2:
+        raise ValueError(f"message w2={w2!r} outside [0, {params.m2})")
+
+
+def _check_symbols(total: int, budget: int) -> None:
+    if total > budget:
+        raise BudgetExceeded(f"codebook needs {total} symbols, over the budget of {budget}")
 
 
 @dataclass(frozen=True)
@@ -188,12 +202,10 @@ def build_superposition(
             f"{pxu.input_size}"
         )
     n, m1, m2, l1, l2 = params.n, params.m1, params.m2, params.l1, params.l2
-    total_symbols = m2 * l2 * n + m2 * l2 * m1 * l1 * n
-    if total_symbols > symbol_budget:
-        raise BudgetExceeded(
-            f"codebook needs {total_symbols} symbols, over the budget of {symbol_budget}"
-        )
-    u_words = _sample_iid(_rng(params.seed, _TAG_CLOUD), pu.probs, (m2, l2, n))
+    _check_symbols(m2 * l2 * n + m2 * l2 * m1 * l1 * n, symbol_budget)
+    u_words = _sample_conditional(
+        _rng(params.seed, _TAG_CLOUD), pu.probs[None], np.zeros((m2, l2, n), np.int64)
+    )
     conditions = np.broadcast_to(u_words[:, :, None, None, :], (m2, l2, m1, l1, n))
     x_words = _sample_conditional(_rng(params.seed, _TAG_SATELLITE), pxu.matrix, conditions)
     return SuperpositionCodebook(u_words=u_words, x_words=x_words, pu=pu, pxu=pxu, params=params)
@@ -204,10 +216,7 @@ def encode_superposition(
 ) -> np.ndarray:
     """Pick a bin member uniformly in each layer and return its x^n."""
     params = cb.params
-    if not 0 <= w1 < params.m1:
-        raise ValueError(f"message w1={w1!r} outside [0, {params.m1})")
-    if not 0 <= w2 < params.m2:
-        raise ValueError(f"message w2={w2!r} outside [0, {params.m2})")
+    _check_messages(params, w1, w2)
     rng = _rng(noise_seed, _TAG_ENCODE)
     j2 = int(rng.integers(params.l2))
     j1 = int(rng.integers(params.l1))
@@ -228,15 +237,15 @@ def _log_matrix(matrix: np.ndarray) -> np.ndarray:
     return np.where(matrix > 0.0, np.log2(np.where(matrix > 0.0, matrix, 1.0)), -np.inf)
 
 
-def _loglik_scores(words: np.ndarray, y: np.ndarray, log_matrix: np.ndarray) -> np.ndarray:
-    """Per-word log-likelihoods of y.
+def _ml_index(words: np.ndarray, y: np.ndarray, log_matrix: np.ndarray) -> tuple[int, ...]:
+    """Index into words[..., n] of the word most likely to have produced y.
 
     The per-symbol terms are sorted before summation so that words whose
     likelihoods agree in exact arithmetic (same multiset of factors) get
-    bit-identical scores, keeping the lowest-index tie break meaningful.
+    bit-identical scores; ties go to the lowest row-major index.
     """
-    per_symbol = log_matrix[words, y]
-    return np.sort(per_symbol, axis=-1).sum(axis=-1)
+    scores = np.sort(log_matrix[words, y], axis=-1).sum(axis=-1)
+    return tuple(int(i) for i in np.unravel_index(int(np.argmax(scores)), scores.shape))
 
 
 def _check_observation(y: np.ndarray, n: int, ch: DiscreteChannel) -> np.ndarray:
@@ -258,8 +267,7 @@ def decode_rx2(cb: SuperpositionCodebook, y2: np.ndarray, ch_y2_given_u: Discret
     if ch_y2_given_u.input_size != cb.pu.alphabet_size:
         raise DimensionMismatch("composite channel input does not match the cloud alphabet")
     seq = _check_observation(y2, cb.params.n, ch_y2_given_u)
-    scores = _loglik_scores(cb.u_words, seq, _log_matrix(ch_y2_given_u.matrix))
-    return int(np.argmax(scores)) // cb.params.l2
+    return _ml_index(cb.u_words, seq, _log_matrix(ch_y2_given_u.matrix))[0]
 
 
 def decode_rx1(
@@ -272,9 +280,8 @@ def decode_rx1(
     if ch_y1_given_x.input_size != cb.pxu.output_size:
         raise DimensionMismatch("channel input does not match the transmit alphabet")
     seq = _check_observation(y1, cb.params.n, ch_y1_given_x)
-    scores = _loglik_scores(cb.x_words, seq, _log_matrix(ch_y1_given_x.matrix))
-    w2, _, w1, _ = np.unravel_index(int(np.argmax(scores)), scores.shape)
-    return int(w1), int(w2)
+    w2, _, w1, _ = _ml_index(cb.x_words, seq, _log_matrix(ch_y1_given_x.matrix))
+    return w1, w2
 
 
 def _likelihoods(factors: np.ndarray, probs: np.ndarray, buffers: tuple) -> np.ndarray:
@@ -422,13 +429,13 @@ def build_double_binning(
             f"({pv1.alphabet_size}, {pv2.alphabet_size})"
         )
     n, m1, m2, l1, l2 = params.n, params.m1, params.m2, params.l1, params.l2
-    total_symbols = (m1 * l1 + m2 * l2) * n
-    if total_symbols > symbol_budget:
-        raise BudgetExceeded(
-            f"codebook needs {total_symbols} symbols, over the budget of {symbol_budget}"
-        )
-    v1_words = _sample_iid(_rng(params.seed, _TAG_V1), pv1.probs, (m1, l1, n))
-    v2_words = _sample_iid(_rng(params.seed, _TAG_V2), pv2.probs, (m2, l2, n))
+    _check_symbols((m1 * l1 + m2 * l2) * n, symbol_budget)
+    v1_words = _sample_conditional(
+        _rng(params.seed, _TAG_V1), pv1.probs[None], np.zeros((m1, l1, n), np.int64)
+    )
+    v2_words = _sample_conditional(
+        _rng(params.seed, _TAG_V2), pv2.probs[None], np.zeros((m2, l2, n), np.int64)
+    )
     return BinningCodebook(
         v1_words=v1_words,
         v2_words=v2_words,
@@ -452,10 +459,7 @@ def encode_double_binning(
     is an observable event at small blocklength.
     """
     params = cb.params
-    if not 0 <= w1 < params.m1:
-        raise ValueError(f"message w1={w1!r} outside [0, {params.m1})")
-    if not 0 <= w2 < params.m2:
-        raise ValueError(f"message w2={w2!r} outside [0, {params.m2})")
+    _check_messages(params, w1, w2)
     a1, a2 = cb.pv1.alphabet_size, cb.pv2.alphabet_size
     target = np.outer(cb.pv1.probs, cb.pv2.probs).ravel()
     # Pair symbols of every (j1, j2), row j1 * l2 + j2, and their joint types.
@@ -469,21 +473,6 @@ def encode_double_binning(
     rng = _rng(noise_seed, _TAG_ENCODE)
     pair_index = pairs[qualifying[int(rng.integers(len(qualifying)))]]
     return _sample_conditional(rng, cb.x_map.reshape(a1 * a2, -1), pair_index)
-
-
-def _decode_binned(words: np.ndarray, y: np.ndarray, log_matrix: np.ndarray) -> int:
-    """ML bin index over a binned codebook words[m, l, n]."""
-    scores = _loglik_scores(words, y, log_matrix)
-    return int(np.argmax(scores)) // words.shape[1]
-
-
-def _binning_composites(
-    cb: BinningCodebook, py1x: DiscreteChannel, py2x: DiscreteChannel
-) -> tuple[DiscreteChannel, DiscreteChannel]:
-    """Per-letter channels V1 -> Y1 and V2 -> Y2 induced by the pair map."""
-    comp1 = np.einsum("w,vwx,xy->vy", cb.pv2.probs, cb.x_map, py1x.matrix)
-    comp2 = np.einsum("v,vwx,xy->wy", cb.pv1.probs, cb.x_map, py2x.matrix)
-    return DiscreteChannel(comp1), DiscreteChannel(comp2)
 
 
 def run_error_experiment(
@@ -508,36 +497,35 @@ def run_error_experiment(
     msg_rng = _rng(seed, _TAG_MESSAGES)
     trial_seeds = _rng(seed, _TAG_TRIALS).integers(0, _MASK64, size=(trials, 3), dtype=np.uint64)
 
-    superposition = isinstance(cb, SuperpositionCodebook)
-    if superposition:
+    if isinstance(cb, SuperpositionCodebook):
+        encode = encode_superposition
         composite_rx2 = cascade(cb.pxu, py2x)
+
+        def decode(y1, y2):
+            return decode_rx1(cb, y1, py1x)[0], decode_rx2(cb, y2, composite_rx2)
+
     else:
-        comp1, comp2 = _binning_composites(cb, py1x, py2x)
-        log_rx1 = _log_matrix(comp1.matrix)
-        log_rx2 = _log_matrix(comp2.matrix)
+        encode = encode_double_binning
+        # Per-letter channels V1 -> Y1 and V2 -> Y2 induced by the pair map.
+        log_rx1 = _log_matrix(np.einsum("w,vwx,xy->vy", cb.pv2.probs, cb.x_map, py1x.matrix))
+        log_rx2 = _log_matrix(np.einsum("v,vwx,xy->wy", cb.pv1.probs, cb.x_map, py2x.matrix))
+
+        def decode(y1, y2):
+            return _ml_index(cb.v1_words, y1, log_rx1)[0], _ml_index(cb.v2_words, y2, log_rx2)[0]
 
     errors_rx1 = errors_rx2 = errors_union = failures = 0
     for t in range(trials):
         w1 = int(msg_rng.integers(params.m1))
         w2 = int(msg_rng.integers(params.m2))
-        if superposition:
-            x = encode_superposition(cb, w1, w2, noise_seed=int(trial_seeds[t, 0]))
+        x = encode(cb, w1, w2, noise_seed=int(trial_seeds[t, 0]))
+        if x is None:
+            # An encoding failure counts as an error at both receivers.
+            failures += 1
+            w1_hat = w2_hat = -1
         else:
-            x = encode_double_binning(cb, w1, w2, noise_seed=int(trial_seeds[t, 0]))
-            if x is None:
-                failures += 1
-                errors_rx1 += 1
-                errors_rx2 += 1
-                errors_union += 1
-                continue
-        y1 = transmit(x, py1x, noise_seed=int(trial_seeds[t, 1]))
-        y2 = transmit(x, py2x, noise_seed=int(trial_seeds[t, 2]))
-        if superposition:
-            w1_hat, _ = decode_rx1(cb, y1, py1x)
-            w2_hat = decode_rx2(cb, y2, composite_rx2)
-        else:
-            w1_hat = _decode_binned(cb.v1_words, y1, log_rx1)
-            w2_hat = _decode_binned(cb.v2_words, y2, log_rx2)
+            y1 = transmit(x, py1x, noise_seed=int(trial_seeds[t, 1]))
+            y2 = transmit(x, py2x, noise_seed=int(trial_seeds[t, 2]))
+            w1_hat, w2_hat = decode(y1, y2)
         err1 = w1_hat != w1
         err2 = w2_hat != w2
         errors_rx1 += err1

@@ -34,6 +34,7 @@ from .channels import (
     Pmf,
     marginal_channel,
 )
+from .coding import CodeParams
 from .regions import GaussianParams
 
 NEGATIVE_GRACE = 1e-12
@@ -147,12 +148,7 @@ class ExperimentConfig:
     """Parsed simulation request (see the experiment JSON schema in README)."""
 
     scheme: str
-    n: int
-    m1: int
-    m2: int
-    l1: int
-    l2: int
-    seed: int
+    code: CodeParams
     trials: int
     marginals: MarginalTriple
     pu: Pmf | None
@@ -190,12 +186,14 @@ def parse_experiment(data: dict, base_dir: Path | None = None) -> ExperimentConf
 
     return ExperimentConfig(
         scheme=scheme,
-        n=_integer(data, "n"),
-        m1=_integer(data, "m1"),
-        m2=_integer(data, "m2"),
-        l1=_integer(data, "l1", 1),
-        l2=_integer(data, "l2", 1),
-        seed=_integer(data, "seed", 0),
+        code=CodeParams(
+            n=_integer(data, "n"),
+            m1=_integer(data, "m1"),
+            m2=_integer(data, "m2"),
+            l1=_integer(data, "l1", 1),
+            l2=_integer(data, "l2", 1),
+            seed=_integer(data, "seed", 0),
+        ),
         trials=_integer(data, "trials", 1000),
         marginals=marginals,
         pu=pu,

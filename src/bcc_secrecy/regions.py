@@ -128,24 +128,33 @@ class AuxGridSpec:
         return round(1.0 / self.resolution)
 
 
-def capacity_fn(snr: float) -> float:
-    """Gaussian capacity 0.5 * log2(1 + snr), bits per use."""
-    if snr < 0:
-        raise ValueError(f"snr must be nonnegative, got {snr!r}")
-    return 0.5 * math.log2(1.0 + snr)
+def capacity_fn(snr: float | np.ndarray) -> float | np.ndarray:
+    """Gaussian capacity 0.5 * log2(1 + snr), bits per use, elementwise on an array.
+
+    Logs are math.log2 per element; np.log2 can differ in the last ulp.
+    """
+    values = np.asarray(snr, dtype=np.float64)
+    if np.any(values < 0):
+        raise ValueError(f"snr must be nonnegative, got {float(values[values < 0][0])!r}")
+    caps = np.array([0.5 * math.log2(1.0 + s) for s in values.ravel().tolist()])
+    return float(caps[0]) if values.ndim == 0 else caps.reshape(values.shape)
 
 
-def gaussian_region_point(g: GaussianParams, alpha: float) -> RatePoint:
+def gaussian_region_point(g: GaussianParams, alpha: float | np.ndarray) -> RatePoint:
     """Rate pair for power split alpha (first layer) vs 1 - alpha (second).
 
-    r1 is evaluated as C(aP/N1) - C(aP/N3); the power-split identity
+    Given an array of alphas, r1 and r2 are arrays of the same shape, each
+    element equal to the scalar result.  r1 is evaluated as
+    C(aP/N1) - C(aP/N3); the power-split identity
     C(aP/N) + C((1-a)P/(aP+N)) = C(P/N) shows this equals the three-term
     form C(aP/N1) + C((1-a)P/(aP+N3)) - C(P/N3).  The difference form is
     monotone in the noise ordering, so both coordinates are nonnegative in
     floating point without clamping.
     """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
+    alpha = np.asarray(alpha, dtype=np.float64)
+    outside = ~((alpha >= 0.0) & (alpha <= 1.0))
+    if np.any(outside):
+        raise ValueError(f"alpha must lie in [0, 1], got {float(alpha[outside][0])!r}")
     p = g.power
     r1 = capacity_fn(alpha * p / g.n1) - capacity_fn(alpha * p / g.n3)
     r2 = capacity_fn((1.0 - alpha) * p / (alpha * p + g.n2)) - capacity_fn(
@@ -162,9 +171,7 @@ def gaussian_region_sweep(g: GaussianParams, num_alphas: int = 101) -> RegionFro
     """
     if num_alphas < 2:
         raise ValueError(f"num_alphas must be at least 2, got {num_alphas!r}")
-    points = np.array(
-        [gaussian_region_point(g, a) for a in np.linspace(0.0, 1.0, num_alphas)]
-    )
+    points = np.column_stack(gaussian_region_point(g, np.linspace(0.0, 1.0, num_alphas)))
     front = _pareto(points)
     return RegionFrontier(points=[RatePoint(float(x), float(y)) for x, y in front], hulled=False)
 

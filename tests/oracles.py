@@ -310,3 +310,27 @@ def typical_pair_loop(v1_words, v2_words, pv1, pv2, epsilon, w1, w2) -> list[tup
             if np.max(np.abs(counts / len(v1_word) - target)) <= epsilon:
                 qualifying.append((j1, j2))
     return qualifying
+
+
+def sample_iid_searchsorted(rng, probs, shape) -> np.ndarray:
+    """i.i.d. symbols by the library's former searchsorted sampler.
+
+    Inverse CDF on raw uniforms: the symbol is the number of CDF entries
+    <= u, capped at the last symbol when the CDF ends below 1.
+    """
+    cdf = np.cumsum(probs)
+    draws = np.searchsorted(cdf, rng.random(shape), side="right")
+    return np.minimum(draws, len(probs) - 1).astype(np.int64)
+
+
+def gaussian_point_scalar(power, n1, n2, n3, alpha) -> tuple[float, float]:
+    """(r1, r2) of the Gaussian power split by the library's former scalar body."""
+
+    def capacity(snr):
+        return 0.5 * math.log2(1.0 + snr)
+
+    r1 = capacity(alpha * power / n1) - capacity(alpha * power / n3)
+    r2 = capacity((1.0 - alpha) * power / (alpha * power + n2)) - capacity(
+        (1.0 - alpha) * power / (alpha * power + n3)
+    )
+    return r1, r2

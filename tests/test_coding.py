@@ -25,11 +25,21 @@ from bcc_secrecy import (
     transmit,
 )
 from bcc_secrecy import coding
-from bcc_secrecy.coding import _TAG_ENCODE, _rng, _sample_conditional
+from bcc_secrecy.coding import (
+    _TAG_CLOUD,
+    _TAG_ENCODE,
+    _TAG_V1,
+    _TAG_V2,
+    _log_matrix,
+    _ml_index,
+    _rng,
+    _sample_conditional,
+)
 from oracles import (
     equivocation_digit_table,
     equivocation_direct,
     posterior_argmax_exact,
+    sample_iid_searchsorted,
     typical_pair_loop,
 )
 
@@ -46,6 +56,50 @@ def small_params(**overrides):
 def random_channel(rng, n_in, n_out):
     m = rng.random((n_in, n_out)) + 0.05
     return DiscreteChannel(m / m.sum(axis=1, keepdims=True))
+
+
+class TestSampler:
+    def pmfs(self):
+        rng = np.random.default_rng(8)
+        fixed = [
+            np.array([1.0]),
+            np.array([0.0, 1.0, 0.0]),  # point mass
+            np.array([0.0, 0.5, 0.0, 0.5]),
+            np.full(10, 0.1),  # the float CDF ends at 0.9999999999999999
+            np.array([0.3, 0.3, 0.3]),  # the CDF ends at 0.9: u >= 0.9 is capped
+        ]
+        drawn = []
+        for _ in range(60):
+            probs = rng.random(int(rng.integers(1, 7)))
+            probs[rng.random(len(probs)) < 0.3] = 0.0  # zero entries
+            probs[int(rng.integers(len(probs)))] += 0.1
+            drawn.append(probs / probs.sum())
+        return fixed + drawn
+
+    def test_one_row_equals_searchsorted_sampler(self):
+        for seed, probs in enumerate(self.pmfs()):
+            shape = (3, 4, 50)
+            want = sample_iid_searchsorted(np.random.default_rng(seed), probs, shape)
+            got = _sample_conditional(
+                np.random.default_rng(seed), probs[None], np.zeros(shape, np.int64)
+            )
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want)
+
+    def test_codebooks_draw_as_the_searchsorted_sampler(self):
+        params = CodeParams(n=7, m1=3, m2=2, l1=2, l2=3, seed=99)
+        pa, pb = Pmf([0.2, 0.0, 0.8]), Pmf([0.6, 0.4])
+        cb = build_superposition(params, pa, DiscreteChannel.constant_rows([0.5, 0.5], 3))
+        want = sample_iid_searchsorted(_rng(99, _TAG_CLOUD), pa.probs, (2, 3, 7))
+        assert np.array_equal(cb.u_words, want)
+        x_map = np.full((3, 2, 2), 0.5)
+        binned = build_double_binning(params, pa, pb, x_map, 0.1)
+        assert np.array_equal(
+            binned.v1_words, sample_iid_searchsorted(_rng(99, _TAG_V1), pa.probs, (3, 2, 7))
+        )
+        assert np.array_equal(
+            binned.v2_words, sample_iid_searchsorted(_rng(99, _TAG_V2), pb.probs, (2, 3, 7))
+        )
 
 
 class TestCodeParams:
@@ -532,6 +586,80 @@ class TestDoubleBinning:
         cb = build_double_binning(params, Pmf.uniform(2), Pmf.uniform(2), x_map, 1.0)
         with pytest.raises(ValueError):
             encode_double_binning(cb, 5, 0, noise_seed=0)
+
+
+def hamming_tie_across_bins(words, y) -> bool:
+    """Whether the nearest words to y (the ML set on a BSC) lie in several bins."""
+    distances = (words != y).sum(axis=-1)
+    return len(set(np.argwhere(distances == distances.min())[:, 0])) > 1
+
+
+class TestDoubleBinningDecoding:
+    # P(x=1 | v1, v2) with dyadic entries: under uniform pv1, pv2 the
+    # per-letter composites are symmetric and exact in floating point.
+    X_MAP = np.array([[[0.875, 0.125], [0.625, 0.375]], [[0.375, 0.625], [0.125, 0.875]]])
+
+    def test_ml_index_matches_exact_posterior_with_ties(self):
+        params = CodeParams(n=5, m1=4, m2=1, l1=3, l2=1, seed=17)
+        cb = build_double_binning(params, Pmf.uniform(2), Pmf.uniform(2), self.X_MAP, 0.5)
+        composite = BSC(0.25).matrix
+        flat = cb.v1_words.reshape(-1, 5)
+        ties = 0
+        for idx in range(2**5):
+            y = np.array([(idx >> i) & 1 for i in range(5)])
+            want = np.unravel_index(posterior_argmax_exact(flat, y, composite), (4, 3))
+            assert _ml_index(cb.v1_words, y, _log_matrix(composite)) == want
+            ties += hamming_tie_across_bins(cb.v1_words, y)
+        assert ties > 0
+
+    def test_trial_decisions_match_exact_posterior(self, monkeypatch):
+        params = CodeParams(n=4, m1=2, m2=2, l1=3, l2=3, seed=41)
+        cb = build_double_binning(params, Pmf.uniform(2), Pmf.uniform(2), self.X_MAP, 0.3)
+        py1x, py2x = BSC(0.25), BSC(0.125)
+        # V_k -> Y_k composites by explicit sums over the other auxiliary and x.
+        composites = [np.zeros((2, 2)), np.zeros((2, 2))]
+        for v1, v2, x, y in np.ndindex(2, 2, 2, 2):
+            p = 0.5 * self.X_MAP[v1, v2, x]
+            composites[0][v1, y] += p * py1x.matrix[x, y]
+            composites[1][v2, y] += p * py2x.matrix[x, y]
+        calls, encodes = [], []
+        ml_index, encode = coding._ml_index, coding.encode_double_binning
+
+        def recording_ml_index(words, y, log_matrix):
+            calls.append((words, np.array(y), log_matrix, ml_index(words, y, log_matrix)))
+            return calls[-1][-1]
+
+        def recording_encode(cb, w1, w2, noise_seed):
+            encodes.append((w1, w2, encode(cb, w1, w2, noise_seed)))
+            return encodes[-1][-1]
+
+        monkeypatch.setattr(coding, "_ml_index", recording_ml_index)
+        monkeypatch.setattr(coding, "encode_double_binning", recording_encode)
+        result = run_error_experiment(cb, (py1x, py2x), trials=150, seed=5)
+
+        sent = [(w1, w2) for w1, w2, x in encodes if x is not None]
+        assert len(encodes) == 150 and len(calls) == 2 * len(sent)
+        errors = [0, 0, 0]
+        ties = 0
+        for (w1, w2), rx1, rx2 in zip(sent, calls[0::2], calls[1::2]):
+            hats = []
+            for (words, y, log_matrix, got), composite in zip((rx1, rx2), composites):
+                assert np.array_equal(log_matrix, np.log2(composite))
+                flat = words.reshape(-1, params.n)
+                flat_idx = posterior_argmax_exact(flat, y, composite)
+                want = np.unravel_index(flat_idx, words.shape[:2])
+                assert got == want
+                hats.append(got[0])
+                ties += hamming_tie_across_bins(words, y)
+            errors[0] += hats[0] != w1
+            errors[1] += hats[1] != w2
+            errors[2] += hats[0] != w1 or hats[1] != w2
+        failures = 150 - len(sent)
+        assert result.encoding_failures == failures
+        assert [result.errors_rx1, result.errors_rx2, result.errors_union] == [
+            e + failures for e in errors
+        ]
+        assert ties > 0
 
 
 class TestRunErrorExperiment:

@@ -229,6 +229,17 @@ class TestCliRegionGaussian:
         assert run(["check", "frontier", "--file", str(out), *args]) == 3
         assert capsys.readouterr().err.endswith(f"alpha must lie in [0, 1], got {alpha}\n")
 
+    def test_check_frontier_quotes_first_out_of_range_alpha(self, tmp_path, capsys):
+        out = tmp_path / "region.csv"
+        args = ["--power", "1", "--n1", "0.25", "--n2", "0.5", "--n3", "1"]
+        assert run(["region", "gaussian", *args, "--alphas", "11", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        for row, alpha in ((3, "1.25"), (7, "-0.5")):
+            lines[row] = ",".join([alpha, *lines[row].split(",")[1:]])
+        out.write_text("\n".join(lines) + "\n")
+        assert run(["check", "frontier", "--file", str(out), *args]) == 3
+        assert capsys.readouterr().err.endswith("alpha must lie in [0, 1], got 1.25\n")
+
     def test_invalid_params_exit_3(self, tmp_path):
         code = run(
             [
@@ -461,6 +472,51 @@ class TestCliSimulate:
         out = tmp_path / "o.json"
         run(["simulate", "--config", str(superposition_config), "--budget", "4", "--out", str(out)])
         assert not out.exists()
+
+
+class TestSeedContract:
+    """Golden outputs of one small config per scheme.
+
+    The codebooks, messages, dithers and channel noise are all functions of
+    the seed, so these counts pin the whole trial path: sampler, encoders,
+    channel draws and ML decoders.  A change to the seed contract must
+    re-record them on purpose.
+    """
+
+    PXV = [[[0.95, 0.05], [0.65, 0.35]], [[0.35, 0.65], [0.05, 0.95]]]
+    CASES = {
+        "superposition": (
+            {"pu": [0.5, 0.5], "pxu": [[0.85, 0.15], [0.15, 0.85]], "l1": 2, "l2": 2, "seed": 5},
+            {"errors_rx1": 90, "errors_rx2": 65, "errors_union": 152, "encoding_failures": 0},
+            (0.11399610906677982, 0.07423863696422495, 0.18398241204441668),
+        ),
+        "double-binning": (
+            {"pv1": [0.5, 0.5], "pv2": [0.5, 0.5], "pxv": PXV, "l1": 4, "l2": 4, "epsilon": 0.12,
+             "seed": 6},
+            {"errors_rx1": 261, "errors_rx2": 374, "errors_union": 386, "encoding_failures": 240},
+            None,
+        ),
+    }
+
+    @pytest.mark.parametrize("scheme", sorted(CASES))
+    def test_golden_outputs(self, tmp_path, cascade_file, scheme):
+        fields, counts, equivocation = self.CASES[scheme]
+        config = {"scheme": scheme, "n": 8, "m1": 2, "m2": 2, "trials": 500,
+                  "channel": cascade_file, **fields}
+        path = tmp_path / "golden.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out.json"
+        assert run(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        layers = {k: fields[k] for k in ("l1", "l2", "seed")}
+        assert payload["code"] == {"n": 8, "m1": 2, "m2": 2, **layers}
+        assert payload["trials"]["count"] == 500
+        assert {k: payload["trials"][k] for k in counts} == counts
+        if equivocation is None:
+            assert payload["equivocation"] is None
+        else:
+            got = [payload["equivocation"][k] for k in ("re1", "re2", "re12")]
+            assert got == pytest.approx(equivocation, abs=1e-12, rel=0)
 
 
 # Malformed values of every JSON kind, nested a little.

@@ -32,6 +32,7 @@ from oracles import (
     cmi_direct,
     degraded_rates_direct,
     frontier_deviation,
+    gaussian_point_scalar,
     hull_two_chain,
     verify_frontier_shape,
 )
@@ -85,6 +86,16 @@ class TestCapacityFn:
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
+    def test_array_is_elementwise(self):
+        snrs = np.linspace(0, 50, 2001)
+        assert capacity_fn(snrs).tolist() == [capacity_fn(x) for x in snrs.tolist()]
+        assert capacity_fn(snrs.reshape(3, 667)).shape == (3, 667)
+
+    def test_negative_snr_in_array_quoted(self):
+        with pytest.raises(ValueError, match=r"got -0\.5$"):
+            capacity_fn(np.array([0.0, 1.0, -0.5, -2.0]))
+
+
 class TestGaussianParams:
     def test_ordering_enforced(self):
         with pytest.raises(ValueError):
@@ -114,6 +125,27 @@ class TestGaussianRegionPoint:
     def test_alpha_out_of_range(self):
         with pytest.raises(ValueError):
             gaussian_region_point(CANONICAL, 1.5)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            CANONICAL,
+            GaussianParams(power=10.0, n1=0.3, n2=0.9, n3=2.5),
+            GaussianParams(power=1e-3, n1=1e-4, n2=1e3, n3=1e4),
+        ],
+    )
+    def test_array_equals_scalar_body(self, g):
+        alphas = np.linspace(0.0, 1.0, 20001)
+        point = gaussian_region_point(g, alphas)
+        want = [gaussian_point_scalar(g.power, g.n1, g.n2, g.n3, a) for a in alphas.tolist()]
+        assert point.r1.tolist() == [r1 for r1, _ in want]
+        assert point.r2.tolist() == [r2 for _, r2 in want]
+        scalar = gaussian_point_scalar(g.power, g.n1, g.n2, g.n3, 0.3)
+        assert gaussian_region_point(g, 0.3) == scalar
+
+    def test_first_alpha_out_of_range_quoted(self):
+        with pytest.raises(ValueError, match=r"got 1\.5$"):
+            gaussian_region_point(CANONICAL, np.array([0.0, 1.5, -0.5, 0.2]))
 
     def test_nonnegative_without_clamping(self):
         rng = np.random.default_rng(19)
