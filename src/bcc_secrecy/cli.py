@@ -130,14 +130,18 @@ def region_general(path, grid, v1card, v2card, stochastic_x, budget, out):
 
 @cli.command()
 @click.option("--file", "path", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--grid", type=float, default=0.05, show_default=True, help="Simplex step.")
-@click.option("--vcard", type=int, default=None, help="Auxiliary cardinality (default |X|).")
+@click.option(
+    "--grid",
+    type=float,
+    default=0.05,
+    show_default=True,
+    help="Step of the P(x|v) rows; P(v) is optimised exactly.",
+)
 @click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True)
-def wiretap(path, grid, vcard, budget):
+def wiretap(path, grid, budget):
     """Single-user secrecy capacity (main = y1 marginal, eavesdropper = z)."""
     m = _load_marginals(path)
-    spec = AuxGridSpec(v1_card=vcard, resolution=grid)
-    value = wiretap_secrecy_capacity(m.py1x, m.pzx, spec, budget=budget)
+    value = wiretap_secrecy_capacity(m.py1x, m.pzx, AuxGridSpec(resolution=grid), budget=budget)
     click.echo(f"secrecy_capacity_bits={format_sig(value)}")
 
 

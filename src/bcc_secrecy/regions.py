@@ -12,6 +12,10 @@ Three computations are provided, all in bits per channel use:
   power-split region for the additive-Gaussian family, parameterized by
   the fraction ``alpha`` of power spent on the first receiver's layer.
 
+* ``wiretap_secrecy_capacity``: max I(V;Y) - I(V;Z), evaluated as
+  max_p [phi(p) - vex phi(p)] with phi(q) = H(qW_Y) - H(qW_Z): one lower
+  convex hull over the gridded rows P(x|v), so P(v) and |V| need no grid.
+
 Auxiliary distributions are searched on an explicit simplex grid: every
 probability vector whose entries are integer multiples of the resolution
 step.  The search is exhaustive and reproducible; its accuracy is
@@ -42,6 +46,14 @@ from .information import entropy_last_axis
 DEFAULT_RESOLUTION = 0.05
 DEFAULT_BUDGET = 5_000_000
 MAX_AUX_CARD = 12
+# A lower facet of the wiretap envelope has a value component of
+# -1/sqrt(1 + |slope|^2) in its unit normal.  Differences of entropies on a
+# 1/k grid have slopes of a few times log2(k |Y| |Z|) at most, so that
+# component lies far below -1e-9; the vertical faces over the simplex's
+# edges (|X| >= 3) come out of Qhull as +-1e-17 and must not count.
+LOWER_FACET_TOL = 1e-9
+# float64 cells of one (points x facets) block of the envelope: 1 MiB.
+ENVELOPE_BLOCK_CELLS = 1 << 17
 
 
 class RatePoint(NamedTuple):
@@ -220,12 +232,9 @@ def upper_right_hull(points: Sequence[RatePoint] | np.ndarray) -> RegionFrontier
     return RegionFrontier(points=[RatePoint(x, y) for x, y in chain[-2::-1]], hulled=True)
 
 
-def _check_budget(n_outer: int, n_inner: int, budget: int) -> None:
-    total = n_outer * n_inner
+def _check_budget(total: int, budget: int, what: str) -> None:
     if total > budget:
-        raise BudgetExceeded(
-            f"grid too large: {n_outer} x {n_inner} = {total} candidates exceed budget {budget}"
-        )
+        raise BudgetExceeded(f"grid too large: {what} exceed budget {budget}")
 
 
 def _search(n_outer: int, n_inner: int, budget: int, chunks: Iterator) -> RegionFrontier:
@@ -234,7 +243,8 @@ def _search(n_outer: int, n_inner: int, budget: int, chunks: Iterator) -> Region
     `chunks` is a generator, so its grids are built only after the check
     passes.  The running Pareto staircase is all the final hull needs.
     """
-    _check_budget(n_outer, n_inner, budget)
+    total = n_outer * n_inner
+    _check_budget(total, budget, f"{n_outer} x {n_inner} = {total} candidates")
     front = np.zeros((1, 2))
     for points in chunks:
         front = _pareto(np.vstack([front, _rate_points(points)]))
@@ -247,17 +257,47 @@ def simplex_grid(dim: int, steps: int) -> np.ndarray:
         raise ValueError(f"dim must be positive, got {dim!r}")
     if steps < 1:
         raise ValueError(f"steps must be positive, got {steps!r}")
-    rows = list(_compositions(steps, dim))
-    return np.array(rows, dtype=np.float64) / steps
+    return _compositions(dim, steps) / steps
 
 
-def _compositions(total: int, parts: int):
+def _compositions(parts: int, total: int) -> np.ndarray:
+    """Every split of `total` into `parts` nonnegative integers, lexicographic order.
+
+    Stars and bars: the parts are the gaps between `parts - 1` bars placed
+    in `total + parts - 1` slots, and bar positions taken in lexicographic
+    order give the splits in lexicographic order.  `combinations` copies its
+    pool of slots, which is never longer than the output for two parts or
+    more; one part needs no pool.
+    """
     if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head, *tail)
+        return np.array([[total]])
+    slots = total + parts - 1
+    rows = _simplex_count(parts, total)
+    bars = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(slots), parts - 1)),
+        dtype=np.int64,
+        count=rows * (parts - 1),
+    ).reshape(rows, parts - 1)
+    edges = np.hstack([np.full((rows, 1), -1), bars, np.full((rows, 1), slots)])
+    return np.diff(edges, axis=1) - 1
+
+
+def _composition_blocks(parts: int, total: int, block: int) -> Iterator[np.ndarray]:
+    """The rows of _compositions(parts, total) in order, at most `block` at a time.
+
+    Memory stays proportional to `block`: a split with too many rows recurses
+    on its first part, and two parts run as ranges of the first.
+    """
+    if _simplex_count(parts, total) <= block:
+        yield _compositions(parts, total)
+    elif parts == 2:
+        for start in range(0, total + 1, block):
+            first = np.arange(start, min(start + block, total + 1))
+            yield np.column_stack([first, total - first])
+    else:
+        for first in range(total + 1):
+            for rest in _composition_blocks(parts - 1, total - first, block):
+                yield np.column_stack([np.full(len(rest), first), rest])
 
 
 def _simplex_count(dim: int, steps: int) -> int:
@@ -441,30 +481,65 @@ def general_inner_bound(
     return _search(_simplex_count(v1 * v2, steps), n_rows ** (v1 * v2), budget, chunks())
 
 
+def _wiretap_phi(q: np.ndarray, main: np.ndarray, eve: np.ndarray) -> np.ndarray:
+    """phi(q) = H(qW_Y) - H(qW_Z) for each row q of P(x)."""
+    return entropy_last_axis(q @ main) - entropy_last_axis(q @ eve)
+
+
+def _lower_facets(rows: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Slopes (F, |X| - 1) and offsets (F,) of the lower hull of (q[:-1], value).
+
+    The lower convex envelope over the hull of the rows is the maximum of
+    these affine functions of q[:-1].  One lid point above the centroid
+    makes the cloud full-dimensional even when it is flat (equal channels)
+    and lies in no lower facet, so the lower hull is unchanged.
+    """
+    from scipy.spatial import ConvexHull  # deferred: the import costs more than most commands
+
+    nx = rows.shape[1]
+    lid = np.append(np.full(nx - 1, 1.0 / nx), values.max() + 1.0)
+    hull = ConvexHull(np.vstack([np.column_stack([rows[:, :-1], values]), lid]))
+    # Each row of `equations` is (normal, offset) with normal . x + offset = 0.
+    lower = hull.equations[hull.equations[:, -2] < -LOWER_FACET_TOL]
+    value_part = lower[:, -2]
+    return -lower[:, :-2] / value_part[:, None], -lower[:, -1] / value_part
+
+
 def wiretap_secrecy_capacity(
     main: DiscreteChannel,
     eve: DiscreteChannel,
     grid: AuxGridSpec = AuxGridSpec(),
     budget: int = DEFAULT_BUDGET,
 ) -> float:
-    """Grid maximum of I(V;Y) - I(V;Z) over P(v) and P(x|v), clamped at 0.
+    """max I(V;Y) - I(V;Z) over P(v) and gridded rows P(x|v), clamped at 0.
 
-    P(x|v) rows range over the full simplex grid, which contains every
-    one-hot row; in particular the identity embedding V = X is always a
-    candidate, so for degraded pairs the grid attains the single-letter
-    optimum whenever the optimal input distribution lies on the grid.
+    With phi(q) = H(qW_Y) - H(qW_Z), the rate is phi(p) - sum_v P(v) phi(q_v)
+    at P(x) = p, and the best mixture of rows that averages to p gives the
+    lower convex envelope vex phi(p) (Csiszar-Korner).  The rows q range over
+    the 1/k grid (k = grid.steps) and vex phi is the lower hull of their
+    points (q, phi(q)); p ranges over the 1/k^2 grid, which holds every
+    mixture of rows with weights on the 1/k grid.  So the value is at least
+    the grid search over (P(v), P(x|v)) on the 1/k grid for any |V|, and a
+    mixture of at most |X| rows achieves it.  Only grid.resolution is used.
+
+    The budget counts the points p and is checked before anything is built;
+    they are evaluated in blocks of at most ENVELOPE_BLOCK_CELLS
+    (point, facet) cells.
     """
     nx = _check_shared_input(main, eve)
-    v_card = grid.v1_card if grid.v1_card is not None else nx
     steps = grid.steps
-    _check_budget(_simplex_count(v_card, steps), _simplex_count(nx, steps) ** v_card, budget)
-    cond = _row_product(simplex_grid(nx, steps), v_card)
-    t_y = cond @ main.matrix
-    t_z = cond @ eve.matrix
-    h_y_rows = entropy_last_axis(t_y)
-    h_z_rows = entropy_last_axis(t_z)
+    n_points = _simplex_count(nx, steps * steps)
+    _check_budget(n_points, budget, f"{n_points} points P(x) on the 1/{steps * steps} grid")
+    if nx == 1:
+        return 0.0
+    rows = simplex_grid(nx, steps)
+    slopes, offsets = _lower_facets(rows, _wiretap_phi(rows, main.matrix, eve.matrix))
+    block = max(1, ENVELOPE_BLOCK_CELLS // len(offsets))
     best = 0.0
-    for pv in simplex_grid(v_card, steps):
-        gain = _mi_rows(pv, t_y, h_y_rows) - _mi_rows(pv, t_z, h_z_rows)
-        best = max(best, float(np.max(gain)))
+    for counts in _composition_blocks(nx, steps * steps, block):
+        p = counts / (steps * steps)
+        vex = p[:, :-1] @ slopes.T
+        vex += offsets
+        gain = _wiretap_phi(p, main.matrix, eve.matrix) - vex.max(axis=1)
+        best = max(best, float(gain.max()))
     return best

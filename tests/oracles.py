@@ -334,3 +334,74 @@ def gaussian_point_scalar(power, n1, n2, n3, alpha) -> tuple[float, float]:
         (1.0 - alpha) * power / (alpha * power + n3)
     )
     return r1, r2
+
+
+def simplex_grid_compositions(dim: int, steps: int) -> np.ndarray:
+    """The library's former simplex grid: a recursive generator of compositions."""
+
+    def compositions(total, parts):
+        if parts == 1:
+            yield (total,)
+            return
+        for head in range(total + 1):
+            for tail in compositions(total - head, parts - 1):
+                yield (head, *tail)
+
+    return np.array(list(compositions(steps, dim)), dtype=np.float64) / steps
+
+
+def wiretap_grid_search(main, eve, steps: int, v_card: int) -> float:
+    """The library's former wiretap search, clamped at 0.
+
+    Max of I(V;Y) - I(V;Z) over P(v) on the 1/steps grid of the v_card
+    simplex and every P(x|v) whose rows lie on the 1/steps grid.
+    """
+    main = np.asarray(main, dtype=float)
+    eve = np.asarray(eve, dtype=float)
+    rows = simplex_grid_compositions(main.shape[0], steps)
+    picks = np.array(list(itertools.product(range(len(rows)), repeat=v_card)))
+    cond = rows[picks]  # (C, V, X)
+
+    def entropy(p):
+        safe = np.where(p > 0.0, p, 1.0)
+        return -np.sum(np.where(p > 0.0, p * np.log2(safe), 0.0), axis=-1)
+
+    t_y, t_z = cond @ main, cond @ eve  # (C, V, out)
+    h_y, h_z = entropy(t_y), entropy(t_z)
+    best = 0.0
+    for pv in simplex_grid_compositions(v_card, steps):
+        i_vy = entropy(np.einsum("v,cvo->co", pv, t_y)) - h_y @ pv
+        i_vz = entropy(np.einsum("v,cvo->co", pv, t_z)) - h_z @ pv
+        best = max(best, float(np.max(i_vy - i_vz)))
+    return best
+
+
+def wiretap_two_point_binary(main, eve, steps: int) -> float:
+    """Binary-input wiretap value from every two-row mixture, by explicit loops.
+
+    For rows a < b on the 1/steps grid of P(x=0) and each p on the
+    1/steps^2 grid between them, the mixture of a and b with mean p gains
+    phi(p) minus the chord of phi from a to b at p, with
+    phi(q) = H(qW_Y) - H(qW_Z).  The maximum over all of them, clamped
+    at 0, is the lower-convex-envelope value for binary X.
+    """
+    fine = steps * steps
+
+    def phi(m):
+        p = (m / fine, (fine - m) / fine)
+        h = []
+        for matrix in (main, eve):
+            matrix = np.asarray(matrix, dtype=float)
+            out = [math.fsum(p[x] * matrix[x][y] for x in range(2)) for y in range(matrix.shape[1])]
+            h.append(entropy_direct(out))
+        return h[0] - h[1]
+
+    values = [phi(m) for m in range(fine + 1)]
+    best = 0.0
+    for i in range(steps + 1):
+        for j in range(i + 1, steps + 1):
+            lo, hi = i * steps, j * steps
+            for m in range(lo, hi + 1):
+                chord = ((hi - m) * values[lo] + (m - lo) * values[hi]) / (hi - lo)
+                best = max(best, values[m] - chord)
+    return best

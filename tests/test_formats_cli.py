@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ from bcc_secrecy import (
     GaussianParams,
     InvalidDistribution,
     NegativeEntry,
+    binary_entropy,
 )
 from bcc_secrecy.cli import run
 from bcc_secrecy.formats import (
@@ -303,9 +308,33 @@ class TestCliWiretapAndCheck:
     def test_wiretap_value(self, capsys, cascade_file):
         assert run(["wiretap", "--file", cascade_file, "--grid", "0.1"]) == 0
         out = capsys.readouterr().out
-        assert out.startswith("secrecy_capacity_bits=")
-        value = float(out.strip().split("=")[1])
-        assert 0.0 < value < 1.0
+        expected = format_sig(binary_entropy(0.2336) - binary_entropy(0.05))
+        assert out == f"secrecy_capacity_bits={expected}\n"
+
+    def test_wiretap_vcard_removed(self, cascade_file):
+        assert run(["wiretap", "--file", cascade_file, "--grid", "0.1", "--vcard", "2"]) == 2
+
+    def test_wiretap_grid_help(self, capsys):
+        assert run(["wiretap", "--help"]) == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "Step of the P(x|v) rows; P(v) is optimised exactly." in help_text
+        assert "--vcard" not in help_text
+
+    def test_wiretap_budget_exit_4(self, cascade_file):
+        argv = ["wiretap", "--file", cascade_file, "--grid", "0.001", "--budget", "1000000"]
+        assert run(argv) == 4
+
+    def test_cli_import_loads_no_scipy(self):
+        code = (
+            "import sys, bcc_secrecy.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout == "[]\n"
 
     def test_check_degraded_on_cascade(self, capsys, cascade_file):
         assert run(["check", "degraded", "--file", cascade_file]) == 0

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,13 +29,17 @@ from bcc_secrecy import (
     upper_right_hull,
     wiretap_secrecy_capacity,
 )
+from bcc_secrecy.regions import _composition_blocks, _compositions, _lower_facets, _wiretap_phi
 from oracles import (
     cmi_direct,
     degraded_rates_direct,
     frontier_deviation,
     gaussian_point_scalar,
     hull_two_chain,
+    simplex_grid_compositions,
     verify_frontier_shape,
+    wiretap_grid_search,
+    wiretap_two_point_binary,
 )
 
 BSC = DiscreteChannel.binary_symmetric
@@ -301,11 +306,35 @@ class TestSimplexGrid:
 
     def test_dim_one(self):
         assert simplex_grid(1, 7).tolist() == [[1.0]]
+        tracemalloc.start()
+        try:
+            assert simplex_grid(1, 10**6).tolist() == [[1.0]]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_contains_vertices(self):
         grid = simplex_grid(2, 10)
         assert [1.0, 0.0] in grid.tolist()
         assert [0.0, 1.0] in grid.tolist()
+
+    def test_rows_and_order_match_recursive_compositions(self):
+        shapes = [(d, s) for d in range(1, 7) for s in range(1, 31)] + [(2, 40000), (3, 400)]
+        for dim, steps in shapes:
+            expected = simplex_grid_compositions(dim, steps)
+            got = simplex_grid(dim, steps)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected), (dim, steps)
+
+    def test_blocks_concatenate_to_the_compositions(self):
+        for parts in range(1, 5):
+            for total in range(12):
+                whole = _compositions(parts, total)
+                for block in (1, 2, 3, 7, 50, 10**6):
+                    pieces = list(_composition_blocks(parts, total, block))
+                    assert max(len(piece) for piece in pieces) <= block
+                    assert np.array_equal(np.vstack(pieces), whole), (parts, total, block)
 
 
 class TestAuxGridSpec:
@@ -468,8 +497,9 @@ class TestRegionSearch:
                 general_inner_bound(*DEGRADED, huge)
             with pytest.raises(BudgetExceeded, match="grid too large"):
                 general_inner_bound(*DEGRADED, huge_stochastic)
+            # The wiretap budget counts points P(x) on the 1/k^2 grid: 10^8 + 1 here.
             with pytest.raises(BudgetExceeded, match="grid too large"):
-                wiretap_secrecy_capacity(DEGRADED[0], DEGRADED[2], huge)
+                wiretap_secrecy_capacity(DEGRADED[0], DEGRADED[2], AuxGridSpec(resolution=1e-4))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -542,3 +572,94 @@ class TestWiretapSecrecyCapacity:
         from bcc_secrecy import binary_entropy
 
         assert value == pytest.approx(binary_entropy(0.2) - binary_entropy(0.1), abs=1e-12)
+
+    def test_budget_counts_points_on_the_squared_grid(self):
+        # 1/10 rows give P(x) on the 1/100 grid: 101 binary points.
+        grid = AuxGridSpec(resolution=0.1)
+        wiretap_secrecy_capacity(BSC(0.1), BSC(0.2), grid, budget=101)
+        with pytest.raises(BudgetExceeded, match="101 points"):
+            wiretap_secrecy_capacity(BSC(0.1), BSC(0.2), grid, budget=100)
+
+    def test_equal_ternary_channels_give_zero(self):
+        rng = np.random.default_rng(3)
+        channel = DiscreteChannel(rng.dirichlet(np.ones(3), size=3))
+        assert wiretap_secrecy_capacity(channel, channel, AuxGridSpec(resolution=0.1)) == 0.0
+
+    def test_single_input_gives_zero(self):
+        one = DiscreteChannel([[0.3, 0.7]])
+        assert wiretap_secrecy_capacity(one, one, AuxGridSpec(resolution=0.5)) == 0.0
+
+    def test_never_below_the_grid_search(self):
+        # The 1/k^2 grid of P(x) holds every mixture the grid search forms,
+        # so only round-off may put the envelope below it.
+        round_off = 1e-14
+        rng = np.random.default_rng(2008)
+        higher = 0
+        # (|X|, pairs, [(steps, |V|), ...]); every pair has three outputs.
+        for nx, pairs, searches in ((2, 40, [(20, 2), (12, 3)]), (3, 10, [(6, 2), (6, 3)])):
+            for _ in range(pairs):
+                main, eve = (DiscreteChannel(rng.dirichlet(np.ones(3), size=nx)) for _ in "ab")
+                for steps, v_card in searches:
+                    grid_value = wiretap_grid_search(main.matrix, eve.matrix, steps, v_card)
+                    value = wiretap_secrecy_capacity(main, eve, AuxGridSpec(resolution=1 / steps))
+                    assert value >= grid_value - round_off, (nx, steps, v_card, value, grid_value)
+                    higher += value > grid_value + 1e-12
+        assert higher >= 20
+
+    def test_binary_matches_two_point_brute_force(self):
+        rng = np.random.default_rng(1978)
+        for steps in (1, 2, 5, 10, 20):
+            for _ in range(6):
+                main = DiscreteChannel(rng.dirichlet(np.ones(3), size=2))
+                eve = DiscreteChannel(rng.dirichlet(np.ones(2), size=2))
+                value = wiretap_secrecy_capacity(main, eve, AuxGridSpec(resolution=1 / steps))
+                expected = wiretap_two_point_binary(main.matrix, eve.matrix, steps)
+                assert value == pytest.approx(expected, abs=1e-12), (steps, value, expected)
+
+    def test_benchmark_chains_attain_the_closed_form(self):
+        from bcc_secrecy import binary_entropy
+
+        workloads = {}
+        source = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+        exec(compile(source.read_text(), str(source), "exec"), workloads)
+        for seed in (0, 20080626, *range(101, 109)):
+            p1, _, p3 = workloads["bsc_chain"](seed)
+            value = wiretap_secrecy_capacity(BSC(p1), BSC(p3), AuxGridSpec(resolution=0.005))
+            expected = binary_entropy(p3) - binary_entropy(p1)
+            assert value == pytest.approx(expected, abs=1e-12), seed
+
+    def test_lower_facets_support_phi_and_skip_vertical_faces(self):
+        from scipy.spatial import ConvexHull
+
+        rng = np.random.default_rng(11)
+        main, eve = (rng.dirichlet(np.ones(3), size=3) for _ in "ab")
+        rows = simplex_grid(3, 20)
+        values = _wiretap_phi(rows, main, eve)
+        # The faces over the simplex's edges are vertical: their value
+        # component is round-off, of either sign.
+        lid = [1 / 3, 1 / 3, values.max() + 1.0]
+        hull = ConvexHull(np.vstack([np.column_stack([rows[:, :-1], values]), lid]))
+        assert np.sum(np.abs(hull.equations[:, -2]) < 1e-12) >= 3
+        slopes, offsets = _lower_facets(rows, values)
+        affine = rows[:, :-1] @ slopes.T + offsets  # (rows, facets)
+        assert np.all(np.abs(slopes) < 100.0)
+        assert np.all(affine <= values[:, None] + 1e-12)
+        assert np.all(np.sum(np.abs(affine - values[:, None]) <= 1e-12, axis=0) >= 3)
+
+    def test_many_facets_stay_in_bounded_memory(self):
+        # A stronger eavesdropper makes phi convex: every 1/500 row is a
+        # vertex of the lower hull, and the 250,001 points P(x) are scored
+        # against about 500 facets in blocks of ENVELOPE_BLOCK_CELLS.
+        main, eve = BSC(0.3), BSC(0.05)
+        rows = simplex_grid(2, 500)
+        slopes, offsets = _lower_facets(rows, _wiretap_phi(rows, main.matrix, eve.matrix))
+        assert len(offsets) >= 400
+        tracemalloc.start()
+        try:
+            value = wiretap_secrecy_capacity(main, eve, AuxGridSpec(resolution=0.002))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == pytest.approx(0.0, abs=1e-12)
+        # Qhull's own heap is not traced; it holds only the 501 rows.
+        assert peak < 4 * 2**20, peak
