@@ -1,10 +1,10 @@
 """Finite-alphabet probability primitives.
 
 Alphabets are index sets ``0..k-1``.  Probability vectors and channel
-matrices are stored as read-only float64 arrays and validated on
-construction: entries must be nonnegative and sums must equal 1 within
-``SUM_TOL``.  Everything here is a pure function of its inputs, so values
-can be shared freely across threads or processes.
+matrices (a broadcast channel is kept as its three marginal matrices) are
+stored as read-only float64 arrays and validated on construction: entries
+must be nonnegative and sums must equal 1 within ``SUM_TOL``.  Everything
+here is a pure function of its inputs, so values can be shared freely.
 """
 
 from __future__ import annotations
@@ -151,34 +151,6 @@ class DiscreteChannel:
 
 
 @dataclass(frozen=True)
-class BroadcastChannel:
-    """One-input, three-output channel P(y1, y2, z | x) as a rank-4 tensor."""
-
-    joint: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.joint, dtype=np.float64)
-        if arr.ndim != 4 or arr.size == 0:
-            raise InvalidDistribution(f"expected a rank-4 tensor, got shape {arr.shape}")
-        _check_stochastic(arr, 1, "broadcast tensor", part="slice for input")
-        _freeze(self, "joint", arr)
-
-    @property
-    def input_size(self) -> int:
-        return self.joint.shape[0]
-
-    @classmethod
-    def from_marginals(
-        cls, py1x: DiscreteChannel, py2x: DiscreteChannel, pzx: DiscreteChannel
-    ) -> "BroadcastChannel":
-        """Product tensor P(y1|x) P(y2|x) P(z|x) with the given marginals."""
-        if not (py1x.input_size == py2x.input_size == pzx.input_size):
-            raise DimensionMismatch("marginal channels disagree on the input alphabet")
-        joint = np.einsum("xa,xb,xc->xabc", py1x.matrix, py2x.matrix, pzx.matrix)
-        return cls(joint)
-
-
-@dataclass(frozen=True)
 class DegradednessReport:
     """Outcome of a stochastic-degradedness search.
 
@@ -200,17 +172,6 @@ def cascade(first: DiscreteChannel, second: DiscreteChannel) -> DiscreteChannel:
             f"second expects {second.input_size} inputs"
         )
     return DiscreteChannel(first.matrix @ second.matrix)
-
-
-_MARGINAL_AXES = {"y1": (2, 3), "y2": (1, 3), "z": (1, 2)}
-
-
-def marginal_channel(bcc: BroadcastChannel, which: str) -> DiscreteChannel:
-    """Extract the single-receiver marginal P(y1|x), P(y2|x), or P(z|x)."""
-    key = which.lower()
-    if key not in _MARGINAL_AXES:
-        raise ValueError(f"which must be one of 'y1', 'y2', 'z'; got {which!r}")
-    return DiscreteChannel(bcc.joint.sum(axis=_MARGINAL_AXES[key]))
 
 
 def check_stochastic_degraded(

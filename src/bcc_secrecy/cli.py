@@ -44,7 +44,6 @@ from .formats import (
 from .information import entropy_last_axis, mutual_information
 from .regions import (
     DEFAULT_BUDGET,
-    AuxGridSpec,
     GaussianParams,
     degraded_region_inner,
     gaussian_region_point,
@@ -98,8 +97,9 @@ def _write_frontier(out: str, frontier) -> None:
 def region_degraded(path, grid, ucard, budget, out):
     """Layered-scheme region frontier for a degraded discrete channel."""
     m = _load_marginals(path)
-    spec = AuxGridSpec(u_card=ucard, resolution=grid)
-    frontier = degraded_region_inner(m.py1x, m.py2x, m.pzx, spec, budget=budget)
+    frontier = degraded_region_inner(
+        m.py1x, m.py2x, m.pzx, resolution=grid, u_card=ucard, budget=budget
+    )
     _write_frontier(out, frontier)
     click.echo(f"wrote {len(frontier.points)} frontier points to {out}")
 
@@ -120,10 +120,16 @@ def region_degraded(path, grid, ucard, budget, out):
 def region_general(path, grid, v1card, v2card, stochastic_x, budget, out):
     """Double-binning inner-bound frontier for a general discrete channel."""
     m = _load_marginals(path)
-    spec = AuxGridSpec(
-        v1_card=v1card, v2_card=v2card, resolution=grid, deterministic_x=not stochastic_x
+    frontier = general_inner_bound(
+        m.py1x,
+        m.py2x,
+        m.pzx,
+        resolution=grid,
+        v1_card=v1card,
+        v2_card=v2card,
+        deterministic_x=not stochastic_x,
+        budget=budget,
     )
-    frontier = general_inner_bound(m.py1x, m.py2x, m.pzx, spec, budget=budget)
     _write_frontier(out, frontier)
     click.echo(f"wrote {len(frontier.points)} frontier points to {out}")
 
@@ -141,7 +147,7 @@ def region_general(path, grid, v1card, v2card, stochastic_x, budget, out):
 def wiretap(path, grid, budget):
     """Single-user secrecy capacity (main = y1 marginal, eavesdropper = z)."""
     m = _load_marginals(path)
-    value = wiretap_secrecy_capacity(m.py1x, m.pzx, AuxGridSpec(resolution=grid), budget=budget)
+    value = wiretap_secrecy_capacity(m.py1x, m.pzx, resolution=grid, budget=budget)
     click.echo(f"secrecy_capacity_bits={format_sig(value)}")
 
 

@@ -47,6 +47,9 @@ DEFAULT_COMBO_BUDGET = 1 << 16
 # Floats in one likelihood tile of exact_equivocation (512 KiB): a tile and
 # the prefix it grows from stay in cache, which is most of the speed.
 _TILE = 1 << 16
+# Bytes of exact_equivocation's |Z|^n tables (pz, the pair's sum, and the
+# m1 + m2 message rows): 1 GiB, 32 times the largest a benchmark job needs.
+_TABLE_BYTES = 1 << 30
 
 _MASK64 = (1 << 64) - 1
 
@@ -74,9 +77,11 @@ def _sample_conditional(
     draw from a pmf passes probs[None] and all-zero conditions.
     """
     cdf = np.cumsum(rows, axis=1)
+    # +inf from the column where each row's float CDF reaches its end: a
+    # uniform past the end takes that column, which has positive probability.
+    cdf[cdf >= cdf[:, -1:]] = np.inf
     u = rng.random(conditions.shape)
-    draws = (cdf[conditions] <= u[..., None]).sum(axis=-1)
-    return np.minimum(draws, rows.shape[1] - 1).astype(np.int64)
+    return (cdf[conditions] <= u[..., None]).sum(axis=-1, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -322,7 +327,9 @@ def exact_equivocation(
     Messages are uniform and the encoder dithers uniformly over bin
     members, so P(z^n | w1, w2) is the bin-averaged product of transition
     probabilities.  The conditional entropies H(W1|Z^n), H(W2|Z^n) and
-    H(W1,W2|Z^n) follow from the exact joint and are divided by n.
+    H(W1,W2|Z^n) follow from the exact joint and are divided by n.  The
+    |Z|^n tables, m1 + m2 + 2 rows of floats, are capped at 1 GiB before
+    anything is allocated.
 
     Parameters
     ----------
@@ -352,6 +359,9 @@ def exact_equivocation(
     combos = m1 * m2 * l1 * l2
     if combos > combo_budget:
         raise BudgetExceeded(f"{combos} message/randomization combinations exceed {combo_budget}")
+    tables = m1 + m2 + 2
+    if 8 * tables * count > _TABLE_BYTES:
+        raise BudgetExceeded(f"{tables} tables of |Z|^n = {count} floats exceed {_TABLE_BYTES} bytes")
 
     tile = min(z_budget, _TILE)
     tail = 1

@@ -8,6 +8,9 @@ Three channel descriptions are accepted, discriminated by "type":
   one row per input symbol.
 * "awgn-bcc": "power" and noise variances "n1", "n2", "n3".
 
+Both discrete forms load to a ``MarginalTriple``: everything downstream
+reads only P(y1|x), P(y2|x) and P(z|x), so a "bcc" tensor is summed down.
+
 Entries in [-1e-12, 0) are clamped to zero at load time to absorb
 decimal round-off in hand-written files; anything below that floor, or
 any other invariant violation, is rejected with the violated invariant
@@ -27,13 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import (
-    BroadcastChannel,
-    DiscreteChannel,
-    InvalidDistribution,
-    Pmf,
-    marginal_channel,
-)
+from .channels import DiscreteChannel, InvalidDistribution, Pmf, _check_stochastic
 from .coding import CodeParams
 from .regions import GaussianParams
 
@@ -92,7 +89,7 @@ def _number(data: dict, key: str, default: float | None = None) -> float:
     return float(value)
 
 
-def parse_channel(data: dict) -> BroadcastChannel | MarginalTriple | GaussianParams:
+def parse_channel(data: dict) -> MarginalTriple | GaussianParams:
     """Parse a channel description dict, naming the violated invariant on error."""
     if not isinstance(data, dict):
         raise InvalidDistribution(f"channel description must be an object, got {type(data).__name__}")
@@ -107,7 +104,10 @@ def parse_channel(data: dict) -> BroadcastChannel | MarginalTriple | GaussianPar
             raise InvalidDistribution(
                 f"joint array has {flat.size} entries, expected {expected} for sizes {sizes}"
             )
-        return BroadcastChannel(flat.reshape(sizes))
+        tensor = flat.reshape(sizes)
+        _check_stochastic(tensor, 1, "broadcast tensor", part="slice for input")
+        axes = ((2, 3), (1, 3), (1, 2))  # summed out for y1, y2 and z
+        return MarginalTriple(*(DiscreteChannel(tensor.sum(axis=a)) for a in axes))
     if kind == "bcc-marginals":
         matrices = [
             DiscreteChannel(_array(data, k))
@@ -121,7 +121,7 @@ def parse_channel(data: dict) -> BroadcastChannel | MarginalTriple | GaussianPar
     raise InvalidDistribution(f"unknown channel type {kind!r}")
 
 
-def load_channel(path: str | Path) -> BroadcastChannel | MarginalTriple | GaussianParams:
+def load_channel(path: str | Path) -> MarginalTriple | GaussianParams:
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -130,17 +130,11 @@ def load_channel(path: str | Path) -> BroadcastChannel | MarginalTriple | Gaussi
     return parse_channel(data)
 
 
-def as_marginals(channel: BroadcastChannel | MarginalTriple) -> MarginalTriple:
-    """Reduce any discrete channel description to its three marginals."""
-    if isinstance(channel, MarginalTriple):
-        return channel
-    if isinstance(channel, BroadcastChannel):
-        return MarginalTriple(
-            py1x=marginal_channel(channel, "y1"),
-            py2x=marginal_channel(channel, "y2"),
-            pzx=marginal_channel(channel, "z"),
-        )
-    raise InvalidDistribution("a discrete channel is required, not a Gaussian description")
+def as_marginals(channel: MarginalTriple | GaussianParams) -> MarginalTriple:
+    """The three marginals of a discrete channel; a Gaussian description is rejected."""
+    if isinstance(channel, GaussianParams):
+        raise InvalidDistribution("a discrete channel is required, not a Gaussian description")
+    return channel
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,9 @@ Three computations are provided, all in bits per channel use:
 
 Auxiliary distributions are searched on an explicit simplex grid: every
 probability vector whose entries are integer multiples of the resolution
-step.  The search is exhaustive and reproducible; its accuracy is
+step.  Each search takes the grid values it reads as keywords, checked
+before its budget: ``resolution`` (1/k) and its auxiliary cardinalities
+(default |X|).  The search is exhaustive and reproducible; its accuracy is
 grid-limited and candidate counts are capped by an explicit budget rather
 than silently truncated.  Both region searches share one search loop:
 the budget is checked before any grid is built, each outer-grid step's
@@ -104,40 +106,6 @@ class GaussianParams:
                 f"noise variances must satisfy 0 < n1 <= n2 <= n3, "
                 f"got ({self.n1!r}, {self.n2!r}, {self.n3!r})"
             )
-
-
-@dataclass(frozen=True)
-class AuxGridSpec:
-    """Grid over auxiliary distributions.
-
-    Cardinalities default to the channel input alphabet size when None.
-    ``resolution`` must be the reciprocal of a positive integer; the grid
-    holds every probability vector with entries on that lattice.  When
-    ``deterministic_x`` is set, the map from auxiliaries to the channel
-    input ranges over deterministic functions only (any stochastic map is
-    a convex combination reachable by enlarging the auxiliaries).
-    """
-
-    u_card: int | None = None
-    v1_card: int | None = None
-    v2_card: int | None = None
-    resolution: float = DEFAULT_RESOLUTION
-    deterministic_x: bool = True
-
-    def __post_init__(self):
-        if not 0.0 < self.resolution <= 1.0:
-            raise ValueError(f"resolution must lie in (0, 1], got {self.resolution!r}")
-        steps = round(1.0 / self.resolution)
-        if steps < 1 or abs(1.0 / self.resolution - steps) > 1e-9:
-            raise ValueError(f"resolution must be 1/k for integer k, got {self.resolution!r}")
-        for name in ("u_card", "v1_card", "v2_card"):
-            card = getattr(self, name)
-            if card is not None and not 1 <= card <= MAX_AUX_CARD:
-                raise ValueError(f"{name} must lie in [1, {MAX_AUX_CARD}], got {card!r}")
-
-    @property
-    def steps(self) -> int:
-        return round(1.0 / self.resolution)
 
 
 def capacity_fn(snr: float | np.ndarray) -> float | np.ndarray:
@@ -230,6 +198,24 @@ def upper_right_hull(points: Sequence[RatePoint] | np.ndarray) -> RegionFrontier
             chain.pop()
         chain.append(p)
     return RegionFrontier(points=[RatePoint(x, y) for x, y in chain[-2::-1]], hulled=True)
+
+
+def _grid_steps(resolution: float) -> int:
+    """k for a resolution of 1/k, the step of every auxiliary grid."""
+    if not 0.0 < resolution <= 1.0:
+        raise ValueError(f"resolution must lie in (0, 1], got {resolution!r}")
+    steps = round(1.0 / resolution)
+    if steps < 1 or abs(1.0 / resolution - steps) > 1e-9:
+        raise ValueError(f"resolution must be 1/k for integer k, got {resolution!r}")
+    return steps
+
+
+def _aux_card(name: str, card: int | None, default: int) -> int:
+    if card is None:
+        return default
+    if not 1 <= card <= MAX_AUX_CARD:
+        raise ValueError(f"{name} must lie in [1, {MAX_AUX_CARD}], got {card!r}")
+    return card
 
 
 def _check_budget(total: int, budget: int, what: str) -> None:
@@ -381,13 +367,15 @@ def degraded_region_inner(
     py1x: DiscreteChannel,
     py2x: DiscreteChannel,
     pzx: DiscreteChannel,
-    grid: AuxGridSpec = AuxGridSpec(),
+    *,
+    resolution: float = DEFAULT_RESOLUTION,
+    u_card: int | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> RegionFrontier:
     """Layered-scheme region: hull over gridded (P(u), P(x|u)) candidates."""
+    steps = _grid_steps(resolution)
     nx = _check_shared_input(py1x, py2x, pzx)
-    u_card = grid.u_card if grid.u_card is not None else nx
-    steps = grid.steps
+    u_card = _aux_card("u_card", u_card, nx)
 
     def chunks():
         pxu_batch = _row_product(simplex_grid(nx, steps), u_card)
@@ -455,25 +443,30 @@ def general_inner_bound(
     py1x: DiscreteChannel,
     py2x: DiscreteChannel,
     pzx: DiscreteChannel,
-    grid: AuxGridSpec = AuxGridSpec(),
+    *,
+    resolution: float = DEFAULT_RESOLUTION,
+    v1_card: int | None = None,
+    v2_card: int | None = None,
+    deterministic_x: bool = True,
     budget: int = DEFAULT_BUDGET,
 ) -> RegionFrontier:
     """Double-binning inner bound: hull over gridded auxiliary pairs.
 
     Joints P(v1, v2) range over the simplex grid on the product alphabet;
-    the input map P(x|v1, v2) ranges over deterministic functions, or over
-    gridded rows when grid.deterministic_x is false.
+    the input map P(x|v1, v2) ranges over deterministic functions (any
+    stochastic map is a mixture of them, reachable by enlarging the
+    auxiliaries), or over gridded rows when `deterministic_x` is false.
     """
+    steps = _grid_steps(resolution)
     nx = _check_shared_input(py1x, py2x, pzx)
-    v1 = grid.v1_card if grid.v1_card is not None else nx
-    v2 = grid.v2_card if grid.v2_card is not None else nx
-    steps = grid.steps
+    v1 = _aux_card("v1_card", v1_card, nx)
+    v2 = _aux_card("v2_card", v2_card, nx)
     # A deterministic map picks a one-hot row for every (v1, v2) pair.
-    n_rows = nx if grid.deterministic_x else _simplex_count(nx, steps)
+    n_rows = nx if deterministic_x else _simplex_count(nx, steps)
 
     def chunks():
         joint_batch = simplex_grid(v1 * v2, steps).reshape(-1, v1, v2)
-        x_rows = np.eye(nx) if grid.deterministic_x else simplex_grid(nx, steps)
+        x_rows = np.eye(nx) if deterministic_x else simplex_grid(nx, steps)
         for pick in itertools.product(range(n_rows), repeat=v1 * v2):
             xmap = x_rows[list(pick)].reshape(v1, v2, nx)
             yield _general_corner_arrays(joint_batch, xmap, py1x.matrix, py2x.matrix, pzx.matrix)
@@ -508,7 +501,8 @@ def _lower_facets(rows: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.
 def wiretap_secrecy_capacity(
     main: DiscreteChannel,
     eve: DiscreteChannel,
-    grid: AuxGridSpec = AuxGridSpec(),
+    *,
+    resolution: float = DEFAULT_RESOLUTION,
     budget: int = DEFAULT_BUDGET,
 ) -> float:
     """max I(V;Y) - I(V;Z) over P(v) and gridded rows P(x|v), clamped at 0.
@@ -516,18 +510,18 @@ def wiretap_secrecy_capacity(
     With phi(q) = H(qW_Y) - H(qW_Z), the rate is phi(p) - sum_v P(v) phi(q_v)
     at P(x) = p, and the best mixture of rows that averages to p gives the
     lower convex envelope vex phi(p) (Csiszar-Korner).  The rows q range over
-    the 1/k grid (k = grid.steps) and vex phi is the lower hull of their
+    the 1/k grid (resolution = 1/k) and vex phi is the lower hull of their
     points (q, phi(q)); p ranges over the 1/k^2 grid, which holds every
     mixture of rows with weights on the 1/k grid.  So the value is at least
     the grid search over (P(v), P(x|v)) on the 1/k grid for any |V|, and a
-    mixture of at most |X| rows achieves it.  Only grid.resolution is used.
+    mixture of at most |X| rows achieves it.
 
     The budget counts the points p and is checked before anything is built;
     they are evaluated in blocks of at most ENVELOPE_BLOCK_CELLS
     (point, facet) cells.
     """
+    steps = _grid_steps(resolution)
     nx = _check_shared_input(main, eve)
-    steps = grid.steps
     n_points = _simplex_count(nx, steps * steps)
     _check_budget(n_points, budget, f"{n_points} points P(x) on the 1/{steps * steps} grid")
     if nx == 1:

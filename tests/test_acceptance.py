@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from bcc_secrecy import (
-    AuxGridSpec,
     CodeParams,
     DiscreteChannel,
     GaussianParams,
@@ -99,11 +98,10 @@ def test_criterion_04_marton_reduction():
     py1x = BSC(0.1)
     py2x = DiscreteChannel([[0.8, 0.2], [0.3, 0.7]])
     pzx = DiscreteChannel.constant_rows([0.5, 0.5], 2)
-    grid = AuxGridSpec(resolution=0.1)
-    frontier = general_inner_bound(py1x, py2x, pzx, grid)
+    frontier = general_inner_bound(py1x, py2x, pzx, resolution=0.1)
 
     points = [(0.0, 0.0)]
-    joints = simplex_grid(4, grid.steps).reshape(-1, 2, 2)
+    joints = simplex_grid(4, 10).reshape(-1, 2, 2)
     for assignment in itertools.product(range(2), repeat=4):
         xmap = np.eye(2)[list(assignment)].reshape(2, 2, 2)
         for joint in joints:
@@ -117,7 +115,7 @@ def test_criterion_04_marton_reduction():
 
 
 def test_criterion_05_wiretap_reduction():
-    value = wiretap_secrecy_capacity(BSC(0.1), BSC(0.2), AuxGridSpec(resolution=0.01))
+    value = wiretap_secrecy_capacity(BSC(0.1), BSC(0.2), resolution=0.01)
     target = binary_entropy(0.2) - binary_entropy(0.1)
     assert value == pytest.approx(target, abs=2e-3)
     assert target == pytest.approx(0.252932501298081, abs=1e-12)
@@ -128,12 +126,11 @@ def test_criterion_06_degraded_region_oracle_equivalence():
     from oracles import degraded_rates_direct
 
     py1x, py2x, pzx = BSC(0.05), BSC(0.14), BSC(0.2336)
-    grid = AuxGridSpec(resolution=0.05, u_card=2)
-    frontier = degraded_region_inner(py1x, py2x, pzx, grid)
+    frontier = degraded_region_inner(py1x, py2x, pzx, resolution=0.05, u_card=2)
 
     points = [(0.0, 0.0)]
-    rows = simplex_grid(2, grid.steps)
-    for pu in simplex_grid(2, grid.steps):
+    rows = simplex_grid(2, 20)
+    for pu in simplex_grid(2, 20):
         for r0 in rows:
             for r1 in rows:
                 points.append(
@@ -145,9 +142,7 @@ def test_criterion_06_degraded_region_oracle_equivalence():
     gap = frontier_deviation(frontier.points, expected.points)
     assert gap <= 1e-12, gap
 
-    collapsed = degraded_region_inner(
-        BSC(0.1), BSC(0.18), BSC(0.1), AuxGridSpec(resolution=0.05, u_card=2)
-    )
+    collapsed = degraded_region_inner(BSC(0.1), BSC(0.18), BSC(0.1), resolution=0.05, u_card=2)
     assert all(p.r1 <= 1e-12 and p.r2 <= 1e-12 for p in collapsed.points)
     print(
         f"[acceptance 06] PASS: layered region matches brute force (gap {gap:.2e}); "

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from bcc_secrecy import (
-    BroadcastChannel,
     DimensionMismatch,
     DiscreteChannel,
     InvalidDistribution,
@@ -11,9 +10,9 @@ from bcc_secrecy import (
     SumNotOne,
     cascade,
     check_stochastic_degraded,
-    marginal_channel,
     validate_pmf,
 )
+from bcc_secrecy.formats import parse_channel
 
 BSC = DiscreteChannel.binary_symmetric
 
@@ -21,6 +20,14 @@ BSC = DiscreteChannel.binary_symmetric
 def random_stochastic(rng, n_in, n_out):
     m = rng.random((n_in, n_out)) + 0.05
     return DiscreteChannel(m / m.sum(axis=1, keepdims=True))
+
+
+def parse_tensor(joint):
+    """Marginals (y1, y2, z) of a P(y1, y2, z | x) tensor, parsed as a "bcc" channel file."""
+    x, y1, y2, z = joint.shape
+    data = {"type": "bcc", "x": x, "y1": y1, "y2": y2, "z": z, "joint": joint.ravel().tolist()}
+    m = parse_channel(data)
+    return m.py1x, m.py2x, m.pzx
 
 
 class TestValidatePmf:
@@ -110,30 +117,33 @@ class TestCascade:
 
 
 class TestBroadcastChannel:
+    """A "bcc" channel file's tensor is validated one slice per input."""
+
     def test_slice_sum_violation_names_input(self):
         joint = np.full((2, 2, 2, 2), 1.0 / 8)
         joint[1] *= 0.5
-        with pytest.raises(SumNotOne, match="input 1"):
-            BroadcastChannel(joint)
+        with pytest.raises(SumNotOne, match="slice for input 1 of broadcast tensor sums to 0.5"):
+            parse_tensor(joint)
 
     def test_negative_entry_rejected(self):
         joint = np.full((1, 2, 2, 2), 1.0 / 8)
         joint[0, 0, 0, 0] = -0.125
         joint[0, 1, 1, 1] = 0.375
-        with pytest.raises(NegativeEntry):
-            BroadcastChannel(joint)
+        with pytest.raises(NegativeEntry, match="of broadcast tensor is negative"):
+            parse_tensor(joint)
 
 
 class TestMarginalChannel:
+    """A "bcc" channel file loads to the marginals P(y1|x), P(y2|x), P(z|x) of its tensor."""
+
     def test_product_channel_recovers_factors(self):
         rng = np.random.default_rng(11)
         p1 = random_stochastic(rng, 2, 3)
         p2 = random_stochastic(rng, 2, 2)
         pz = random_stochastic(rng, 2, 4)
-        bcc = BroadcastChannel.from_marginals(p1, p2, pz)
-        assert np.max(np.abs(marginal_channel(bcc, "y1").matrix - p1.matrix)) <= 1e-12
-        assert np.max(np.abs(marginal_channel(bcc, "y2").matrix - p2.matrix)) <= 1e-12
-        assert np.max(np.abs(marginal_channel(bcc, "z").matrix - pz.matrix)) <= 1e-12
+        joint = np.einsum("xa,xb,xc->xabc", p1.matrix, p2.matrix, pz.matrix)
+        for got, want in zip(parse_tensor(joint), (p1, p2, pz)):
+            assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-12
 
     def test_markov_chain_tensor_marginal_is_matrix_cascade(self):
         rng = np.random.default_rng(5)
@@ -141,35 +151,28 @@ class TestMarginalChannel:
         py2y1 = random_stochastic(rng, 3, 2)
         pzy2 = random_stochastic(rng, 2, 2)
         joint = np.einsum("xa,ab,bc->xabc", py1x.matrix, py2y1.matrix, pzy2.matrix)
-        bcc = BroadcastChannel(joint)
+        _, y2, z = parse_tensor(joint)
         expected = cascade(py1x, py2y1).matrix
-        assert np.max(np.abs(marginal_channel(bcc, "y2").matrix - expected)) <= 1e-12
+        assert np.max(np.abs(y2.matrix - expected)) <= 1e-12
         expected_z = cascade(cascade(py1x, py2y1), pzy2).matrix
-        assert np.max(np.abs(marginal_channel(bcc, "z").matrix - expected_z)) <= 1e-12
+        assert np.max(np.abs(z.matrix - expected_z)) <= 1e-12
 
     def test_point_mass_row(self):
         joint = np.zeros((2, 2, 2, 2))
         joint[0, 1, 0, 1] = 1.0
         joint[1] = 1.0 / 8
-        bcc = BroadcastChannel(joint)
-        assert marginal_channel(bcc, "y1").matrix[0].tolist() == [0.0, 1.0]
-        assert marginal_channel(bcc, "y2").matrix[0].tolist() == [1.0, 0.0]
-        assert marginal_channel(bcc, "z").matrix[0].tolist() == [0.0, 1.0]
+        y1, y2, z = parse_tensor(joint)
+        assert y1.matrix[0].tolist() == [0.0, 1.0]
+        assert y2.matrix[0].tolist() == [1.0, 0.0]
+        assert z.matrix[0].tolist() == [0.0, 1.0]
 
     def test_random_tensors_yield_valid_marginals(self):
         rng = np.random.default_rng(17)
         for _ in range(10):
             raw = rng.random((3, 2, 2, 2))
             raw /= raw.reshape(3, -1).sum(axis=1)[:, None, None, None]
-            bcc = BroadcastChannel(raw)
-            for which in ("y1", "y2", "z"):
-                ch = marginal_channel(bcc, which)  # construction validates
+            for ch in parse_tensor(raw):  # construction validates
                 assert np.max(np.abs(ch.matrix.sum(axis=1) - 1.0)) <= 1e-9
-
-    def test_unknown_output_rejected(self):
-        bcc = BroadcastChannel(np.full((1, 2, 2, 2), 1.0 / 8))
-        with pytest.raises(ValueError, match="y1"):
-            marginal_channel(bcc, "y3")
 
 
 class TestCheckStochasticDegraded:

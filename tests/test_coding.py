@@ -86,6 +86,20 @@ class TestSampler:
             assert got.dtype == want.dtype == np.int64
             assert np.array_equal(got, want)
 
+    def test_never_emits_a_zero_probability_symbol(self):
+        class Stub:
+            """A generator whose uniforms lie past the float CDF ends below."""
+
+            def random(self, shape):
+                return np.full(shape, 0.9999999998)
+
+        # Both rows pass validation; their CDFs end at 0.9999999995.
+        rows = np.array([Pmf([0.5, 0.4999999995, 0.0]).probs, Pmf([0.4999999995, 0.0, 0.5]).probs])
+        draws = _sample_conditional(Stub(), rows[:1], np.zeros(600, np.int64))
+        assert np.all(draws == 1)
+        draws = _sample_conditional(Stub(), rows, np.array([0, 1, 1, 0]))
+        assert draws.tolist() == [1, 2, 2, 1]
+
     def test_codebooks_draw_as_the_searchsorted_sampler(self):
         params = CodeParams(n=7, m1=3, m2=2, l1=2, l2=3, seed=99)
         pa, pb = Pmf([0.2, 0.0, 0.8]), Pmf([0.6, 0.4])
@@ -440,6 +454,29 @@ class TestExactEquivocation:
             tracemalloc.stop()
         # 16 bin members at a time over 2^16 sequences would take 8 MiB a block
         assert peak < 6 * 2**20
+
+    def test_message_tables_capped_before_allocation(self):
+        # Within the symbol, combination and |Z|^n budgets, but pw1z alone
+        # would take 4096 x 2^20 floats (32 GiB).
+        params = CodeParams(n=20, m1=4096, m2=16, l1=1, l2=1, seed=0)
+        cb = build_superposition(params, Pmf.uniform(2), BSC(0.1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match="4114 tables of"):
+                exact_equivocation(cb, BSC(0.2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_table_cap_counts_every_table(self, monkeypatch):
+        # n=3, m1=m2=2: pz, the pair's sum and four message rows of 8 floats.
+        cb = build_superposition(small_params(), Pmf.uniform(2), BSC(0.1))
+        monkeypatch.setattr(coding, "_TABLE_BYTES", 6 * 8 * 8)
+        exact_equivocation(cb, BSC(0.2))
+        monkeypatch.setattr(coding, "_TABLE_BYTES", 6 * 8 * 8 - 1)
+        with pytest.raises(BudgetExceeded, match=r"6 tables of \|Z\|\^n = 8 floats exceed 383"):
+            exact_equivocation(cb, BSC(0.2))
 
     def test_budgets_enforced(self):
         params = CodeParams(n=24, m1=2, m2=2, l1=1, l2=1, seed=0)

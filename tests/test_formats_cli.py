@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcc_secrecy import (
-    BroadcastChannel,
     DiscreteChannel,
     GaussianParams,
     InvalidDistribution,
@@ -62,7 +61,7 @@ class TestParseChannel:
             "joint": joint.ravel().tolist(),
         }
         parsed = parse_channel(data)
-        assert isinstance(parsed, BroadcastChannel)
+        assert isinstance(parsed, MarginalTriple)
         m = as_marginals(parsed)
         assert np.allclose(m.py1x.matrix, BSC(0.1).matrix, atol=1e-12)
         assert np.allclose(m.pzx.matrix, BSC(0.3).matrix, atol=1e-12)
@@ -302,6 +301,65 @@ class TestCliRegionDiscrete:
 
     def test_usage_error_exit_2(self):
         assert run(["region", "degraded", "--nonsense"]) == 2
+
+    RECIPROCAL = "resolution must be 1/k for integer k, got 0.3"
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            (["region", "degraded", "--grid", "0.3"], RECIPROCAL),
+            (["region", "general", "--grid", "0.3"], RECIPROCAL),
+            (["wiretap", "--grid", "0.3"], RECIPROCAL),
+            (["region", "degraded", "--grid", "0"], "resolution must lie in (0, 1], got 0.0"),
+            (["region", "degraded", "--ucard", "0"], "u_card must lie in [1, 12], got 0"),
+            (["region", "general", "--v1card", "13"], "v1_card must lie in [1, 12], got 13"),
+            (["region", "general", "--v2card", "0"], "v2_card must lie in [1, 12], got 0"),
+        ],
+    )
+    def test_bad_grid_exit_3_before_budget(self, tmp_path, capsys, cascade_file, args, message):
+        out = tmp_path / "x.csv"
+        argv = [*args, "--file", cascade_file, "--budget", "0"]
+        assert run(argv + (["--out", str(out)] if args[0] == "region" else [])) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_file_error_before_grid_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        argv = ["region", "degraded", "--file", str(path), "--ucard", "0"]
+        assert run([*argv, "--out", str(tmp_path / "x.csv")]) == 3
+        assert "not valid JSON" in capsys.readouterr().err
+
+    def test_tensor_and_marginal_files_give_identical_outputs(self, tmp_path, capsys):
+        # Dyadic crossovers make every product and sum exact, so the tensor's
+        # marginals are the marginal file's matrices bit for bit.
+        py1x, py2x, pzx = BSC(0.0625), BSC(0.125), BSC(0.25)
+        tensor = {
+            "type": "bcc", "x": 2, "y1": 2, "y2": 2, "z": 2,
+            "joint": np.einsum("xa,xb,xc->xabc", py1x.matrix, py2x.matrix, pzx.matrix)
+            .ravel()
+            .tolist(),
+        }
+        marginals = bsc_marginals_dict(0.0625, 0.125, 0.25)
+        outputs = []
+        for name, data in (("tensor", tensor), ("marginals", marginals)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(data))
+            files = []
+            for argv in (
+                ["region", "degraded", "--ucard", "2", "--grid", "0.05"],
+                ["region", "general", "--grid", "0.1"],
+                ["region", "general", "--stochastic-x", "--grid", "0.25"],
+            ):
+                out = tmp_path / f"{name}-{len(files)}.csv"
+                assert run([*argv, "--file", str(path), "--out", str(out)]) == 0
+                files.append(out.read_bytes())
+            capsys.readouterr()
+            assert run(["wiretap", "--file", str(path), "--grid", "0.01"]) == 0
+            assert run(["check", "degraded", "--file", str(path)]) == 0
+            outputs.append((files, capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
+        assert "feasible=true" in outputs[0][1]
 
 
 class TestCliWiretapAndCheck:

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bcc_secrecy import (
-    AuxGridSpec,
     BudgetExceeded,
     DimensionMismatch,
     DiscreteChannel,
@@ -337,32 +336,53 @@ class TestSimplexGrid:
                     assert np.array_equal(np.vstack(pieces), whole), (parts, total, block)
 
 
-class TestAuxGridSpec:
+DEGRADED = (BSC(0.05), BSC(0.14), BSC(0.2336))
+
+
+class TestGridArguments:
+    """Each search checks the grid values it reads before its budget (0 here)."""
+
+    SEARCHES = (
+        lambda **grid: degraded_region_inner(*DEGRADED, budget=0, **grid),
+        lambda **grid: general_inner_bound(*DEGRADED, budget=0, **grid),
+        lambda **grid: wiretap_secrecy_capacity(DEGRADED[0], DEGRADED[2], budget=0, **grid),
+    )
+
     def test_resolution_must_be_reciprocal_integer(self):
-        with pytest.raises(ValueError):
-            AuxGridSpec(resolution=0.3)
+        for search in self.SEARCHES:
+            with pytest.raises(ValueError, match=r"resolution must be 1/k for integer k, got 0\.3"):
+                search(resolution=0.3)
 
     def test_resolution_bounds(self):
-        with pytest.raises(ValueError):
-            AuxGridSpec(resolution=0.0)
+        for search in self.SEARCHES:
+            for resolution in (0.0, 1.5):
+                with pytest.raises(ValueError, match=rf"must lie in \(0, 1\], got {resolution}"):
+                    search(resolution=resolution)
 
     def test_cardinality_bounds(self):
-        with pytest.raises(ValueError):
-            AuxGridSpec(u_card=0)
-        with pytest.raises(ValueError):
-            AuxGridSpec(u_card=99)
+        degraded, general, _ = self.SEARCHES
+        for card in (0, 99):
+            with pytest.raises(ValueError, match=rf"u_card must lie in \[1, 12\], got {card}"):
+                degraded(u_card=card)
+            for name in ("v1_card", "v2_card"):
+                with pytest.raises(ValueError, match=rf"{name} must lie in \[1, 12\], got {card}"):
+                    general(**{name: card})
 
     def test_steps(self):
-        assert AuxGridSpec(resolution=0.05).steps == 20
-
-
-DEGRADED = (BSC(0.05), BSC(0.14), BSC(0.2336))
+        # A resolution of 0.05 is 20 steps: 21 grid rows on two inputs.
+        degraded, general, wiretap = self.SEARCHES
+        with pytest.raises(BudgetExceeded, match=r"1 x 21 = 21 candidates"):
+            degraded(resolution=0.05, u_card=1)
+        with pytest.raises(BudgetExceeded, match=r"1 x 21 = 21 candidates"):
+            general(resolution=0.05, v1_card=1, v2_card=1, deterministic_x=False)
+        with pytest.raises(BudgetExceeded, match=r"401 points P\(x\) on the 1/400 grid"):
+            wiretap(resolution=0.05)
 
 
 class TestDegradedRegion:
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceeded, match="grid too large"):
-            degraded_region_inner(*DEGRADED, AuxGridSpec(resolution=0.01), budget=1000)
+            degraded_region_inner(*DEGRADED, resolution=0.01, budget=1000)
 
     def test_input_alphabets_must_agree(self):
         rng = np.random.default_rng(0)
@@ -374,14 +394,13 @@ class TestDegradedRegion:
     def test_uninformative_z_matches_plain_broadcast_region(self):
         # with no eavesdropper leakage the bounds reduce to
         # r1 <= I(X;Y1|U), r2 <= I(U;Y2) on the same grid
-        grid = AuxGridSpec(resolution=0.1, u_card=2)
         py1x, py2x = BSC(0.05), BSC(0.2)
         pzx = uninformative(2)
-        frontier = degraded_region_inner(py1x, py2x, pzx, grid)
+        frontier = degraded_region_inner(py1x, py2x, pzx, resolution=0.1, u_card=2)
         points = [(0.0, 0.0)]
-        for pu in simplex_grid(2, grid.steps):
-            for r0 in simplex_grid(2, grid.steps):
-                for r1 in simplex_grid(2, grid.steps):
+        for pu in simplex_grid(2, 10):
+            for r0 in simplex_grid(2, 10):
+                for r1 in simplex_grid(2, 10):
                     pxu = np.array([r0, r1])
                     i_xy1_u = sum(
                         pu[u] * mutual_information(Pmf(pxu[u]), py1x) for u in range(2)
@@ -394,7 +413,7 @@ class TestDegradedRegion:
 
     def test_eavesdropper_equals_receiver_one_collapses(self):
         frontier = degraded_region_inner(
-            BSC(0.1), BSC(0.18), BSC(0.1), AuxGridSpec(resolution=0.1, u_card=2)
+            BSC(0.1), BSC(0.18), BSC(0.1), resolution=0.1, u_card=2
         )
         assert all(p.r1 <= 1e-12 and p.r2 <= 1e-12 for p in frontier.points)
 
@@ -430,20 +449,19 @@ class TestDegradedRegion:
         assert point.r2 <= max(i_uy2 - i_uz, 0.0) + 1e-12
 
     def test_relabeling_invariance(self):
-        grid = AuxGridSpec(resolution=0.1, u_card=2)
-        base = degraded_region_inner(*DEGRADED, grid)
+        base = degraded_region_inner(*DEGRADED, resolution=0.1, u_card=2)
         flipped = [DiscreteChannel(ch.matrix[::-1]) for ch in DEGRADED]
-        relabeled = degraded_region_inner(*flipped, grid)
+        relabeled = degraded_region_inner(*flipped, resolution=0.1, u_card=2)
         assert frontier_deviation(base.points, relabeled.points) <= 1e-12
 
     def test_frontier_shape(self):
-        frontier = degraded_region_inner(*DEGRADED, AuxGridSpec(resolution=0.1, u_card=2))
+        frontier = degraded_region_inner(*DEGRADED, resolution=0.1, u_card=2)
         pts = frontier.points
         assert all(a.r1 < b.r1 and a.r2 > b.r2 for a, b in zip(pts, pts[1:]))
 
 
 class TestRegionSearch:
-    def one_shot(self, monkeypatch, search, *args):
+    def one_shot(self, monkeypatch, search, *args, **grid):
         """Run a search while keeping every chunk its candidate generator yields."""
         chunks = []
         real = regions._search
@@ -457,12 +475,13 @@ class TestRegionSearch:
             return real(n_outer, n_inner, budget, tee())
 
         monkeypatch.setattr(regions, "_search", keep_chunks)
-        frontier = search(*args)
+        frontier = search(*args, **grid)
         return frontier, np.vstack(chunks)
 
     def test_degraded_streaming_equals_one_shot_hull(self, monkeypatch):
-        grid = AuxGridSpec(resolution=0.1, u_card=2)
-        frontier, cloud = self.one_shot(monkeypatch, degraded_region_inner, *DEGRADED, grid)
+        frontier, cloud = self.one_shot(
+            monkeypatch, degraded_region_inner, *DEGRADED, resolution=0.1, u_card=2
+        )
         assert len(cloud) == 11 * 11**2
         assert bits(frontier.points) == bits(hull_two_chain(cloud))
         assert bits(frontier.points) == bits(upper_right_hull(cloud).points)
@@ -477,29 +496,26 @@ class TestRegionSearch:
             )
         ]
         for grid in (
-            AuxGridSpec(resolution=0.2, v1_card=2, v2_card=2),
-            AuxGridSpec(resolution=0.5, v1_card=2, v2_card=2, deterministic_x=False),
+            dict(resolution=0.2, v1_card=2, v2_card=2),
+            dict(resolution=0.5, v1_card=2, v2_card=2, deterministic_x=False),
         ):
-            frontier, cloud = self.one_shot(monkeypatch, general_inner_bound, *ternary, grid)
+            frontier, cloud = self.one_shot(monkeypatch, general_inner_bound, *ternary, **grid)
             assert len(frontier.points) >= 2
             assert bits(frontier.points) == bits(hull_two_chain(cloud))
 
     def test_astronomical_grid_refused_without_allocating(self):
-        huge = AuxGridSpec(resolution=0.001, u_card=12, v1_card=12, v2_card=12)
-        huge_stochastic = AuxGridSpec(
-            resolution=0.001, v1_card=12, v2_card=12, deterministic_x=False
-        )
+        huge = dict(resolution=0.001, v1_card=12, v2_card=12)
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExceeded, match="grid too large"):
-                degraded_region_inner(*DEGRADED, huge)
+                degraded_region_inner(*DEGRADED, resolution=0.001, u_card=12)
             with pytest.raises(BudgetExceeded, match="grid too large"):
-                general_inner_bound(*DEGRADED, huge)
+                general_inner_bound(*DEGRADED, **huge)
             with pytest.raises(BudgetExceeded, match="grid too large"):
-                general_inner_bound(*DEGRADED, huge_stochastic)
+                general_inner_bound(*DEGRADED, **huge, deterministic_x=False)
             # The wiretap budget counts points P(x) on the 1/k^2 grid: 10^8 + 1 here.
             with pytest.raises(BudgetExceeded, match="grid too large"):
-                wiretap_secrecy_capacity(DEGRADED[0], DEGRADED[2], AuxGridSpec(resolution=1e-4))
+                wiretap_secrecy_capacity(DEGRADED[0], DEGRADED[2], resolution=1e-4)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -510,17 +526,16 @@ class TestGeneralInnerBound:
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceeded, match="grid too large"):
             general_inner_bound(
-                BSC(0.1), BSC(0.2), BSC(0.3), AuxGridSpec(resolution=0.05), budget=10
+                BSC(0.1), BSC(0.2), BSC(0.3), resolution=0.05, budget=10
             )
 
     def test_wiretap_reduction_when_second_user_removed(self):
-        grid = AuxGridSpec(resolution=0.1)
         py1x, pzx = BSC(0.1), BSC(0.2)
-        frontier = general_inner_bound(py1x, uninformative(2), pzx, grid)
+        frontier = general_inner_bound(py1x, uninformative(2), pzx, resolution=0.1)
         # with deterministic maps on both sides the embeddings coincide
         best_r1 = frontier.max_r1
         rates = []
-        for pv in simplex_grid(2, grid.steps):
+        for pv in simplex_grid(2, 10):
             for assignment in ((0, 0), (0, 1), (1, 0), (1, 1)):
                 rows = np.eye(2)[list(assignment)]
                 value = mutual_information(Pmf(pv), DiscreteChannel(rows @ py1x.matrix))
@@ -530,8 +545,8 @@ class TestGeneralInnerBound:
 
     def test_degraded_instance_contained_in_layered_region(self):
         py1x, py2x, pzx = DEGRADED
-        general = general_inner_bound(py1x, py2x, pzx, AuxGridSpec(resolution=0.1))
-        layered = degraded_region_inner(py1x, py2x, pzx, AuxGridSpec(resolution=0.02, u_card=2))
+        general = general_inner_bound(py1x, py2x, pzx, resolution=0.1)
+        layered = degraded_region_inner(py1x, py2x, pzx, resolution=0.02, u_card=2)
         xs = layered.as_array()[:, 0]
         ys = layered.as_array()[:, 1]
         env_x = np.concatenate([[0.0], xs, [xs[-1]]])
@@ -555,39 +570,36 @@ class TestGeneralInnerBound:
 
 class TestWiretapSecrecyCapacity:
     def test_equal_channels_give_zero(self):
-        assert wiretap_secrecy_capacity(BSC(0.1), BSC(0.1), AuxGridSpec(resolution=0.2)) == 0.0
+        assert wiretap_secrecy_capacity(BSC(0.1), BSC(0.1), resolution=0.2) == 0.0
 
     def test_uninformative_main_gives_zero(self):
-        value = wiretap_secrecy_capacity(
-            uninformative(2), BSC(0.1), AuxGridSpec(resolution=0.2)
-        )
+        value = wiretap_secrecy_capacity(uninformative(2), BSC(0.1), resolution=0.2)
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_budget_enforced(self):
         with pytest.raises(BudgetExceeded):
-            wiretap_secrecy_capacity(BSC(0.1), BSC(0.2), AuxGridSpec(resolution=0.01), budget=10)
+            wiretap_secrecy_capacity(BSC(0.1), BSC(0.2), resolution=0.01, budget=10)
 
     def test_degraded_pair_attains_known_value_on_coarse_grid(self):
-        value = wiretap_secrecy_capacity(BSC(0.1), BSC(0.2), AuxGridSpec(resolution=0.1))
+        value = wiretap_secrecy_capacity(BSC(0.1), BSC(0.2), resolution=0.1)
         from bcc_secrecy import binary_entropy
 
         assert value == pytest.approx(binary_entropy(0.2) - binary_entropy(0.1), abs=1e-12)
 
     def test_budget_counts_points_on_the_squared_grid(self):
         # 1/10 rows give P(x) on the 1/100 grid: 101 binary points.
-        grid = AuxGridSpec(resolution=0.1)
-        wiretap_secrecy_capacity(BSC(0.1), BSC(0.2), grid, budget=101)
+        wiretap_secrecy_capacity(BSC(0.1), BSC(0.2), resolution=0.1, budget=101)
         with pytest.raises(BudgetExceeded, match="101 points"):
-            wiretap_secrecy_capacity(BSC(0.1), BSC(0.2), grid, budget=100)
+            wiretap_secrecy_capacity(BSC(0.1), BSC(0.2), resolution=0.1, budget=100)
 
     def test_equal_ternary_channels_give_zero(self):
         rng = np.random.default_rng(3)
         channel = DiscreteChannel(rng.dirichlet(np.ones(3), size=3))
-        assert wiretap_secrecy_capacity(channel, channel, AuxGridSpec(resolution=0.1)) == 0.0
+        assert wiretap_secrecy_capacity(channel, channel, resolution=0.1) == 0.0
 
     def test_single_input_gives_zero(self):
         one = DiscreteChannel([[0.3, 0.7]])
-        assert wiretap_secrecy_capacity(one, one, AuxGridSpec(resolution=0.5)) == 0.0
+        assert wiretap_secrecy_capacity(one, one, resolution=0.5) == 0.0
 
     def test_never_below_the_grid_search(self):
         # The 1/k^2 grid of P(x) holds every mixture the grid search forms,
@@ -601,7 +613,7 @@ class TestWiretapSecrecyCapacity:
                 main, eve = (DiscreteChannel(rng.dirichlet(np.ones(3), size=nx)) for _ in "ab")
                 for steps, v_card in searches:
                     grid_value = wiretap_grid_search(main.matrix, eve.matrix, steps, v_card)
-                    value = wiretap_secrecy_capacity(main, eve, AuxGridSpec(resolution=1 / steps))
+                    value = wiretap_secrecy_capacity(main, eve, resolution=1 / steps)
                     assert value >= grid_value - round_off, (nx, steps, v_card, value, grid_value)
                     higher += value > grid_value + 1e-12
         assert higher >= 20
@@ -612,7 +624,7 @@ class TestWiretapSecrecyCapacity:
             for _ in range(6):
                 main = DiscreteChannel(rng.dirichlet(np.ones(3), size=2))
                 eve = DiscreteChannel(rng.dirichlet(np.ones(2), size=2))
-                value = wiretap_secrecy_capacity(main, eve, AuxGridSpec(resolution=1 / steps))
+                value = wiretap_secrecy_capacity(main, eve, resolution=1 / steps)
                 expected = wiretap_two_point_binary(main.matrix, eve.matrix, steps)
                 assert value == pytest.approx(expected, abs=1e-12), (steps, value, expected)
 
@@ -624,7 +636,7 @@ class TestWiretapSecrecyCapacity:
         exec(compile(source.read_text(), str(source), "exec"), workloads)
         for seed in (0, 20080626, *range(101, 109)):
             p1, _, p3 = workloads["bsc_chain"](seed)
-            value = wiretap_secrecy_capacity(BSC(p1), BSC(p3), AuxGridSpec(resolution=0.005))
+            value = wiretap_secrecy_capacity(BSC(p1), BSC(p3), resolution=0.005)
             expected = binary_entropy(p3) - binary_entropy(p1)
             assert value == pytest.approx(expected, abs=1e-12), seed
 
@@ -656,7 +668,7 @@ class TestWiretapSecrecyCapacity:
         assert len(offsets) >= 400
         tracemalloc.start()
         try:
-            value = wiretap_secrecy_capacity(main, eve, AuxGridSpec(resolution=0.002))
+            value = wiretap_secrecy_capacity(main, eve, resolution=0.002)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
