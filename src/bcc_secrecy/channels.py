@@ -175,14 +175,14 @@ def cascade(first: DiscreteChannel, second: DiscreteChannel) -> DiscreteChannel:
 
 
 def check_stochastic_degraded(
-    stronger: DiscreteChannel, weaker: DiscreteChannel, tol: float = DEGRADED_TOL
+    stronger: DiscreteChannel, weaker: DiscreteChannel
 ) -> DegradednessReport:
     """Search for a row-stochastic M with stronger . M ~ weaker.
 
     The search is a linear program: minimize t subject to
     |(stronger @ M - weaker)[x, j]| <= t for all entries, M >= 0, and unit
     row sums.  The optimum t is the smallest achievable max-norm residual,
-    so feasibility (residual <= tol) is decided exactly up to solver
+    so feasibility (residual <= DEGRADED_TOL) is decided exactly up to solver
     tolerance.  The feasible set can be a polytope; one point of it is
     returned, with no uniqueness claim.
     """
@@ -221,7 +221,7 @@ def check_stochastic_degraded(
     m /= m.sum(axis=1, keepdims=True)
     residual = float(np.max(np.abs(a @ m - b)))
     return DegradednessReport(
-        feasible=residual <= tol,
+        feasible=residual <= DEGRADED_TOL,
         residual=residual,
         intermediate=DiscreteChannel(m),
     )

@@ -17,10 +17,8 @@ import numpy as np
 from .channels import (
     BudgetExceeded,
     DimensionMismatch,
-    DiscreteChannel,
     InvalidDistribution,
     Pmf,
-    cascade,
     check_stochastic_degraded,
 )
 from .coding import (
@@ -31,7 +29,7 @@ from .coding import (
     run_error_experiment,
 )
 from .formats import (
-    ExperimentConfig,
+    SIG_DIGITS,
     MarginalTriple,
     as_marginals,
     format_sig,
@@ -41,13 +39,16 @@ from .formats import (
     write_csv,
     write_json,
 )
-from .information import entropy_last_axis, mutual_information
+from .information import mutual_information
 from .regions import (
     DEFAULT_BUDGET,
+    DEFAULT_RESOLUTION,
     GaussianParams,
+    degraded_rate_terms,
     degraded_region_inner,
     gaussian_region_point,
     general_inner_bound,
+    general_rate_terms,
     wiretap_secrecy_capacity,
 )
 
@@ -90,7 +91,7 @@ def _write_frontier(out: str, frontier) -> None:
 
 @region.command("degraded")
 @click.option("--file", "path", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--grid", type=float, default=0.05, show_default=True, help="Simplex step.")
+@click.option("--grid", type=float, default=DEFAULT_RESOLUTION, show_default=True, help="Simplex step.")
 @click.option("--ucard", type=int, default=None, help="Auxiliary cardinality (default |X|).")
 @click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
@@ -106,7 +107,7 @@ def region_degraded(path, grid, ucard, budget, out):
 
 @region.command("general")
 @click.option("--file", "path", type=click.Path(exists=True, dir_okay=False), required=True)
-@click.option("--grid", type=float, default=0.05, show_default=True, help="Simplex step.")
+@click.option("--grid", type=float, default=DEFAULT_RESOLUTION, show_default=True, help="Simplex step.")
 @click.option("--v1card", type=int, default=None, help="First auxiliary cardinality.")
 @click.option("--v2card", type=int, default=None, help="Second auxiliary cardinality.")
 @click.option(
@@ -139,7 +140,7 @@ def region_general(path, grid, v1card, v2card, stochastic_x, budget, out):
 @click.option(
     "--grid",
     type=float,
-    default=0.05,
+    default=DEFAULT_RESOLUTION,
     show_default=True,
     help="Step of the P(x|v) rows; P(v) is optimised exactly.",
 )
@@ -190,12 +191,12 @@ def check_frontier(path, power, n1, n2, n3, tol):
     outside = alpha[(alpha < 0.0) | (alpha > 1.0)]
     if outside.size:
         raise InvalidDistribution(f"{path}: alpha must lie in [0, 1], got {float(outside[0])!r}")
-    # format_sig keeps 12 significant digits: each column may be off by half
-    # a unit in its 12th digit (0 for a 0 entry).  r1 rises and r2 falls with
-    # alpha, so a faithful rate lies between the rates at the two ends of its
-    # alpha's rounding interval, widened by its own rounding.
+    # format_sig keeps SIG_DIGITS significant digits: each column may be off
+    # by half a unit in its last digit (0 for a 0 entry).  r1 rises and r2
+    # falls with alpha, so a faithful rate lies between the rates at the two
+    # ends of its alpha's rounding interval, widened by its own rounding.
     with np.errstate(divide="ignore"):
-        half = 0.5 * 10.0 ** (np.floor(np.log10(np.abs(rows))) - 11)
+        half = 0.5 * 10.0 ** (np.floor(np.log10(np.abs(rows))) - (SIG_DIGITS - 1))
     lo = gaussian_region_point(g, np.maximum(alpha - half[:, 0], 0.0))
     hi = gaussian_region_point(g, np.minimum(alpha + half[:, 0], 1.0))
     worst = 0.0
@@ -205,53 +206,6 @@ def check_frontier(path, power, n1, n2, n3, tol):
     if worst > tol:
         raise InvalidDistribution(f"{path}: frontier deviates by {worst:.3e} > {tol:.3e}")
     click.echo(f"frontier reproduced, max deviation {worst:.3e}")
-
-
-def _simulate_superposition(config: ExperimentConfig, z_budget: int) -> dict:
-    m = config.marginals
-    cb = build_superposition(config.code, config.pu, config.pxu)
-    report = exact_equivocation(cb, m.pzx, z_budget=z_budget)
-    trial = run_error_experiment(cb, (m.py1x, m.py2x), trials=config.trials, seed=config.code.seed)
-    # I(X;Y1|U) = H(U,X) + H(U,Y1) - H(U,X,Y1) - H(U), clamped at 0.
-    joint = np.einsum("u,ux,xy->uxy", config.pu.probs, config.pxu.matrix, m.py1x.matrix)
-    h_ux, h_uy1, h_uxy1, h_u = (
-        float(entropy_last_axis(p.ravel()))
-        for p in (joint.sum(axis=2), joint.sum(axis=1), joint, joint.sum(axis=(1, 2)))
-    )
-    mis = {
-        "i_u_y2": mutual_information(config.pu, cascade(config.pxu, m.py2x)),
-        "i_u_z": mutual_information(config.pu, cascade(config.pxu, m.pzx)),
-        "i_x_y1_given_u": max(h_ux + h_uy1 - h_uxy1 - h_u, 0.0),
-        "i_x_z": mutual_information(Pmf(config.pu.probs @ config.pxu.matrix), m.pzx),
-    }
-    equivocation = {
-        "re1": report.re1,
-        "re2": report.re2,
-        "re12": report.re12,
-        "gaps": list(report.gaps),
-    }
-    return {"equivocation": equivocation, "mutual_informations": mis, "trial": trial}
-
-
-def _simulate_double_binning(config: ExperimentConfig) -> dict:
-    m = config.marginals
-    cb = build_double_binning(config.code, config.pv1, config.pv2, config.pxv, config.epsilon)
-    trial = run_error_experiment(cb, (m.py1x, m.py2x), trials=config.trials, seed=config.code.seed)
-    # Per-letter composites under the independent product of pv1 and pv2.
-    x_given_v1 = DiscreteChannel(np.einsum("w,vwx->vx", config.pv2.probs, config.pxv))
-    x_given_v2 = DiscreteChannel(np.einsum("v,vwx->wx", config.pv1.probs, config.pxv))
-    pair_pmf = Pmf(np.outer(config.pv1.probs, config.pv2.probs).ravel())
-    pair_channel = DiscreteChannel(config.pxv.reshape(-1, config.pxv.shape[-1]))
-    px = Pmf(config.pv1.probs @ x_given_v1.matrix)
-    mis = {
-        "i_v1_y1": mutual_information(config.pv1, cascade(x_given_v1, m.py1x)),
-        "i_v2_y2": mutual_information(config.pv2, cascade(x_given_v2, m.py2x)),
-        "i_v1_z": mutual_information(config.pv1, cascade(x_given_v1, m.pzx)),
-        "i_v2_z": mutual_information(config.pv2, cascade(x_given_v2, m.pzx)),
-        "i_v1v2_z": mutual_information(pair_pmf, cascade(pair_channel, m.pzx)),
-        "i_x_z": mutual_information(px, m.pzx),
-    }
-    return {"equivocation": None, "mutual_informations": mis, "trial": trial}
 
 
 @cli.command()
@@ -277,13 +231,22 @@ def simulate(config_path, out, seed, trials, budget):
         raw.update({k: v for k, v in (("seed", seed), ("trials", trials)) if v is not None})
     config = parse_experiment(raw, base_dir=Path(config_path).parent)
 
-    if config.scheme == "superposition":
-        result = _simulate_superposition(config, z_budget=budget)
-    else:
-        result = _simulate_double_binning(config)
-
     params = config.code
-    trial = result["trial"]
+    m = config.marginals
+    if config.scheme == "superposition":
+        cb = build_superposition(params, config.pu, config.pxu)
+        report = exact_equivocation(cb, m.pzx, z_budget=budget)
+        terms = degraded_rate_terms(config.pu, config.pxu, m.py1x, m.py2x, m.pzx)
+    else:
+        cb = build_double_binning(params, config.pv1, config.pv2, config.pxv, config.epsilon)
+        report = None
+        joint = np.outer(config.pv1.probs, config.pv2.probs)
+        terms = general_rate_terms(joint, config.pxv, m.py1x, m.py2x, m.pzx)
+        del terms["i_v1_v2"]  # the two codebooks are drawn independently
+        # I(X;Z) is not a term of the bound; both schemes report it.
+        px = np.einsum("v,w,vwx->x", config.pv1.probs, config.pv2.probs, config.pxv)
+        terms["i_x_z"] = mutual_information(Pmf(px), m.pzx)
+    trial = run_error_experiment(cb, (m.py1x, m.py2x), trials=config.trials, seed=params.seed)
     payload = {
         "scheme": config.scheme,
         "code": dataclasses.asdict(params),
@@ -293,8 +256,8 @@ def simulate(config_path, out, seed, trials, budget):
             "randomization1_bits": params.randomization_rate1,
             "randomization2_bits": params.randomization_rate2,
         },
-        "mutual_informations": result["mutual_informations"],
-        "equivocation": result["equivocation"],
+        "mutual_informations": {key: max(value, 0.0) for key, value in terms.items()},
+        "equivocation": None if report is None else dataclasses.asdict(report),
         "trials": {
             "count": trial.trials,
             "errors_rx1": trial.errors_rx1,

@@ -130,7 +130,8 @@ def _check_messages(params: CodeParams, w1: int, w2: int) -> None:
         raise ValueError(f"message w2={w2!r} outside [0, {params.m2})")
 
 
-def _check_symbols(total: int, budget: int) -> None:
+def _check_symbols(total: int) -> None:
+    budget = DEFAULT_CODEBOOK_SYMBOL_BUDGET
     if total > budget:
         raise BudgetExceeded(f"codebook needs {total} symbols, over the budget of {budget}")
 
@@ -194,7 +195,6 @@ def build_superposition(
     params: CodeParams,
     pu: Pmf,
     pxu: DiscreteChannel,
-    symbol_budget: int = DEFAULT_CODEBOOK_SYMBOL_BUDGET,
 ) -> SuperpositionCodebook:
     """Draw the two-layer codebook; bit-identical for identical arguments.
 
@@ -207,7 +207,7 @@ def build_superposition(
             f"{pxu.input_size}"
         )
     n, m1, m2, l1, l2 = params.n, params.m1, params.m2, params.l1, params.l2
-    _check_symbols(m2 * l2 * n + m2 * l2 * m1 * l1 * n, symbol_budget)
+    _check_symbols(m2 * l2 * n + m2 * l2 * m1 * l1 * n)
     u_words = _sample_conditional(
         _rng(params.seed, _TAG_CLOUD), pu.probs[None], np.zeros((m2, l2, n), np.int64)
     )
@@ -320,7 +320,6 @@ def exact_equivocation(
     cb: SuperpositionCodebook,
     pzx: DiscreteChannel,
     z_budget: int = DEFAULT_Z_SEQUENCE_BUDGET,
-    combo_budget: int = DEFAULT_COMBO_BUDGET,
 ) -> EquivocationReport:
     """Exact eavesdropper equivocations by enumerating every z^n.
 
@@ -328,8 +327,17 @@ def exact_equivocation(
     members, so P(z^n | w1, w2) is the bin-averaged product of transition
     probabilities.  The conditional entropies H(W1|Z^n), H(W2|Z^n) and
     H(W1,W2|Z^n) follow from the exact joint and are divided by n.  The
-    |Z|^n tables, m1 + m2 + 2 rows of floats, are capped at 1 GiB before
-    anything is allocated.
+    m1*m2*l1*l2 codeword roles enumerated are capped at
+    DEFAULT_COMBO_BUDGET, and the |Z|^n tables, m1 + m2 + 2 rows of
+    floats, at 1 GiB, before anything is allocated.
+
+    z^n splits into a head of n - t positions and a tail of t >= 1, the
+    most with |Z|^t <= _TILE = 65536 floats.  Bin members are taken
+    max(_TILE // |Z|^t, 1) at a time; for each head sequence their
+    likelihoods over the tail form one tile, which is added into its slice
+    of the pair's sum.  The working set stays within a few tiles plus the
+    |Z|^n sums, whatever l1*l2 is, and the members are still added one
+    after another in row order, so the bits do not depend on the tile.
 
     Parameters
     ----------
@@ -337,16 +345,7 @@ def exact_equivocation(
     pzx : DiscreteChannel
         Eavesdropper channel P(z|x).
     z_budget : int
-        Cap on |Z|^n, the number of enumerated observation sequences, and
-        on the likelihood tile.  z^n splits into a head of n - t positions
-        and a tail of t >= 1, the most with |Z|^t <= min(z_budget, 65536).
-        Bin members are taken max(tile // |Z|^t, 1) at a time; for each
-        head sequence their likelihoods over the tail form one tile, which
-        is added into its slice of the pair's sum.  The working set stays
-        within a few tiles plus the |Z|^n sums, whatever l1*l2 is, and the
-        members are still added one after another in row order.
-    combo_budget : int
-        Cap on m1*m2*l1*l2, the number of codeword roles enumerated.
+        Cap on |Z|^n, the number of enumerated observation sequences.
     """
     params = cb.params
     n, m1, m2, l1, l2 = params.n, params.m1, params.m2, params.l1, params.l2
@@ -357,18 +356,19 @@ def exact_equivocation(
     if count > z_budget:
         raise BudgetExceeded(f"|Z|^n = {count} observation sequences exceed budget {z_budget}")
     combos = m1 * m2 * l1 * l2
-    if combos > combo_budget:
-        raise BudgetExceeded(f"{combos} message/randomization combinations exceed {combo_budget}")
+    if combos > DEFAULT_COMBO_BUDGET:
+        raise BudgetExceeded(
+            f"{combos} message/randomization combinations exceed {DEFAULT_COMBO_BUDGET}"
+        )
     tables = m1 + m2 + 2
     if 8 * tables * count > _TABLE_BYTES:
         raise BudgetExceeded(f"{tables} tables of |Z|^n = {count} floats exceed {_TABLE_BYTES} bytes")
 
-    tile = min(z_budget, _TILE)
     tail = 1
-    while tail < n and nz ** (tail + 1) <= tile:
+    while tail < n and nz ** (tail + 1) <= _TILE:
         tail += 1
     width = nz**tail
-    rows = max(tile // width, 1)
+    rows = max(_TILE // width, 1)
     buffers = (np.empty(rows * width), np.empty(rows * width))
     head_buffers = (np.empty(rows * count // width), np.empty(rows * count // width))
     inv_messages = 1.0 / (m1 * m2)
@@ -427,7 +427,6 @@ def build_double_binning(
     pv2: Pmf,
     x_map: np.ndarray,
     epsilon: float,
-    symbol_budget: int = DEFAULT_CODEBOOK_SYMBOL_BUDGET,
 ) -> BinningCodebook:
     """Draw both binned codebooks; bit-identical for identical arguments."""
     if epsilon <= 0:
@@ -439,7 +438,7 @@ def build_double_binning(
             f"({pv1.alphabet_size}, {pv2.alphabet_size})"
         )
     n, m1, m2, l1, l2 = params.n, params.m1, params.m2, params.l1, params.l2
-    _check_symbols((m1 * l1 + m2 * l2) * n, symbol_budget)
+    _check_symbols((m1 * l1 + m2 * l2) * n)
     v1_words = _sample_conditional(
         _rng(params.seed, _TAG_V1), pv1.probs[None], np.zeros((m1, l1, n), np.int64)
     )

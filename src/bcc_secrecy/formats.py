@@ -35,6 +35,7 @@ from .coding import CodeParams
 from .regions import GaussianParams
 
 NEGATIVE_GRACE = 1e-12
+SIG_DIGITS = 12
 
 
 @dataclass(frozen=True)
@@ -212,8 +213,8 @@ def _atomic_write(path: str | Path, text: str) -> None:
 
 
 def format_sig(value: float) -> str:
-    """12 significant digits, the interchange precision for CSV artifacts."""
-    return f"{value:.12g}"
+    """SIG_DIGITS significant digits, the interchange precision for CSV artifacts."""
+    return "%.*g" % (SIG_DIGITS, value)
 
 
 def write_csv(path: str | Path, header: list[str], rows: list[list[float]]) -> None:

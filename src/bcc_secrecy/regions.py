@@ -28,9 +28,11 @@ candidates go through a running Pareto filter, and one hull runs on the
 survivors.  Candidates are independent, so the result does not depend on
 evaluation order.
 
-Negative values of the rate formulas are clamped to zero pointwise: a
-negative bound just means that candidate contributes nothing in that
-coordinate.
+Each region kernel computes the per-letter terms of a batch of
+candidates (one candidate's, unclamped: ``degraded_rate_terms`` and
+``general_rate_terms``), then combines them into rates.  Negative values
+of the rate formulas are clamped to zero pointwise: a negative bound just
+means that candidate contributes nothing in that coordinate.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .channels import BudgetExceeded, DimensionMismatch, DiscreteChannel, Pmf, validate_pmf
+from .channels import _check_stochastic
 from .information import entropy_last_axis
 
 DEFAULT_RESOLUTION = 0.05
@@ -312,11 +315,6 @@ def _mi_from_joint(joint: np.ndarray) -> np.ndarray:
     return ha + hb - hab
 
 
-def _mi_rows(pu, rows, h_rows):
-    """I(U;Y) per candidate from P(y|u) rows (C, U, Y) and their entropies (C, U)."""
-    return entropy_last_axis(np.einsum("u,cuy->cy", pu, rows)) - np.einsum("u,cu->c", pu, h_rows)
-
-
 def _degraded_rows(pxu_batch, my1, my2, mz):
     """The terms of the layered kernel that do not depend on P(u).
 
@@ -328,21 +326,44 @@ def _degraded_rows(pxu_batch, my1, my2, mz):
     return uy2, entropy_last_axis(uy2), entropy_last_axis(pxu_batch @ mz), i_xy1_rows
 
 
-def _degraded_rate_arrays(pu, pxu_batch, mz, rows):
-    """Clamped (r1, r2) pairs (C, 2) for one cloud distribution pu (U,).
-
-    r1 = I(X;Y1|U) + I(U;Z) - I(X;Z),  r2 = I(U;Y2) - I(U;Z).
-    """
+def _degraded_terms(pu, pxu_batch, mz, rows) -> dict[str, np.ndarray]:
+    """The layered region's terms (C,) each, for one cloud distribution pu (U,)."""
     uy2, h_uy2, h_uz, i_xy1_rows = rows
     px = np.einsum("u,cux->cx", pu, pxu_batch)
     h_z = entropy_last_axis(px @ mz)
-    i_xz = h_z - px @ entropy_last_axis(mz)
-    i_uz = h_z - np.einsum("u,cu->c", pu, h_uz)
-    i_uy2 = _mi_rows(pu, uy2, h_uy2)
-    i_xy1_u = np.einsum("u,cu->c", pu, i_xy1_rows)
-    r1 = np.maximum(i_xy1_u + i_uz - i_xz, 0.0)
-    r2 = np.maximum(i_uy2 - i_uz, 0.0)
+    h_y2 = entropy_last_axis(np.einsum("u,cuy->cy", pu, uy2))
+    return {
+        "i_x_z": h_z - px @ entropy_last_axis(mz),
+        "i_u_z": h_z - np.einsum("u,cu->c", pu, h_uz),
+        "i_u_y2": h_y2 - np.einsum("u,cu->c", pu, h_uy2),
+        "i_x_y1_given_u": np.einsum("u,cu->c", pu, i_xy1_rows),
+    }
+
+
+def _degraded_rates(t) -> np.ndarray:
+    """Clamped (r1, r2) pairs (C, 2): I(X;Y1|U) + I(U;Z) - I(X;Z) and I(U;Y2) - I(U;Z)."""
+    r1 = np.maximum(t["i_x_y1_given_u"] + t["i_u_z"] - t["i_x_z"], 0.0)
+    r2 = np.maximum(t["i_u_y2"] - t["i_u_z"], 0.0)
     return np.column_stack([r1, r2])
+
+
+def degraded_rate_terms(
+    pu: Pmf,
+    pxu: DiscreteChannel,
+    py1x: DiscreteChannel,
+    py2x: DiscreteChannel,
+    pzx: DiscreteChannel,
+) -> dict[str, float]:
+    """Unclamped i_x_y1_given_u, i_u_y2, i_u_z, i_x_z of one (P(u), P(x|u)) candidate."""
+    _check_shared_input(py1x, py2x, pzx)
+    if pu.alphabet_size != pxu.input_size:
+        raise DimensionMismatch("cloud distribution does not match the conditional's input")
+    if pxu.output_size != py1x.input_size:
+        raise DimensionMismatch("conditional output does not match the channel input")
+    batch = pxu.matrix[None]
+    rows = _degraded_rows(batch, py1x.matrix, py2x.matrix, pzx.matrix)
+    terms = _degraded_terms(pu.probs, batch, pzx.matrix, rows)
+    return {key: float(value[0]) for key, value in terms.items()}
 
 
 def degraded_rate_pair(
@@ -353,14 +374,7 @@ def degraded_rate_pair(
     pzx: DiscreteChannel,
 ) -> RatePoint:
     """Clamped rate pair contributed by one (P(u), P(x|u)) candidate."""
-    _check_shared_input(py1x, py2x, pzx)
-    if pu.alphabet_size != pxu.input_size:
-        raise DimensionMismatch("cloud distribution does not match the conditional's input")
-    if pxu.output_size != py1x.input_size:
-        raise DimensionMismatch("conditional output does not match the channel input")
-    batch = pxu.matrix[None]
-    rows = _degraded_rows(batch, py1x.matrix, py2x.matrix, pzx.matrix)
-    return RatePoint(*_degraded_rate_arrays(pu.probs, batch, pzx.matrix, rows)[0].tolist())
+    return RatePoint(*_degraded_rates(degraded_rate_terms(pu, pxu, py1x, py2x, pzx))[0].tolist())
 
 
 def degraded_region_inner(
@@ -381,40 +395,66 @@ def degraded_region_inner(
         pxu_batch = _row_product(simplex_grid(nx, steps), u_card)
         rows = _degraded_rows(pxu_batch, py1x.matrix, py2x.matrix, pzx.matrix)
         for pu in simplex_grid(u_card, steps):
-            yield _degraded_rate_arrays(pu, pxu_batch, pzx.matrix, rows)
+            yield _degraded_rates(_degraded_terms(pu, pxu_batch, pzx.matrix, rows))
 
     n_cond = _simplex_count(nx, steps) ** u_card
     return _search(_simplex_count(u_card, steps), n_cond, budget, chunks())
 
 
-def _general_corner_arrays(joint_batch, xmap, my1, my2, mz):
-    """Pentagon corner points for a batch of (V1, V2) joints under one x-map.
-
-    joint_batch: (C, V1, V2); xmap: (V1, V2, X).  Bounds per candidate:
-    A = I(V1;Y1) - I(V1;Z), B = I(V2;Y2) - I(V2;Z),
-    S = I(V1;Y1) + I(V2;Y2) - I(V1,V2;Z) - I(V1;V2), each clamped at 0.
-    """
+def _general_terms(joint_batch, xmap, my1, my2, mz) -> dict[str, np.ndarray]:
+    """The bound's terms (C,) for (C, V1, V2) joints under one (V1, V2, X) x-map."""
     t_y1 = np.einsum("vwx,xy->vwy", xmap, my1)
     t_y2 = np.einsum("vwx,xy->vwy", xmap, my2)
     t_z = np.einsum("vwx,xz->vwz", xmap, mz)
     p_v1y1 = np.einsum("cvw,vwy->cvy", joint_batch, t_y1)
     p_v2y2 = np.einsum("cvw,vwy->cwy", joint_batch, t_y2)
     p_vvz = np.einsum("cvw,vwz->cvwz", joint_batch, t_z)
-    c, v1, v2, nz = p_vvz.shape
-    i_v1y1 = _mi_from_joint(p_v1y1)
-    i_v2y2 = _mi_from_joint(p_v2y2)
-    i_v12z = _mi_from_joint(p_vvz.reshape(c, v1 * v2, nz))
-    i_v1z = _mi_from_joint(p_vvz.sum(axis=2))
-    i_v2z = _mi_from_joint(p_vvz.sum(axis=1))
-    i_v1v2 = _mi_from_joint(joint_batch)
-    a = np.maximum(i_v1y1 - i_v1z, 0.0)
-    b = np.maximum(i_v2y2 - i_v2z, 0.0)
-    s = np.maximum(i_v1y1 + i_v2y2 - i_v12z - i_v1v2, 0.0)
+    return {
+        "i_v1_y1": _mi_from_joint(p_v1y1),
+        "i_v2_y2": _mi_from_joint(p_v2y2),
+        "i_v1v2_z": _mi_from_joint(p_vvz.reshape(len(p_vvz), -1, p_vvz.shape[-1])),
+        "i_v1_z": _mi_from_joint(p_vvz.sum(axis=2)),
+        "i_v2_z": _mi_from_joint(p_vvz.sum(axis=1)),
+        "i_v1_v2": _mi_from_joint(joint_batch),
+    }
+
+
+def _general_corners(t) -> np.ndarray:
+    """Pentagon corner points (2C, 2) from the double-binning bound's terms.
+
+    A = I(V1;Y1) - I(V1;Z), B = I(V2;Y2) - I(V2;Z),
+    S = I(V1;Y1) + I(V2;Y2) - I(V1,V2;Z) - I(V1;V2), each clamped at 0.
+    """
+    a = np.maximum(t["i_v1_y1"] - t["i_v1_z"], 0.0)
+    b = np.maximum(t["i_v2_y2"] - t["i_v2_z"], 0.0)
+    s = np.maximum(t["i_v1_y1"] + t["i_v2_y2"] - t["i_v1v2_z"] - t["i_v1_v2"], 0.0)
     r1a = np.minimum(a, s)
     r2a = np.minimum(b, s - r1a)
     r2b = np.minimum(b, s)
     r1b = np.minimum(a, s - r2b)
     return np.vstack([np.column_stack([r1a, r2a]), np.column_stack([r1b, r2b])])
+
+
+def general_rate_terms(
+    joint_v1v2: np.ndarray,
+    x_given_pair: np.ndarray,
+    py1x: DiscreteChannel,
+    py2x: DiscreteChannel,
+    pzx: DiscreteChannel,
+) -> dict[str, float]:
+    """Unclamped i_v1_y1, i_v2_y2, i_v1_z, i_v2_z, i_v1v2_z, i_v1_v2 of one candidate."""
+    _check_shared_input(py1x, py2x, pzx)
+    joint = np.asarray(joint_v1v2, dtype=np.float64)
+    xmap = np.asarray(x_given_pair, dtype=np.float64)
+    validate_pmf(joint.ravel())
+    if joint.ndim != 2 or xmap.shape != joint.shape + (py1x.input_size,):
+        raise DimensionMismatch(
+            f"x-map shape {xmap.shape} does not match joint {joint.shape} "
+            f"and input alphabet {py1x.input_size}"
+        )
+    _check_stochastic(xmap, 2, "x-map")
+    terms = _general_terms(joint[None], xmap, py1x.matrix, py2x.matrix, pzx.matrix)
+    return {key: float(value[0]) for key, value in terms.items()}
 
 
 def general_rate_corners(
@@ -425,17 +465,8 @@ def general_rate_corners(
     pzx: DiscreteChannel,
 ) -> tuple[RatePoint, RatePoint]:
     """Dominant pentagon corners for one (P(v1,v2), P(x|v1,v2)) candidate."""
-    _check_shared_input(py1x, py2x, pzx)
-    joint = np.asarray(joint_v1v2, dtype=np.float64)
-    xmap = np.asarray(x_given_pair, dtype=np.float64)
-    validate_pmf(joint.ravel())
-    if xmap.shape[:2] != joint.shape or xmap.shape[2] != py1x.input_size:
-        raise DimensionMismatch(
-            f"x-map shape {xmap.shape} does not match joint {joint.shape} "
-            f"and input alphabet {py1x.input_size}"
-        )
-    corners = _general_corner_arrays(joint[None], xmap, py1x.matrix, py2x.matrix, pzx.matrix)
-    first, second = corners.tolist()
+    terms = general_rate_terms(joint_v1v2, x_given_pair, py1x, py2x, pzx)
+    first, second = _general_corners(terms).tolist()
     return RatePoint(*first), RatePoint(*second)
 
 
@@ -469,7 +500,8 @@ def general_inner_bound(
         x_rows = np.eye(nx) if deterministic_x else simplex_grid(nx, steps)
         for pick in itertools.product(range(n_rows), repeat=v1 * v2):
             xmap = x_rows[list(pick)].reshape(v1, v2, nx)
-            yield _general_corner_arrays(joint_batch, xmap, py1x.matrix, py2x.matrix, pzx.matrix)
+            terms = _general_terms(joint_batch, xmap, py1x.matrix, py2x.matrix, pzx.matrix)
+            yield _general_corners(terms)
 
     return _search(_simplex_count(v1 * v2, steps), n_rows ** (v1 * v2), budget, chunks())
 

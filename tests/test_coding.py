@@ -406,7 +406,7 @@ class TestExactEquivocation:
             )
             count = nz**params.n
             # Small tiles span several head sequences and several row blocks;
-            # z_budget gives one tile per pair, then rows of 3 and of 1.
+            # z_budget caps only |Z|^n, down to exactly |Z|^n.
             for tile in (2, 8, 64, 1 << 16):
                 monkeypatch.setattr(coding, "_TILE", tile)
                 for z_budget in (1 << 20, 3 * count, count):
@@ -436,11 +436,12 @@ class TestExactEquivocation:
         cb = build_superposition(params, Pmf.uniform(2), BSC(0.1))
         tracemalloc.start()
         try:
-            exact_equivocation(cb, BSC(0.2), z_budget=4 * 2**12)
+            exact_equivocation(cb, BSC(0.2))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # all 256 bin members at once would need 2 x 8 MiB
+        # The tile (_TILE floats) bounds the working set; all 256 bin members
+        # at once would need 2 x 8 MiB.
         assert peak < 2 * 2**20
 
     def test_likelihood_tiles_bound_the_working_set_at_the_default_budget(self):
@@ -478,15 +479,16 @@ class TestExactEquivocation:
         with pytest.raises(BudgetExceeded, match=r"6 tables of \|Z\|\^n = 8 floats exceed 383"):
             exact_equivocation(cb, BSC(0.2))
 
-    def test_budgets_enforced(self):
+    def test_budgets_enforced(self, monkeypatch):
         params = CodeParams(n=24, m1=2, m2=2, l1=1, l2=1, seed=0)
         cb = build_superposition(params, Pmf.uniform(2), BSC(0.1))
         with pytest.raises(BudgetExceeded, match="observation sequences"):
             exact_equivocation(cb, BSC(0.2))
         params = small_params()
         cb = build_superposition(params, Pmf.uniform(2), BSC(0.1))
+        monkeypatch.setattr(coding, "DEFAULT_COMBO_BUDGET", 8)
         with pytest.raises(BudgetExceeded, match="combinations"):
-            exact_equivocation(cb, BSC(0.2), combo_budget=8)
+            exact_equivocation(cb, BSC(0.2))
 
 
 class TestDoubleBinning:

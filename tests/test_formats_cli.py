@@ -15,7 +15,12 @@ from bcc_secrecy import (
     GaussianParams,
     InvalidDistribution,
     NegativeEntry,
+    Pmf,
     binary_entropy,
+    degraded_rate_pair,
+    degraded_rate_terms,
+    general_rate_corners,
+    general_rate_terms,
 )
 from bcc_secrecy.cli import run
 from bcc_secrecy.formats import (
@@ -495,6 +500,58 @@ class TestCliSimulate:
         assert payload["equivocation"] is None
         assert "i_v1v2_z" in payload["mutual_informations"]
         assert payload["trials"]["encoding_failures"] >= 0
+
+    def test_terms_recombine_to_the_region_kernels(self, tmp_path, cascade_file):
+        # Both configs give positive terms, so the clamp at 0 leaves them as
+        # the kernels computed them and the recombination must be exact.
+        channels = (BSC(0.05), BSC(0.14), BSC(0.2336))
+        pxv = [[[0.95, 0.05], [0.65, 0.35]], [[0.35, 0.65], [0.05, 0.95]]]
+        configs = {
+            "superposition": {"pu": [0.5, 0.5], "pxu": [[0.9, 0.1], [0.1, 0.9]]},
+            "double-binning": {"pv1": [0.5, 0.5], "pv2": [0.5, 0.5], "pxv": pxv},
+        }
+        terms = {}
+        for scheme, fields in configs.items():
+            config = {"scheme": scheme, "n": 4, "m1": 2, "m2": 2, "trials": 10,
+                      "channel": cascade_file, **fields}
+            path = tmp_path / f"{scheme}.json"
+            path.write_text(json.dumps(config))
+            out = tmp_path / f"{scheme}.out.json"
+            assert run(["simulate", "--config", str(path), "--out", str(out)]) == 0
+            terms[scheme] = json.loads(out.read_text())["mutual_informations"]
+            assert all(value > 0.0 for value in terms[scheme].values())
+
+        t = terms["superposition"]
+        pu, pxu = Pmf([0.5, 0.5]), DiscreteChannel([[0.9, 0.1], [0.1, 0.9]])
+        assert t == degraded_rate_terms(pu, pxu, *channels)
+        r1 = max(t["i_x_y1_given_u"] + t["i_u_z"] - t["i_x_z"], 0.0)
+        r2 = max(t["i_u_y2"] - t["i_u_z"], 0.0)
+        assert degraded_rate_pair(pu, pxu, *channels) == (r1, r2)
+
+        t = terms["double-binning"]
+        joint = np.full((2, 2), 0.25)
+        kernel = general_rate_terms(joint, pxv, *channels)
+        i_v1_v2 = kernel.pop("i_v1_v2")
+        assert i_v1_v2 == 0.0
+        assert {k: v for k, v in t.items() if k != "i_x_z"} == kernel
+        a = max(t["i_v1_y1"] - t["i_v1_z"], 0.0)
+        b = max(t["i_v2_y2"] - t["i_v2_z"], 0.0)
+        s = max(t["i_v1_y1"] + t["i_v2_y2"] - t["i_v1v2_z"] - i_v1_v2, 0.0)
+        r1a, r2b = min(a, s), min(b, s)
+        corners = ((r1a, min(b, s - r1a)), (min(a, s - r2b), r2b))
+        assert general_rate_corners(joint, pxv, *channels) == corners
+
+    def test_budget_caps_only_the_sequence_count(self, tmp_path, superposition_config):
+        # n=12 over binary z: |Z|^n = 4096 fits a budget of 4096 exactly.
+        config = json.loads(superposition_config.read_text())
+        superposition_config.write_text(json.dumps(dict(config, n=12, trials=20)))
+        outputs = []
+        for extra in ([], ["--budget", "4096"]):
+            out = tmp_path / f"budget{len(extra)}.json"
+            argv = ["simulate", "--config", str(superposition_config), "--out", str(out), *extra]
+            assert run(argv) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_awgn_channel_rejected(self, tmp_path):
         config = {

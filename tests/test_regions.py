@@ -12,8 +12,10 @@ from bcc_secrecy import (
     DimensionMismatch,
     DiscreteChannel,
     GaussianParams,
+    NegativeEntry,
     Pmf,
     RatePoint,
+    SumNotOne,
     capacity_fn,
     cascade,
     degraded_rate_pair,
@@ -22,6 +24,7 @@ from bcc_secrecy import (
     gaussian_region_sweep,
     general_inner_bound,
     general_rate_corners,
+    general_rate_terms,
     mutual_information,
     regions,
     simplex_grid,
@@ -566,6 +569,29 @@ class TestGeneralInnerBound:
         c1, c2 = general_rate_corners(joint, xmap, *DEGRADED)
         assert abs(c1.r1) <= 1e-12 and abs(c1.r2) <= 1e-12
         assert abs(c2.r1) <= 1e-12 and abs(c2.r2) <= 1e-12
+
+    def test_non_stochastic_x_map_rejected(self):
+        # Rows summing to 2 once gave -2.0 bits for five terms and no error.
+        joint = np.full((2, 2), 0.25)
+        xmap = np.full((2, 2, 2), 1.0)
+        channels = (BSC(0.05), BSC(0.14), BSC(0.2336))
+        with pytest.raises(SumNotOne, match=r"row \(0, 0\) of x-map sums to 2.0"):
+            general_rate_terms(joint, xmap, *channels)
+        with pytest.raises(SumNotOne):
+            general_rate_corners(joint, xmap, *channels)
+        xmap = np.stack([np.eye(2), np.eye(2)[::-1]]) * 2.0 - 0.5
+        with pytest.raises(NegativeEntry, match="x-map"):
+            general_rate_terms(joint, xmap, *channels)
+
+    def test_joint_must_be_a_two_axis_pmf(self):
+        channels = (BSC(0.05), BSC(0.14), BSC(0.2336))
+        xmap = np.full((2, 2, 2), 0.5)
+        with pytest.raises(SumNotOne):
+            general_rate_terms(np.full((2, 2), 0.5), xmap, *channels)
+        with pytest.raises(DimensionMismatch, match="does not match joint"):
+            general_rate_terms(np.full(4, 0.25), xmap[0], *channels)
+        with pytest.raises(DimensionMismatch, match="does not match joint"):
+            general_rate_terms(np.full((2, 2), 0.25), xmap[:, :, 0], *channels)
 
 
 class TestWiretapSecrecyCapacity:
