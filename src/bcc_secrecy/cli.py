@@ -264,7 +264,7 @@ def simulate(config_path, out, seed, trials, budget):
             "errors_rx2": trial.errors_rx2,
             "errors_union": trial.errors_union,
             "pe_estimate": trial.pe_estimate,
-            "confidence_half_width": trial.half_width,
+            "confidence_interval": list(trial.interval),
             "encoding_failures": trial.encoding_failures,
         },
     }

@@ -25,9 +25,9 @@ possible eavesdropper observation and computes the conditional entropies
 of the messages in closed form, which is what makes small-n secrecy
 accounting exact.
 
-All randomness comes from numpy's PCG64 seeded through SeedSequence with
-a (seed, purpose-tag, ...) tuple, so every operation is a deterministic
-function of its arguments and independent substreams never collide.
+All randomness comes from numpy's PCG64 seeded through SeedSequence with a
+(seed, purpose-tag) pair: one tag per codebook, and one for the Generator
+that `run_error_experiment` passes through the encoders and `transmit`.
 """
 
 from __future__ import annotations
@@ -51,21 +51,16 @@ _TILE = 1 << 16
 # m1 + m2 message rows): 1 GiB, 32 times the largest a benchmark job needs.
 _TABLE_BYTES = 1 << 30
 
-_MASK64 = (1 << 64) - 1
-
 # Purpose tags for substream derivation.
 _TAG_CLOUD = 1
 _TAG_SATELLITE = 2
 _TAG_V1 = 3
 _TAG_V2 = 4
-_TAG_ENCODE = 5
-_TAG_CHANNEL = 6
-_TAG_MESSAGES = 7
 _TAG_TRIALS = 8
 
 
-def _rng(seed: int, *tags: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(seed) & _MASK64, *tags]))
+def _rng(seed: int, tag: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence([int(seed) % 2**64, tag]))
 
 
 def _sample_conditional(
@@ -179,7 +174,7 @@ class TrialResult:
     """Monte-Carlo decoding outcome counts.
 
     pe_estimate is the union error frequency (either receiver wrong), and
-    half_width its 95% normal-approximation confidence half-width.
+    interval its exact (Clopper-Pearson) two-sided 95% confidence interval.
     """
 
     trials: int
@@ -187,8 +182,28 @@ class TrialResult:
     errors_rx2: int
     errors_union: int
     pe_estimate: float
-    half_width: float
+    interval: tuple[float, float]
     encoding_failures: int = 0
+
+
+def _clopper_pearson(k: int, n: int) -> tuple[float, float]:
+    """Exact two-sided 95% interval for a binomial proportion seen k times in n.
+
+    lo solves P(X >= k) = 0.025 and hi solves P(X >= k + 1) = 0.975 for
+    X ~ Binomial(n, p), each by bisection on p until the midpoint is an
+    end (lo = 0 at k = 0, hi = 1 at k = n): Clopper & Pearson (1934).
+    """
+    i = np.arange(n + 1)
+    log_comb = np.concatenate(([0.0], np.cumsum(np.log((n - i[:-1]) / (i[:-1] + 1)))))
+
+    def root(j: int, tail: float) -> float:
+        lo, hi = 0.0, 1.0
+        while lo < (p := 0.5 * (lo + hi)) < hi:
+            terms = log_comb[j:] + i[j:] * math.log(p) + (n - i[j:]) * math.log1p(-p)
+            lo, hi = (lo, p) if np.exp(terms).sum() > tail else (p, hi)
+        return p
+
+    return (0.0 if k == 0 else root(k, 0.025)), (1.0 if k == n else root(k + 1, 0.975))
 
 
 def build_superposition(
@@ -217,25 +232,24 @@ def build_superposition(
 
 
 def encode_superposition(
-    cb: SuperpositionCodebook, w1: int, w2: int, noise_seed: int
+    cb: SuperpositionCodebook, w1: int, w2: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Pick a bin member uniformly in each layer and return its x^n."""
+    """Pick a bin member uniformly in each layer (j2, then j1, from rng); return its x^n."""
     params = cb.params
     _check_messages(params, w1, w2)
-    rng = _rng(noise_seed, _TAG_ENCODE)
     j2 = int(rng.integers(params.l2))
     j1 = int(rng.integers(params.l1))
     return np.array(cb.x_words[w2, j2, w1, j1])
 
 
-def transmit(x: np.ndarray, ch: DiscreteChannel, noise_seed: int) -> np.ndarray:
-    """Send a sequence through a memoryless channel, one draw per symbol."""
+def transmit(x: np.ndarray, ch: DiscreteChannel, rng: np.random.Generator) -> np.ndarray:
+    """Send a sequence through a memoryless channel, one draw from rng per symbol."""
     seq = np.asarray(x, dtype=np.int64)
     if seq.size and (seq.min() < 0 or seq.max() >= ch.input_size):
         raise ValueError(
             f"sequence symbols outside the channel input alphabet [0, {ch.input_size})"
         )
-    return _sample_conditional(_rng(noise_seed, _TAG_CHANNEL), ch.matrix, seq)
+    return _sample_conditional(rng, ch.matrix, seq)
 
 
 def _log_matrix(matrix: np.ndarray) -> np.ndarray:
@@ -413,14 +427,6 @@ def exact_equivocation(
     return EquivocationReport(re1=re1, re2=re2, re12=re12, gaps=gaps)
 
 
-def _validate_conditional(arr: np.ndarray, name: str) -> np.ndarray:
-    rows = np.asarray(arr, dtype=np.float64)
-    if rows.ndim < 2:
-        raise DimensionMismatch(f"{name} must have at least 2 axes, got shape {rows.shape}")
-    _check_stochastic(rows, rows.ndim - 1, name)
-    return rows
-
-
 def build_double_binning(
     params: CodeParams,
     pv1: Pmf,
@@ -431,7 +437,10 @@ def build_double_binning(
     """Draw both binned codebooks; bit-identical for identical arguments."""
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    rows = _validate_conditional(x_map, "x_map")
+    rows = np.asarray(x_map, dtype=np.float64)
+    if rows.ndim != 3:
+        raise DimensionMismatch(f"x_map must have 3 axes (v1, v2, x), got shape {rows.shape}")
+    _check_stochastic(rows, 2, "x_map")
     if rows.shape[:2] != (pv1.alphabet_size, pv2.alphabet_size):
         raise DimensionMismatch(
             f"x_map shape {rows.shape} does not match auxiliary alphabets "
@@ -457,15 +466,15 @@ def build_double_binning(
 
 
 def encode_double_binning(
-    cb: BinningCodebook, w1: int, w2: int, noise_seed: int
+    cb: BinningCodebook, w1: int, w2: int, rng: np.random.Generator
 ) -> np.ndarray | None:
     """Encode by picking a jointly typical pair from the selected bins.
 
     A pair qualifies when the max-norm distance between its empirical
     joint type and the product target pv1 x pv2 is at most epsilon.  One
-    qualifying pair is chosen uniformly at random and x^n is sampled per
-    symbol from the pair map.  Returns None when no pair qualifies, which
-    is an observable event at small blocklength.
+    qualifying pair is drawn uniformly from rng, then x^n per symbol from
+    the pair map.  Returns None, drawing nothing, when no pair qualifies,
+    which is an observable event at small blocklength.
     """
     params = cb.params
     _check_messages(params, w1, w2)
@@ -479,7 +488,6 @@ def encode_double_binning(
     qualifying = np.flatnonzero(deviation <= cb.epsilon)
     if qualifying.size == 0:
         return None
-    rng = _rng(noise_seed, _TAG_ENCODE)
     pair_index = pairs[qualifying[int(rng.integers(len(qualifying)))]]
     return _sample_conditional(rng, cb.x_map.reshape(a1 * a2, -1), pair_index)
 
@@ -494,7 +502,8 @@ def run_error_experiment(
 
     Each trial draws uniform messages, encodes, sends the same x^n through
     both receiver channels with independent noise, and decodes with the ML
-    decoders.  The union event counts a trial in which either receiver
+    decoders.  One Generator (_TAG_TRIALS) serves every draw in trial
+    order: w1, w2, the encoder's draws, then y1's noise and y2's.  The union event counts a trial in which either receiver
     misses its own message.  For double-binning codebooks an encoding
     failure counts as an error at both receivers and is also tallied
     separately.
@@ -503,8 +512,7 @@ def run_error_experiment(
         raise ValueError(f"trials must be positive, got {trials!r}")
     py1x, py2x = channels
     params = cb.params
-    msg_rng = _rng(seed, _TAG_MESSAGES)
-    trial_seeds = _rng(seed, _TAG_TRIALS).integers(0, _MASK64, size=(trials, 3), dtype=np.uint64)
+    rng = _rng(seed, _TAG_TRIALS)
 
     if isinstance(cb, SuperpositionCodebook):
         encode = encode_superposition
@@ -523,17 +531,17 @@ def run_error_experiment(
             return _ml_index(cb.v1_words, y1, log_rx1)[0], _ml_index(cb.v2_words, y2, log_rx2)[0]
 
     errors_rx1 = errors_rx2 = errors_union = failures = 0
-    for t in range(trials):
-        w1 = int(msg_rng.integers(params.m1))
-        w2 = int(msg_rng.integers(params.m2))
-        x = encode(cb, w1, w2, noise_seed=int(trial_seeds[t, 0]))
+    for _ in range(trials):
+        w1 = int(rng.integers(params.m1))
+        w2 = int(rng.integers(params.m2))
+        x = encode(cb, w1, w2, rng)
         if x is None:
             # An encoding failure counts as an error at both receivers.
             failures += 1
             w1_hat = w2_hat = -1
         else:
-            y1 = transmit(x, py1x, noise_seed=int(trial_seeds[t, 1]))
-            y2 = transmit(x, py2x, noise_seed=int(trial_seeds[t, 2]))
+            y1 = transmit(x, py1x, rng)
+            y2 = transmit(x, py2x, rng)
             w1_hat, w2_hat = decode(y1, y2)
         err1 = w1_hat != w1
         err2 = w2_hat != w2
@@ -541,14 +549,12 @@ def run_error_experiment(
         errors_rx2 += err2
         errors_union += err1 or err2
 
-    pe = errors_union / trials
-    half_width = 1.96 * math.sqrt(pe * (1.0 - pe) / trials)
     return TrialResult(
         trials=trials,
         errors_rx1=errors_rx1,
         errors_rx2=errors_rx2,
         errors_union=errors_union,
-        pe_estimate=pe,
-        half_width=half_width,
+        pe_estimate=errors_union / trials,
+        interval=_clopper_pearson(errors_union, trials),
         encoding_failures=failures,
     )

@@ -24,8 +24,8 @@ before its budget: ``resolution`` (1/k) and its auxiliary cardinalities
 grid-limited and candidate counts are capped by an explicit budget rather
 than silently truncated.  Both region searches share one search loop:
 the budget is checked before any grid is built, each outer-grid step's
-candidates go through a running Pareto filter, and one hull runs on the
-survivors.  Candidates are independent, so the result does not depend on
+candidates are reduced to their own hull, and one hull runs on the union
+of those.  Candidates are independent, so the result does not depend on
 evaluation order.
 
 Each region kernel computes the per-letter terms of a batch of
@@ -230,14 +230,12 @@ def _search(n_outer: int, n_inner: int, budget: int, chunks: Iterator) -> Region
     """Hull over the rate pairs that `chunks` yields, after one budget check.
 
     `chunks` is a generator, so its grids are built only after the check
-    passes.  The running Pareto staircase is all the final hull needs.
+    passes.  The hull of a union is the hull of its parts' hulls, so each
+    chunk is reduced to its own hull vertices as it arrives.
     """
     total = n_outer * n_inner
     _check_budget(total, budget, f"{n_outer} x {n_inner} = {total} candidates")
-    front = np.zeros((1, 2))
-    for points in chunks:
-        front = _pareto(np.vstack([front, _rate_points(points)]))
-    return upper_right_hull(front)
+    return upper_right_hull(np.vstack([upper_right_hull(points).points for points in chunks]))
 
 
 def simplex_grid(dim: int, steps: int) -> np.ndarray:

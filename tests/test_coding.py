@@ -15,6 +15,7 @@ from bcc_secrecy import (
     SumNotOne,
     SuperpositionCodebook,
     build_double_binning,
+    cascade,
     build_superposition,
     decode_rx1,
     decode_rx2,
@@ -27,9 +28,10 @@ from bcc_secrecy import (
 from bcc_secrecy import coding
 from bcc_secrecy.coding import (
     _TAG_CLOUD,
-    _TAG_ENCODE,
+    _TAG_TRIALS,
     _TAG_V1,
     _TAG_V2,
+    _clopper_pearson,
     _log_matrix,
     _ml_index,
     _rng,
@@ -51,6 +53,17 @@ def small_params(**overrides):
     base = dict(n=3, m1=2, m2=2, l1=2, l2=2, seed=12345)
     base.update(overrides)
     return CodeParams(**base)
+
+
+# Streams for single encoder and transmit calls.  Tags 5 and 6 are the ones
+# those functions once seeded themselves, so the statistical tests below see
+# the draws they were written against.
+def encode_rng(seed):
+    return _rng(seed, 5)
+
+
+def channel_rng(seed):
+    return _rng(seed, 6)
 
 
 def random_channel(rng, n_in, n_out):
@@ -186,12 +199,12 @@ class TestEncodeSuperposition:
     def test_single_member_bins_are_deterministic(self):
         params = CodeParams(n=4, m1=2, m2=2, l1=1, l2=1, seed=8)
         cb = build_superposition(params, Pmf.uniform(2), BSC(0.1))
-        out = encode_superposition(cb, 1, 0, noise_seed=77)
+        out = encode_superposition(cb, 1, 0, encode_rng(77))
         assert np.array_equal(out, cb.x_words[0, 0, 1, 0])
 
     def test_fixed_noise_seed_repeats(self, codebook):
-        a = encode_superposition(codebook, 0, 1, noise_seed=4)
-        b = encode_superposition(codebook, 0, 1, noise_seed=4)
+        a = encode_superposition(codebook, 0, 1, encode_rng(4))
+        b = encode_superposition(codebook, 0, 1, encode_rng(4))
         assert np.array_equal(a, b)
 
     def test_selection_is_uniform_within_three_sigma(self):
@@ -206,38 +219,47 @@ class TestEncodeSuperposition:
         counts = np.zeros(4)
         trials = 4000
         for s in range(trials):
-            word = encode_superposition(cb, 0, 0, noise_seed=s)
+            word = encode_superposition(cb, 0, 0, encode_rng(s))
             counts[word[0] * 2 + word[1]] += 1
         sigma = math.sqrt(trials * 0.25 * 0.75)
         assert np.all(np.abs(counts - trials / 4) <= 3 * sigma)
 
     def test_message_range_checked(self, codebook):
         with pytest.raises(ValueError):
-            encode_superposition(codebook, 2, 0, noise_seed=0)
+            encode_superposition(codebook, 2, 0, encode_rng(0))
         with pytest.raises(ValueError):
-            encode_superposition(codebook, 0, -1, noise_seed=0)
+            encode_superposition(codebook, 0, -1, encode_rng(0))
+
+    def test_draws_cloud_member_then_satellite_member(self):
+        params = CodeParams(n=4, m1=2, m2=2, l1=3, l2=5, seed=8)
+        cb = build_superposition(params, Pmf.uniform(2), BSC(0.3))
+        for s in range(20):
+            rng = encode_rng(s)
+            j2, j1 = int(rng.integers(5)), int(rng.integers(3))
+            out = encode_superposition(cb, 1, 0, encode_rng(s))
+            assert np.array_equal(out, cb.x_words[0, j2, 1, j1])
 
 
 class TestTransmit:
     def test_identity_channel_is_lossless(self):
         x = np.array([0, 1, 2, 1, 0])
-        assert np.array_equal(transmit(x, DiscreteChannel.identity(3), 5), x)
+        assert np.array_equal(transmit(x, DiscreteChannel.identity(3), channel_rng(5)), x)
 
     def test_constant_row_channel_ignores_input(self):
         ch = DiscreteChannel.constant_rows([0.0, 1.0], 2)
-        out = transmit(np.array([0, 1, 0, 1]), ch, 9)
+        out = transmit(np.array([0, 1, 0, 1]), ch, channel_rng(9))
         assert np.all(out == 1)
 
     def test_flip_rate_within_three_sigma(self):
         n = 10_000
-        out = transmit(np.zeros(n, dtype=int), BSC(0.1), 123)
+        out = transmit(np.zeros(n, dtype=int), BSC(0.1), channel_rng(123))
         flips = int(out.sum())
         sigma = math.sqrt(n * 0.1 * 0.9)
         assert abs(flips - n * 0.1) <= 3 * sigma
 
     def test_symbol_range_checked(self):
         with pytest.raises(ValueError):
-            transmit(np.array([0, 2]), BSC(0.1), 1)
+            transmit(np.array([0, 2]), BSC(0.1), channel_rng(1))
 
 
 def handmade_superposition(u_words, x_words, n, pu_size=2, x_size=2, pxu=None):
@@ -528,6 +550,11 @@ class TestDoubleBinning:
         with pytest.raises(InvalidDistribution, match=r"non-finite entry in x_map at index \(1, 0, 0\)"):
             build_double_binning(small_params(), Pmf.uniform(2), Pmf.uniform(2), x_map, 0.1)
 
+    def test_pair_map_needs_three_axes(self):
+        x_map = np.full((2, 2, 2, 2), 0.5)
+        with pytest.raises(DimensionMismatch, match=r"3 axes .* shape \(2, 2, 2, 2\)"):
+            build_double_binning(small_params(), Pmf.uniform(2), Pmf.uniform(2), x_map, 0.1)
+
     def test_pair_map_row_sum_names_the_pair(self):
         x_map = np.tile(np.array([0.5, 0.5]), (2, 2, 1))
         x_map[0, 1] = [0.5, 0.6]
@@ -544,7 +571,7 @@ class TestDoubleBinning:
         x_map = np.tile(np.array([0.5, 0.5]), (2, 2, 1))
         cb = build_double_binning(params, Pmf.uniform(2), Pmf.uniform(2), x_map, 1.0)
         for s in range(20):
-            assert encode_double_binning(cb, 0, 0, noise_seed=s) is not None
+            assert encode_double_binning(cb, 0, 0, encode_rng(s)) is not None
 
     def test_forced_failure(self):
         params = CodeParams(n=4, m1=1, m2=1, l1=1, l2=1, seed=0)
@@ -559,7 +586,7 @@ class TestDoubleBinning:
             params=params,
         )
         # the unique pair concentrates on cell (0, 1): deviation 0.75 > 0.1
-        assert encode_double_binning(cb, 0, 0, noise_seed=3) is None
+        assert encode_double_binning(cb, 0, 0, encode_rng(3)) is None
 
     def test_failure_probability_decreases_with_blocklength(self):
         x_map = np.tile(np.array([0.5, 0.5]), (2, 2, 1))
@@ -574,7 +601,7 @@ class TestDoubleBinning:
                     n=n, m1=2, m2=2, l1=l, l2=l, seed=int(params_seed_rng.integers(2**31))
                 )
                 cb = build_double_binning(params, Pmf.uniform(2), Pmf.uniform(2), x_map, 0.1)
-                if encode_double_binning(cb, t % 2, (t // 2) % 2, noise_seed=t) is None:
+                if encode_double_binning(cb, t % 2, (t // 2) % 2, encode_rng(t)) is None:
                     failures += 1
             rates.append(failures / trials)
         assert rates[0] > rates[1] > rates[2], rates
@@ -609,11 +636,11 @@ class TestDoubleBinning:
                     qualifying = typical_pair_loop(
                         cb.v1_words, cb.v2_words, pv1.probs, pv2.probs, cb.epsilon, w1, w2
                     )
-                    got = encode_double_binning(cb, w1, w2, noise_seed=trial)
+                    got = encode_double_binning(cb, w1, w2, encode_rng(trial))
                     if not qualifying:
                         assert got is None
                         continue
-                    pick = _rng(trial, _TAG_ENCODE)
+                    pick = encode_rng(trial)
                     j1, j2 = qualifying[int(pick.integers(len(qualifying)))]
                     pair_index = cb.v1_words[w1, j1] * a2 + cb.v2_words[w2, j2]
                     expected = _sample_conditional(pick, x_map.reshape(a1 * a2, -1), pair_index)
@@ -624,7 +651,7 @@ class TestDoubleBinning:
         x_map = np.tile(np.array([0.5, 0.5]), (2, 2, 1))
         cb = build_double_binning(params, Pmf.uniform(2), Pmf.uniform(2), x_map, 1.0)
         with pytest.raises(ValueError):
-            encode_double_binning(cb, 5, 0, noise_seed=0)
+            encode_double_binning(cb, 5, 0, encode_rng(0))
 
 
 def hamming_tie_across_bins(words, y) -> bool:
@@ -668,8 +695,8 @@ class TestDoubleBinningDecoding:
             calls.append((words, np.array(y), log_matrix, ml_index(words, y, log_matrix)))
             return calls[-1][-1]
 
-        def recording_encode(cb, w1, w2, noise_seed):
-            encodes.append((w1, w2, encode(cb, w1, w2, noise_seed)))
+        def recording_encode(cb, w1, w2, rng):
+            encodes.append((w1, w2, encode(cb, w1, w2, rng)))
             return encodes[-1][-1]
 
         monkeypatch.setattr(coding, "_ml_index", recording_ml_index)
@@ -715,6 +742,8 @@ class TestRunErrorExperiment:
         result = run_error_experiment(cb, (ident, ident), trials=100, seed=6)
         assert result.pe_estimate == 0.0
         assert result.errors_rx1 == result.errors_rx2 == result.errors_union == 0
+        # 0 errors still bound the error rate away from 0.
+        assert result.interval == (0.0, pytest.approx(1.0 - 0.025 ** (1 / 100), rel=1e-12))
 
     def test_single_message_never_errs(self):
         params = CodeParams(n=3, m1=1, m2=1, l1=2, l2=2, seed=4)
@@ -769,6 +798,102 @@ class TestRunErrorExperiment:
         cb = build_superposition(small_params(), Pmf.uniform(2), BSC(0.1))
         with pytest.raises(ValueError):
             run_error_experiment(cb, (BSC(0.1), BSC(0.1)), trials=0, seed=0)
+
+
+def trial_codebooks():
+    """One codebook per scheme; the double-binning one fails to encode now and then."""
+    superposition = build_superposition(
+        CodeParams(n=6, m1=2, m2=2, l1=2, l2=3, seed=31), Pmf.uniform(2), BSC(0.15)
+    )
+    binning = build_double_binning(
+        CodeParams(n=6, m1=2, m2=2, l1=3, l2=3, seed=32),
+        Pmf.uniform(2),
+        Pmf.uniform(2),
+        TestDoubleBinningDecoding.X_MAP,
+        0.2,
+    )
+    return superposition, binning
+
+
+class TestTrialStream:
+    CHANNELS = (BSC(0.125), BSC(0.25))
+
+    def test_one_generator_per_experiment(self, monkeypatch):
+        seeds = []
+
+        def counting_rng(seed, tag):
+            seeds.append((seed, tag))
+            return _rng(seed, tag)
+
+        codebooks = trial_codebooks()
+        monkeypatch.setattr(coding, "_rng", counting_rng)
+        for cb in codebooks:
+            seeds.clear()
+            run_error_experiment(cb, self.CHANNELS, trials=30, seed=9)
+            assert seeds == [(9, _TAG_TRIALS)]
+
+    def test_replay_through_the_public_functions(self):
+        py1x, py2x = self.CHANNELS
+        superposition, binning = trial_codebooks()
+        rx2_given_u = cascade(superposition.pxu, py2x)
+        # V_k -> Y_k composites of the pair map under uniform pv1, pv2.
+        x_map = binning.x_map
+        composites = (
+            np.einsum("vwx,xy->vy", x_map, py1x.matrix) / 2,
+            np.einsum("vwx,xy->wy", x_map, py2x.matrix) / 2,
+        )
+
+        def binning_decode(cb, y1, y2):
+            hats = []
+            for words, y, composite in zip((cb.v1_words, cb.v2_words), (y1, y2), composites):
+                flat = posterior_argmax_exact(words.reshape(-1, cb.params.n), y, composite)
+                hats.append(flat // words.shape[1])
+            return tuple(hats)
+
+        schemes = (
+            (superposition, encode_superposition,
+             lambda cb, y1, y2: (decode_rx1(cb, y1, py1x)[0], decode_rx2(cb, y2, rx2_given_u))),
+            (binning, encode_double_binning, binning_decode),
+        )
+        for cb, encode, decode in schemes:
+            rng = _rng(17, _TAG_TRIALS)
+            errors = [0, 0, 0, 0]
+            for _ in range(200):
+                w1 = int(rng.integers(cb.params.m1))
+                w2 = int(rng.integers(cb.params.m2))
+                x = encode(cb, w1, w2, rng)
+                if x is None:
+                    errors[3] += 1
+                    hats = (-1, -1)
+                else:
+                    y1 = transmit(x, py1x, rng)
+                    y2 = transmit(x, py2x, rng)
+                    hats = decode(cb, y1, y2)
+                errors[0] += hats[0] != w1
+                errors[1] += hats[1] != w2
+                errors[2] += hats != (w1, w2)
+            result = run_error_experiment(cb, self.CHANNELS, trials=200, seed=17)
+            got = [result.errors_rx1, result.errors_rx2, result.errors_union]
+            assert got + [result.encoding_failures] == errors
+            # The binning replay must cross encoding failures, which draw nothing.
+            assert errors[3] > 0 or cb is superposition
+
+
+class TestClopperPearson:
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 500, 5000])
+    def test_closed_form_edges(self, n):
+        edge = 0.025 ** (1 / n)
+        assert _clopper_pearson(0, n) == (0.0, pytest.approx(1.0 - edge, rel=1e-12))
+        assert _clopper_pearson(n, n) == (pytest.approx(edge, rel=1e-12), 1.0)
+
+    def test_matches_beta_quantiles(self):
+        beta = pytest.importorskip("scipy.stats").beta
+        for n, k in ((1, 0), (1, 1), (10, 3), (10, 9), (50, 25), (500, 152), (3000, 2553),
+                     (5000, 1), (5000, 2964), (5000, 4999), (20000, 17)):
+            lo, hi = _clopper_pearson(k, n)
+            assert lo == pytest.approx(beta.ppf(0.025, k, n - k + 1) if k else 0.0, abs=1e-9)
+            assert hi == pytest.approx(beta.ppf(0.975, k + 1, n - k) if k < n else 1.0, abs=1e-9)
+            assert lo <= k / n <= hi
 
 
 class TestRandomizationHelpsSecrecy:

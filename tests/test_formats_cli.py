@@ -387,6 +387,29 @@ class TestCliWiretapAndCheck:
         argv = ["wiretap", "--file", cascade_file, "--grid", "0.001", "--budget", "1000000"]
         assert run(argv) == 4
 
+    def test_simulate_loads_no_scipy(self, tmp_path, superposition_config):
+        binning = json.loads(superposition_config.read_text())
+        binning.update(scheme="double-binning", pv1=[0.5, 0.5], pv2=[0.5, 0.5], epsilon=0.4,
+                       pxv=[[[0.9, 0.1], [0.1, 0.9]], [[0.1, 0.9], [0.9, 0.1]]])
+        binning_config = tmp_path / "bin.json"
+        binning_config.write_text(json.dumps(binning))
+        code = (
+            "import sys; from bcc_secrecy.cli import run; "
+            f"[run(['simulate', '--config', c, '--out', c + '.out']) for c in sys.argv[1:]]; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        configs = [str(superposition_config), str(binning_config)]
+        done = subprocess.run(
+            [sys.executable, "-c", code, *configs], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.splitlines()[-1] == "[]"
+        for config in configs:
+            trials = json.loads(Path(config + ".out").read_text())["trials"]
+            lo, hi = trials["confidence_interval"]
+            assert 0.0 <= lo <= trials["pe_estimate"] <= hi <= 1.0 and lo < hi
+
     def test_cli_import_loads_no_scipy(self):
         code = (
             "import sys, bcc_secrecy.cli; "
@@ -623,21 +646,21 @@ class TestSeedContract:
 
     The codebooks, messages, dithers and channel noise are all functions of
     the seed, so these counts pin the whole trial path: sampler, encoders,
-    channel draws and ML decoders.  A change to the seed contract must
-    re-record them on purpose.
+    channel draws, the order in which one Generator serves them, and ML
+    decoders.  A change to the seed contract must re-record them on purpose.
     """
 
     PXV = [[[0.95, 0.05], [0.65, 0.35]], [[0.35, 0.65], [0.05, 0.95]]]
     CASES = {
         "superposition": (
             {"pu": [0.5, 0.5], "pxu": [[0.85, 0.15], [0.15, 0.85]], "l1": 2, "l2": 2, "seed": 5},
-            {"errors_rx1": 90, "errors_rx2": 65, "errors_union": 152, "encoding_failures": 0},
+            {"errors_rx1": 93, "errors_rx2": 77, "errors_union": 160, "encoding_failures": 0},
             (0.11399610906677982, 0.07423863696422495, 0.18398241204441668),
         ),
         "double-binning": (
             {"pv1": [0.5, 0.5], "pv2": [0.5, 0.5], "pxv": PXV, "l1": 4, "l2": 4, "epsilon": 0.12,
              "seed": 6},
-            {"errors_rx1": 261, "errors_rx2": 374, "errors_union": 386, "encoding_failures": 240},
+            {"errors_rx1": 251, "errors_rx2": 368, "errors_union": 380, "encoding_failures": 223},
             None,
         ),
     }
