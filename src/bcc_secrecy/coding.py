@@ -44,11 +44,11 @@ DEFAULT_CODEBOOK_SYMBOL_BUDGET = 1 << 22
 DEFAULT_Z_SEQUENCE_BUDGET = 1 << 20
 DEFAULT_COMBO_BUDGET = 1 << 16
 
-# Floats in one likelihood tile of exact_equivocation (512 KiB): a tile and
-# the prefix it grows from stay in cache, which is most of the speed.
+# Floats in one block of exact_equivocation's tail likelihoods (512 KiB):
+# it caps the bin members taken into one matrix product.
 _TILE = 1 << 16
-# Bytes of exact_equivocation's |Z|^n tables (pz, the pair's sum, and the
-# m1 + m2 message rows): 1 GiB, 32 times the largest a benchmark job needs.
+# Bytes of exact_equivocation's |Z|^n tables (pz, the pair's sum and block
+# product, the m1 + m2 message rows): 1 GiB, over 20 times a benchmark job's.
 _TABLE_BYTES = 1 << 30
 
 # Purpose tags for substream derivation.
@@ -98,8 +98,10 @@ class CodeParams:
     def __post_init__(self):
         for name in ("n", "m1", "m2", "l1", "l2"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
     @property
     def rate1(self) -> float:
@@ -303,23 +305,11 @@ def decode_rx1(
     return w1, w2
 
 
-def _likelihoods(factors: np.ndarray, probs: np.ndarray, buffers: tuple) -> np.ndarray:
-    """Extend probs (R, K) by prefix products over factors[R, i, z] = P(z | row r, i).
-
-    Positions multiply in order, so each likelihood is the same float as
-    the plain product over i, and each new position becomes the
-    fastest-varying part of the z order.  The steps write alternately into
-    the two flat buffers (neither may hold probs), and each symbol's
-    columns in their own pass: a (R, K, 1) * (R, 1, |Z|) broadcast into a
-    fresh array runs a length-|Z| inner loop and faults in new pages, and
-    is several times slower for the same products.
-    """
-    nz = factors.shape[2]
+def _likelihoods(factors: np.ndarray) -> np.ndarray:
+    """Prefix products (R, k, |Z|) -> (R, |Z|^k), the last position varying fastest."""
+    probs = np.ones((len(factors), 1))
     for i in range(factors.shape[1]):
-        out = buffers[i % 2][: probs.size * nz].reshape(len(probs), -1, nz)
-        for z in range(nz):
-            np.multiply(probs, factors[:, i, z, None], out=out[:, :, z])
-        probs = out.reshape(len(probs), -1)
+        probs = (probs[:, :, None] * factors[:, i, None, :]).reshape(len(factors), -1)
     return probs
 
 
@@ -337,29 +327,22 @@ def exact_equivocation(
 ) -> EquivocationReport:
     """Exact eavesdropper equivocations by enumerating every z^n.
 
-    Messages are uniform and the encoder dithers uniformly over bin
-    members, so P(z^n | w1, w2) is the bin-averaged product of transition
-    probabilities.  The conditional entropies H(W1|Z^n), H(W2|Z^n) and
-    H(W1,W2|Z^n) follow from the exact joint and are divided by n.  The
-    m1*m2*l1*l2 codeword roles enumerated are capped at
-    DEFAULT_COMBO_BUDGET, and the |Z|^n tables, m1 + m2 + 2 rows of
-    floats, at 1 GiB, before anything is allocated.
+    pzx is the eavesdropper channel P(z|x).  Messages are uniform and the
+    encoder dithers uniformly over bin members, so P(z^n | w1, w2) is the
+    bin-averaged product of transition probabilities.  The conditional
+    entropies H(W1|Z^n), H(W2|Z^n) and H(W1,W2|Z^n) follow from the exact
+    joint and are divided by n.  Before anything is allocated, |Z|^n is
+    capped at z_budget, the m1*m2*l1*l2 codeword roles at
+    DEFAULT_COMBO_BUDGET, and the |Z|^n tables (m1 + m2 + 2 rows of
+    floats, one more when a pair spans several blocks) at 1 GiB.
 
-    z^n splits into a head of n - t positions and a tail of t >= 1, the
-    most with |Z|^t <= _TILE = 65536 floats.  Bin members are taken
-    max(_TILE // |Z|^t, 1) at a time; for each head sequence their
-    likelihoods over the tail form one tile, which is added into its slice
-    of the pair's sum.  The working set stays within a few tiles plus the
-    |Z|^n sums, whatever l1*l2 is, and the members are still added one
-    after another in row order, so the bits do not depend on the tile.
-
-    Parameters
-    ----------
-    cb : SuperpositionCodebook
-    pzx : DiscreteChannel
-        Eavesdropper channel P(z|x).
-    z_budget : int
-        Cap on |Z|^n, the number of enumerated observation sequences.
+    z^n splits into a head of n // 2 positions and a tail, so a pair's sum
+    over its bin members is one matrix product A.T @ B of their head
+    likelihoods A (R, |Z|^head) and tail likelihoods B (R, |Z|^tail).
+    Members are taken max(_TILE // |Z|^tail, 1) at a time and the block
+    products are added in place: the working set stays within a few blocks
+    plus the |Z|^n tables, whatever l1*l2 is.  The shapes fix BLAS's
+    summation order, so the sums repeat bit for bit.
     """
     params = cb.params
     n, m1, m2, l1, l2 = params.n, params.m1, params.m2, params.l1, params.l2
@@ -374,17 +357,13 @@ def exact_equivocation(
         raise BudgetExceeded(
             f"{combos} message/randomization combinations exceed {DEFAULT_COMBO_BUDGET}"
         )
-    tables = m1 + m2 + 2
+    head = n // 2
+    width = nz ** (n - head)
+    rows = max(_TILE // width, 1)
+    tables = m1 + m2 + 2 + (l1 * l2 > rows)
     if 8 * tables * count > _TABLE_BYTES:
         raise BudgetExceeded(f"{tables} tables of |Z|^n = {count} floats exceed {_TABLE_BYTES} bytes")
 
-    tail = 1
-    while tail < n and nz ** (tail + 1) <= _TILE:
-        tail += 1
-    width = nz**tail
-    rows = max(_TILE // width, 1)
-    buffers = (np.empty(rows * width), np.empty(rows * width))
-    head_buffers = (np.empty(rows * count // width), np.empty(rows * count // width))
     inv_messages = 1.0 / (m1 * m2)
     pz = np.zeros(count)
     pw1z = np.zeros((m1, count))
@@ -393,22 +372,12 @@ def exact_equivocation(
     for w2 in range(m2):
         for w1 in range(m1):
             words = cb.x_words[w2, :, w1, :, :].reshape(l2 * l1, n)
-            conditional = np.zeros(count)
-            for start in range(0, l2 * l1, rows):
-                factors = pzx.matrix[words[start : start + rows]]
-                ones = np.ones((len(factors), 1))
-                heads = _likelihoods(factors[:, : n - tail], ones, head_buffers)
-                for column in range(heads.shape[1]):
-                    probs = _likelihoods(factors[:, n - tail :], heads[:, column, None], buffers)
-                    span = slice(column * width, (column + 1) * width)
-                    # Fold the running sum into the first row: the rows are
-                    # then added one after another, in the same order as one
-                    # sum over all members.  tail >= 1 keeps |Z| columns in
-                    # a tile, so its sum runs row by row; a one-column sum
-                    # would be pairwise.
-                    probs[0] += conditional[span]
-                    probs.sum(axis=0, out=conditional[span])
-            joint = conditional
+            blocks = (pzx.matrix[words[start : start + rows]] for start in range(0, l2 * l1, rows))
+            products = (_likelihoods(f[:, :head]).T @ _likelihoods(f[:, head:]) for f in blocks)
+            joint = next(products)
+            for product in products:
+                joint += product
+            joint = joint.ravel()
             joint /= l1 * l2
             joint *= inv_messages
             pz += joint
@@ -503,10 +472,10 @@ def run_error_experiment(
     Each trial draws uniform messages, encodes, sends the same x^n through
     both receiver channels with independent noise, and decodes with the ML
     decoders.  One Generator (_TAG_TRIALS) serves every draw in trial
-    order: w1, w2, the encoder's draws, then y1's noise and y2's.  The union event counts a trial in which either receiver
-    misses its own message.  For double-binning codebooks an encoding
-    failure counts as an error at both receivers and is also tallied
-    separately.
+    order: w1, w2, the encoder's draws, then y1's noise and y2's.  The
+    union event counts a trial in which either receiver misses its own
+    message.  For double-binning codebooks an encoding failure counts as
+    an error at both receivers and is also tallied separately.
     """
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials!r}")

@@ -47,13 +47,13 @@ class MarginalTriple:
     pzx: DiscreteChannel
 
 
-def _array(data: dict, key: str) -> np.ndarray:
+def _array(data: dict, key: str, document: str = "channel description") -> np.ndarray:
     """A field that must be a JSON number or a nested array of them, with the grace floor applied.
 
     Strings, booleans, null, objects, ragged arrays and integers beyond
     the float range are rejected naming the field.
     """
-    value = _require(data, key)
+    value = _require(data, key, document)
     try:
         cells = np.array(value, dtype=object)
         if not all(type(cell) in (int, float) for cell in cells.flat):
@@ -66,15 +66,17 @@ def _array(data: dict, key: str) -> np.ndarray:
     return out
 
 
-def _require(data: dict, key: str):
+def _require(data: dict, key: str, document: str = "channel description"):
     if key not in data:
-        raise InvalidDistribution(f"channel description is missing the {key!r} field")
+        raise InvalidDistribution(f"{document} is missing the {key!r} field")
     return data[key]
 
 
-def _integer(data: dict, key: str, default: int | None = None) -> int:
+def _integer(
+    data: dict, key: str, default: int | None = None, document: str = "channel description"
+) -> int:
     """A field that must be a JSON integer: 4.9, 4.0, true and "4" are all rejected."""
-    value = _require(data, key) if default is None else data.get(key, default)
+    value = _require(data, key, document) if default is None else data.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidDistribution(f"field {key!r} must be an integer, got {value!r}")
     return value
@@ -157,10 +159,11 @@ class ExperimentConfig:
 def parse_experiment(data: dict, base_dir: Path | None = None) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise InvalidDistribution(f"experiment config must be an object, got {type(data).__name__}")
-    scheme = _require(data, "scheme")
+    document = "experiment config"
+    scheme = _require(data, "scheme", document)
     if scheme not in ("superposition", "double-binning"):
         raise InvalidDistribution(f"unknown scheme {scheme!r}")
-    channel = _require(data, "channel")
+    channel = _require(data, "channel", document)
     if isinstance(channel, str):
         path = Path(channel)
         if base_dir is not None and not path.is_absolute():
@@ -172,19 +175,19 @@ def parse_experiment(data: dict, base_dir: Path | None = None) -> ExperimentConf
 
     pu = pxu = pv1 = pv2 = pxv = None
     if scheme == "superposition":
-        pu = Pmf(_array(data, "pu"))
-        pxu = DiscreteChannel(_array(data, "pxu"))
+        pu = Pmf(_array(data, "pu", document))
+        pxu = DiscreteChannel(_array(data, "pxu", document))
     else:
-        pv1 = Pmf(_array(data, "pv1"))
-        pv2 = Pmf(_array(data, "pv2"))
-        pxv = _array(data, "pxv")
+        pv1 = Pmf(_array(data, "pv1", document))
+        pv2 = Pmf(_array(data, "pv2", document))
+        pxv = _array(data, "pxv", document)
 
     return ExperimentConfig(
         scheme=scheme,
         code=CodeParams(
-            n=_integer(data, "n"),
-            m1=_integer(data, "m1"),
-            m2=_integer(data, "m2"),
+            n=_integer(data, "n", document=document),
+            m1=_integer(data, "m1", document=document),
+            m2=_integer(data, "m2", document=document),
             l1=_integer(data, "l1", 1),
             l2=_integer(data, "l2", 1),
             seed=_integer(data, "seed", 0),

@@ -1,6 +1,6 @@
 """Achievable secrecy-rate regions for two-receiver broadcast channels.
 
-Three computations are provided, all in bits per channel use:
+Four computations are provided, all in bits per channel use:
 
 * ``general_inner_bound``: the double-binning inner bound for arbitrary
   discrete channels, driven by a pair of auxiliary variables (V1, V2).
@@ -11,7 +11,6 @@ Three computations are provided, all in bits per channel use:
 * ``gaussian_region_point`` / ``gaussian_region_sweep``: the closed-form
   power-split region for the additive-Gaussian family, parameterized by
   the fraction ``alpha`` of power spent on the first receiver's layer.
-
 * ``wiretap_secrecy_capacity``: max I(V;Y) - I(V;Z), evaluated as
   max_p [phi(p) - vex phi(p)] with phi(q) = H(qW_Y) - H(qW_Z): one lower
   convex hull over the gridded rows P(x|v), so P(v) and |V| need no grid.

@@ -255,7 +255,8 @@ def equivocation_digit_table(x_words, mz, m1, m2, l1, l2, n) -> tuple[float, ...
 
     An n x |Z|^n table holds symbol i of every z^n (row-major), and each
     message pair's likelihoods are built by gathering n full-width rows for
-    all of its bin members at once.  The library must match it bit for bit.
+    all of its bin members at once, which adds the members one after another.
+    The library sums them by matrix products and matches it to 1e-13.
     """
     mz = np.asarray(mz, float)
     nz = mz.shape[1]

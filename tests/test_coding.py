@@ -142,6 +142,14 @@ class TestCodeParams:
             CodeParams(n=0, m1=1, m2=1, l1=1, l2=1, seed=0)
         with pytest.raises(ValueError):
             CodeParams(n=2, m1=1, m2=-1, l1=1, l2=1, seed=0)
+        with pytest.raises(ValueError, match="n must be a positive integer, got True"):
+            CodeParams(n=True, m1=1, m2=1, l1=1, l2=1, seed=0)
+
+    @pytest.mark.parametrize("seed", [1.7, True, "7", np.int64(7), None])
+    def test_seed_must_be_an_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            CodeParams(n=2, m1=1, m2=1, l1=1, l2=1, seed=seed)
+        assert CodeParams(n=2, m1=1, m2=1, l1=1, l2=1, seed=-3).seed == -3
 
 
 class TestBuildSuperposition:
@@ -336,6 +344,13 @@ class TestDecoding:
             decode_rx1(cb, np.array([0, 1, 2]), BSC(0.1))  # symbol out of range
 
 
+def assert_matches(report, expected):
+    # The block products sum in BLAS's order rather than member by member,
+    # so the fields agree with the digit-table oracle to rounding, not bits.
+    got = (report.re1, report.re2, report.re12, *report.gaps)
+    assert got == pytest.approx(expected, abs=1e-13, rel=0)
+
+
 class TestExactEquivocation:
     def test_uninformative_eavesdropper_perfect_secrecy(self):
         cb = build_superposition(small_params(), Pmf.uniform(2), BSC(0.1))
@@ -408,7 +423,7 @@ class TestExactEquivocation:
             report = exact_equivocation(cb, UNIFORM_Z)
             assert report.gaps == (0.0, 0.0, 0.0)
 
-    def test_matches_digit_table_bit_for_bit(self, monkeypatch):
+    def test_matches_digit_table(self, monkeypatch):
         rng = np.random.default_rng(2024)
         for trial in range(24):
             nz = 2 + trial % 3
@@ -427,22 +442,32 @@ class TestExactEquivocation:
                 cb.x_words, pzx.matrix, params.m1, params.m2, params.l1, params.l2, params.n
             )
             count = nz**params.n
-            # Small tiles span several head sequences and several row blocks;
-            # z_budget caps only |Z|^n, down to exactly |Z|^n.
-            for tile in (2, 8, 64, 1 << 16):
-                monkeypatch.setattr(coding, "_TILE", tile)
+            # Small caps split a pair's members into several blocks; z_budget
+            # caps only |Z|^n, down to exactly |Z|^n.
+            for cap in (2, 8, 64, 1 << 16):
+                monkeypatch.setattr(coding, "_TILE", cap)
                 for z_budget in (1 << 20, 3 * count, count):
-                    report = exact_equivocation(cb, pzx, z_budget=z_budget)
-                    assert (report.re1, report.re2, report.re12, *report.gaps) == expected
+                    assert_matches(exact_equivocation(cb, pzx, z_budget=z_budget), expected)
         # The benchmark's wide shape: 256 roles over 2^16 sequences.
         params = CodeParams(n=16, m1=4, m2=4, l1=4, l2=4, seed=5)
         cb = build_superposition(params, Pmf.uniform(2), random_channel(rng, 2, 2))
         pzx = random_channel(rng, 2, 2)
         expected = equivocation_digit_table(cb.x_words, pzx.matrix, 4, 4, 4, 4, 16)
-        for tile in (1 << 12, 1 << 16):
-            monkeypatch.setattr(coding, "_TILE", tile)
-            report = exact_equivocation(cb, pzx)
-            assert (report.re1, report.re2, report.re12, *report.gaps) == expected
+        for cap in (1 << 12, 1 << 16):
+            monkeypatch.setattr(coding, "_TILE", cap)
+            assert_matches(exact_equivocation(cb, pzx), expected)
+
+    def test_two_block_pair_counts_the_block_product(self, monkeypatch):
+        # n=3: a tail of 2 positions, 4 floats wide; a cap of 8 floats takes
+        # the 4 bin members 2 at a time, so each pair sums two products.
+        cb = build_superposition(small_params(), Pmf.uniform(2), BSC(0.1))
+        pzx = random_channel(np.random.default_rng(3), 2, 2)
+        expected = equivocation_digit_table(cb.x_words, pzx.matrix, 2, 2, 2, 2, 3)
+        monkeypatch.setattr(coding, "_TILE", 8)
+        assert_matches(exact_equivocation(cb, pzx), expected)
+        monkeypatch.setattr(coding, "_TABLE_BYTES", 7 * 8 * 8 - 1)
+        with pytest.raises(BudgetExceeded, match=r"7 tables of \|Z\|\^n = 8 floats exceed 447"):
+            exact_equivocation(cb, pzx)
 
     def test_plogp_sum_matches_masked_expression(self):
         rng = np.random.default_rng(8)

@@ -487,6 +487,27 @@ class TestCliSimulate:
         assert run(argv) == 0
         assert out.read_bytes() == first
 
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path, superposition_config):
+        # The long benchmark shape: 16 roles over 2^20 sequences, so each
+        # pair's sum is a (1024 x 4) @ (4 x 1024) product that BLAS may split.
+        config = json.loads(superposition_config.read_text())
+        config.update(n=20, trials=5)
+        superposition_config.write_text(json.dumps(config))
+        code = "import sys; from bcc_secrecy.cli import run; sys.exit(run(sys.argv[1:]))"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for threads in ("1", "2", "1", "2"):
+            env = {
+                **os.environ,
+                "OPENBLAS_NUM_THREADS": threads,
+                "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+            }
+            out = tmp_path / f"out{len(outputs)}.json"
+            argv = ["simulate", "--config", str(superposition_config), "--out", str(out)]
+            subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True)
+            outputs.append(out.read_bytes())
+        assert outputs == [outputs[0]] * 4
+
     def test_seed_override_changes_output(self, tmp_path, superposition_config):
         out_a = tmp_path / "a.json"
         out_b = tmp_path / "b.json"
@@ -617,6 +638,26 @@ class TestCliSimulate:
         assert run(["simulate", "--config", str(path), "--out", str(out)]) == 3
         assert "field 'epsilon' must be a finite number" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["scheme", "channel", "n", "m1", "pu", "pxu"])
+    def test_missing_experiment_field_exit_3(self, tmp_path, capsys, superposition_config, field):
+        config = json.loads(superposition_config.read_text())
+        del config[field]
+        superposition_config.write_text(json.dumps(config))
+        out = tmp_path / "o.json"
+        assert run(["simulate", "--config", str(superposition_config), "--out", str(out)]) == 3
+        assert f"experiment config is missing the '{field}' field" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_missing_channel_field_still_names_the_channel(self, tmp_path, capsys, cascade_file):
+        marginals = json.loads(Path(cascade_file).read_text())
+        del marginals["pzx"]
+        config = {"scheme": "superposition", "n": 3, "m1": 2, "m2": 2, "channel": marginals,
+                  "pu": [0.5, 0.5], "pxu": [[0.9, 0.1], [0.1, 0.9]]}
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(config))
+        assert run(["simulate", "--config", str(path), "--out", str(tmp_path / "o.json")]) == 3
+        assert "channel description is missing the 'pzx' field" in capsys.readouterr().err
 
     def test_non_integer_channel_size_exit_3(self, tmp_path, capsys):
         joint = np.full(16, 0.125).tolist()
