@@ -30,8 +30,6 @@ from .coding import (
 )
 from .formats import (
     SIG_DIGITS,
-    MarginalTriple,
-    as_marginals,
     format_sig,
     load_channel,
     parse_experiment,
@@ -81,10 +79,6 @@ def region_gaussian(power, n1, n2, n3, alphas, out):
     click.echo(f"wrote {len(rows)} rows to {out}")
 
 
-def _load_marginals(path: str) -> MarginalTriple:
-    return as_marginals(load_channel(path))
-
-
 def _write_frontier(out: str, frontier) -> None:
     write_csv(out, ["r1_bits", "r2_bits"], [[p.r1, p.r2] for p in frontier.points])
 
@@ -97,7 +91,7 @@ def _write_frontier(out: str, frontier) -> None:
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def region_degraded(path, grid, ucard, budget, out):
     """Layered-scheme region frontier for a degraded discrete channel."""
-    m = _load_marginals(path)
+    m = load_channel(path)
     frontier = degraded_region_inner(
         m.py1x, m.py2x, m.pzx, resolution=grid, u_card=ucard, budget=budget
     )
@@ -120,7 +114,7 @@ def region_degraded(path, grid, ucard, budget, out):
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def region_general(path, grid, v1card, v2card, stochastic_x, budget, out):
     """Double-binning inner-bound frontier for a general discrete channel."""
-    m = _load_marginals(path)
+    m = load_channel(path)
     frontier = general_inner_bound(
         m.py1x,
         m.py2x,
@@ -147,7 +141,7 @@ def region_general(path, grid, v1card, v2card, stochastic_x, budget, out):
 @click.option("--budget", type=int, default=DEFAULT_BUDGET, show_default=True)
 def wiretap(path, grid, budget):
     """Single-user secrecy capacity (main = y1 marginal, eavesdropper = z)."""
-    m = _load_marginals(path)
+    m = load_channel(path)
     value = wiretap_secrecy_capacity(m.py1x, m.pzx, resolution=grid, budget=budget)
     click.echo(f"secrecy_capacity_bits={format_sig(value)}")
 
@@ -161,7 +155,7 @@ def check():
 @click.option("--file", "path", type=click.Path(exists=True, dir_okay=False), required=True)
 def check_degraded(path):
     """Check stochastic degradedness along the chain y1 -> y2 -> z."""
-    m = _load_marginals(path)
+    m = load_channel(path)
     intermediates = {}
     for label, stronger, weaker in (("y1->y2", m.py1x, m.py2x), ("y2->z", m.py2x, m.pzx)):
         report = check_stochastic_degraded(stronger, weaker)
@@ -183,6 +177,8 @@ def check_degraded(path):
 @click.option("--tol", type=float, default=1e-12, show_default=True)
 def check_frontier(path, power, n1, n2, n3, tol):
     """Recompute a Gaussian sweep CSV; --tol bounds deviation beyond its rounding."""
+    if not 0.0 <= tol < np.inf:
+        raise click.UsageError(f"--tol must be a finite number >= 0, got {tol!r}")
     header, rows = read_frontier_csv(path)
     if header != ["alpha", "r1_bits", "r2_bits"]:
         raise InvalidDistribution(f"{path}: expected a Gaussian sweep CSV, got header {header}")
@@ -235,17 +231,16 @@ def simulate(config_path, out, seed, trials, budget):
     m = config.marginals
     if config.scheme == "superposition":
         cb = build_superposition(params, config.pu, config.pxu)
-        report = exact_equivocation(cb, m.pzx, z_budget=budget)
         terms = degraded_rate_terms(config.pu, config.pxu, m.py1x, m.py2x, m.pzx)
     else:
         cb = build_double_binning(params, config.pv1, config.pv2, config.pxv, config.epsilon)
-        report = None
         joint = np.outer(config.pv1.probs, config.pv2.probs)
         terms = general_rate_terms(joint, config.pxv, m.py1x, m.py2x, m.pzx)
         del terms["i_v1_v2"]  # the two codebooks are drawn independently
         # I(X;Z) is not a term of the bound; both schemes report it.
         px = np.einsum("v,w,vwx->x", config.pv1.probs, config.pv2.probs, config.pxv)
         terms["i_x_z"] = mutual_information(Pmf(px), m.pzx)
+    report = exact_equivocation(cb, m.pzx, z_budget=budget)
     trial = run_error_experiment(cb, (m.py1x, m.py2x), trials=config.trials, seed=params.seed)
     payload = {
         "scheme": config.scheme,
@@ -257,7 +252,7 @@ def simulate(config_path, out, seed, trials, budget):
             "randomization2_bits": params.randomization_rate2,
         },
         "mutual_informations": {key: max(value, 0.0) for key, value in terms.items()},
-        "equivocation": None if report is None else dataclasses.asdict(report),
+        "equivocation": dataclasses.asdict(report),
         "trials": {
             "count": trial.trials,
             "errors_rx1": trial.errors_rx1,

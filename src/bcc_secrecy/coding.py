@@ -8,9 +8,9 @@ Two code constructions are implemented at small blocklength n:
   codewords; the encoder picks a bin member uniformly at random, and that
   dither is what denies the eavesdropper information about the messages.
 * double binning: independent codebooks for two auxiliary sequences, one
-  bin per message on each side; the encoder looks for a jointly typical
-  pair inside the selected bins and synthesizes x^n from it.  At small n
-  the search can come up empty, which is reported rather than hidden.
+  bin per message on each side; the encoder picks a jointly typical pair
+  inside the selected bins (found once per codebook) and synthesizes x^n
+  from it.  At small n there can be none, which is reported, not hidden.
 
 Both schemes share one trial path: one inverse-CDF sampler draws every
 codeword, x^n and channel output; one ML index (`_ml_index`) serves every
@@ -20,10 +20,10 @@ decoder once, then runs one loop body.
 Decoders are maximum likelihood rather than typical-set decoders: at
 n <= 16 typicality is vacuous, and ML is the optimal benchmark, so the
 measured error rate lower-bounds any typicality decoder's.  Eavesdropper
-uncertainty is not sampled at all; `exact_equivocation` enumerates every
-possible eavesdropper observation and computes the conditional entropies
-of the messages in closed form, which is what makes small-n secrecy
-accounting exact.
+uncertainty is not sampled at all; for both schemes `exact_equivocation`
+enumerates every possible eavesdropper observation and computes the
+conditional entropies of the messages in closed form, which is what makes
+small-n secrecy accounting exact.
 
 All randomness comes from numpy's PCG64 seeded through SeedSequence with a
 (seed, purpose-tag) pair: one tag per codebook, and one for the Generator
@@ -33,7 +33,7 @@ that `run_error_experiment` passes through the encoders and `transmit`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -155,6 +155,20 @@ class BinningCodebook:
     x_map: np.ndarray  # P(x | v1, v2), validated row-stochastic
     epsilon: float
     params: CodeParams
+    typical: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # typical[w1, w2, j1 * l2 + j2]: the pair's joint type is within epsilon
+        # of pv1 x pv2 in max norm.  Each count is a product of symbol indicators.
+        (m1, l1, n), (m2, l2, _) = self.v1_words.shape, self.v2_words.shape
+        words1, words2 = self.v1_words.reshape(-1, n), self.v2_words.reshape(-1, n)
+        deviation = np.zeros((m1 * l1, m2 * l2))
+        for a, pa in enumerate(self.pv1.probs):
+            for b, pb in enumerate(self.pv2.probs):
+                counts = (words1 == a).astype(np.float64) @ (words2 == b).T.astype(np.float64)
+                np.maximum(deviation, np.abs(counts / n - pa * pb), out=deviation)
+        typical = (deviation <= self.epsilon).reshape(m1, l1, m2, l2).transpose(0, 2, 1, 3)
+        object.__setattr__(self, "typical", typical.reshape(m1, m2, l1 * l2))
 
 
 @dataclass(frozen=True)
@@ -321,23 +335,25 @@ def _plogp_sum(values: np.ndarray) -> float:
 
 
 def exact_equivocation(
-    cb: SuperpositionCodebook,
+    cb: SuperpositionCodebook | BinningCodebook,
     pzx: DiscreteChannel,
     z_budget: int = DEFAULT_Z_SEQUENCE_BUDGET,
 ) -> EquivocationReport:
     """Exact eavesdropper equivocations by enumerating every z^n.
 
     pzx is the eavesdropper channel P(z|x).  Messages are uniform and the
-    encoder dithers uniformly over bin members, so P(z^n | w1, w2) is the
-    bin-averaged product of transition probabilities.  The conditional
-    entropies H(W1|Z^n), H(W2|Z^n) and H(W1,W2|Z^n) follow from the exact
-    joint and are divided by n.  Before anything is allocated, |Z|^n is
-    capped at z_budget, the m1*m2*l1*l2 codeword roles at
-    DEFAULT_COMBO_BUDGET, and the |Z|^n tables (m1 + m2 + 2 rows of
-    floats, one more when a pair spans several blocks) at 1 GiB.
+    encoder dithers uniformly over a pair's R member rows: superposition's
+    l1*l2 x-words over P(z|x), or double binning's typical (j1, j2) as
+    symbols v1*|V2| + v2 over x_map @ P(z|x).  A pair with none sends an
+    erasure symbol, of mass 1/(m1*m2), that no z^n equals.  H(W1|Z^n),
+    H(W2|Z^n) and H(W1,W2|Z^n) follow from the exact joint, divided by n.
+    Before anything is allocated, |Z|^n is capped at z_budget, the
+    m1*m2*l1*l2 codeword roles at DEFAULT_COMBO_BUDGET, and the |Z|^n
+    tables (m1 + m2 + 2 rows of floats, one more when a pair spans several
+    blocks) at 1 GiB.
 
     z^n splits into a head of n // 2 positions and a tail, so a pair's sum
-    over its bin members is one matrix product A.T @ B of their head
+    over its members is one matrix product A.T @ B of their head
     likelihoods A (R, |Z|^head) and tail likelihoods B (R, |Z|^tail).
     Members are taken max(_TILE // |Z|^tail, 1) at a time and the block
     products are added in place: the working set stays within a few blocks
@@ -346,8 +362,11 @@ def exact_equivocation(
     """
     params = cb.params
     n, m1, m2, l1, l2 = params.n, params.m1, params.m2, params.l1, params.l2
-    if pzx.input_size != cb.pxu.output_size:
+    superposition = isinstance(cb, SuperpositionCodebook)
+    x_size = cb.pxu.output_size if superposition else cb.x_map.shape[-1]
+    if pzx.input_size != x_size:
         raise DimensionMismatch("eavesdropper channel input does not match the transmit alphabet")
+    matrix = pzx.matrix if superposition else cb.x_map.reshape(-1, x_size) @ pzx.matrix
     nz = pzx.output_size
     count = nz**n
     if count > z_budget:
@@ -368,32 +387,46 @@ def exact_equivocation(
     pz = np.zeros(count)
     pw1z = np.zeros((m1, count))
     pw2z = np.zeros((m2, count))
+    erased = np.zeros((m1, m2))  # P(w1, w2, erasure)
     joint_plogp = 0.0
     for w2 in range(m2):
         for w1 in range(m1):
-            words = cb.x_words[w2, :, w1, :, :].reshape(l2 * l1, n)
-            blocks = (pzx.matrix[words[start : start + rows]] for start in range(0, l2 * l1, rows))
+            if superposition:
+                words = cb.x_words[w2, :, w1].reshape(-1, n)
+            else:
+                words = _typical_rows(cb, w1, w2)
+            if len(words) == 0:
+                erased[w1, w2] = inv_messages
+                continue
+            blocks = (matrix[words[start : start + rows]] for start in range(0, len(words), rows))
             products = (_likelihoods(f[:, :head]).T @ _likelihoods(f[:, head:]) for f in blocks)
             joint = next(products)
             for product in products:
                 joint += product
             joint = joint.ravel()
-            joint /= l1 * l2
+            joint /= len(words)
             joint *= inv_messages
             pz += joint
             pw1z[w1] += joint
             pw2z[w2] += joint
             joint_plogp += _plogp_sum(joint)
 
-    h_z = -_plogp_sum(pz)
-    h_w1z = -_plogp_sum(pw1z.ravel())
-    h_w2z = -_plogp_sum(pw2z.ravel())
-    h_wz = -joint_plogp
+    # With no erasure each added term is -0.0, so the sums keep their bits.
+    h_z = -_plogp_sum(pz) - _plogp_sum(erased.sum(keepdims=True))
+    h_w1z = -_plogp_sum(pw1z.ravel()) - _plogp_sum(erased.sum(axis=1))
+    h_w2z = -_plogp_sum(pw2z.ravel()) - _plogp_sum(erased.sum(axis=0))
+    h_wz = -joint_plogp - _plogp_sum(erased)
     re1 = max((h_w1z - h_z) / n, 0.0)
     re2 = max((h_w2z - h_z) / n, 0.0)
     re12 = max((h_wz - h_z) / n, 0.0)
     gaps = (params.rate1 - re1, params.rate2 - re2, params.rate1 + params.rate2 - re12)
     return EquivocationReport(re1=re1, re2=re2, re12=re12, gaps=gaps)
+
+
+def _typical_rows(cb: BinningCodebook, w1: int, w2: int) -> np.ndarray:
+    """Pair symbols v1 * |V2| + v2 of the typical (j1, j2) of (w1, w2), in j1 * l2 + j2 order."""
+    pairs = cb.v1_words[w1][:, None, :] * cb.pv2.alphabet_size + cb.v2_words[w2][None, :, :]
+    return pairs.reshape(-1, cb.params.n)[cb.typical[w1, w2]]
 
 
 def build_double_binning(
@@ -416,7 +449,8 @@ def build_double_binning(
             f"({pv1.alphabet_size}, {pv2.alphabet_size})"
         )
     n, m1, m2, l1, l2 = params.n, params.m1, params.m2, params.l1, params.l2
-    _check_symbols((m1 * l1 + m2 * l2) * n)
+    # The words, then one typical-pair entry per (w1, w2, j1, j2).
+    _check_symbols((m1 * l1 + m2 * l2) * n + m1 * m2 * l1 * l2)
     v1_words = _sample_conditional(
         _rng(params.seed, _TAG_V1), pv1.probs[None], np.zeros((m1, l1, n), np.int64)
     )
@@ -445,20 +479,12 @@ def encode_double_binning(
     the pair map.  Returns None, drawing nothing, when no pair qualifies,
     which is an observable event at small blocklength.
     """
-    params = cb.params
-    _check_messages(params, w1, w2)
-    a1, a2 = cb.pv1.alphabet_size, cb.pv2.alphabet_size
-    target = np.outer(cb.pv1.probs, cb.pv2.probs).ravel()
-    # Pair symbols of every (j1, j2), row j1 * l2 + j2, and their joint types.
-    pairs = (cb.v1_words[w1][:, None, :] * a2 + cb.v2_words[w2][None, :, :]).reshape(-1, params.n)
-    counts = np.zeros((len(pairs), a1 * a2))
-    np.add.at(counts, (np.arange(len(pairs))[:, None], pairs), 1.0)
-    deviation = np.max(np.abs(counts / params.n - target), axis=1)
-    qualifying = np.flatnonzero(deviation <= cb.epsilon)
-    if qualifying.size == 0:
+    _check_messages(cb.params, w1, w2)
+    rows = _typical_rows(cb, w1, w2)
+    if len(rows) == 0:
         return None
-    pair_index = pairs[qualifying[int(rng.integers(len(qualifying)))]]
-    return _sample_conditional(rng, cb.x_map.reshape(a1 * a2, -1), pair_index)
+    pair_index = rows[int(rng.integers(len(rows)))]
+    return _sample_conditional(rng, cb.x_map.reshape(-1, cb.x_map.shape[-1]), pair_index)
 
 
 def run_error_experiment(

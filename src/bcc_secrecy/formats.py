@@ -1,15 +1,14 @@
 """Channel and experiment file formats, plus atomic artifact writers.
 
-Three channel descriptions are accepted, discriminated by "type":
+Two channel descriptions are accepted, discriminated by "type":
 
 * "bcc": alphabet sizes x, y1, y2, z and a flat row-major "joint" array
   of length x*y1*y2*z holding P(y1, y2, z | x), index order (x, y1, y2, z).
 * "bcc-marginals": the three marginal matrices "py1x", "py2x", "pzx",
   one row per input symbol.
-* "awgn-bcc": "power" and noise variances "n1", "n2", "n3".
 
-Both discrete forms load to a ``MarginalTriple``: everything downstream
-reads only P(y1|x), P(y2|x) and P(z|x), so a "bcc" tensor is summed down.
+Both load to a ``MarginalTriple``: everything downstream reads only
+P(y1|x), P(y2|x) and P(z|x), so a "bcc" tensor is summed down.
 
 Entries in [-1e-12, 0) are clamped to zero at load time to absorb
 decimal round-off in hand-written files; anything below that floor, or
@@ -32,7 +31,6 @@ import numpy as np
 
 from .channels import DiscreteChannel, InvalidDistribution, Pmf, _check_stochastic
 from .coding import CodeParams
-from .regions import GaussianParams
 
 NEGATIVE_GRACE = 1e-12
 SIG_DIGITS = 12
@@ -82,9 +80,9 @@ def _integer(
     return value
 
 
-def _number(data: dict, key: str, default: float | None = None) -> float:
+def _number(data: dict, key: str, default: float) -> float:
     """A field that must be a finite JSON number: true, "0.25", NaN and Infinity are rejected."""
-    value = _require(data, key) if default is None else data.get(key, default)
+    value = data.get(key, default)
     numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
     # The comparison is False for NaN, for infinities and for integers beyond the float range.
     if not (numeric and abs(value) <= sys.float_info.max):
@@ -92,7 +90,7 @@ def _number(data: dict, key: str, default: float | None = None) -> float:
     return float(value)
 
 
-def parse_channel(data: dict) -> MarginalTriple | GaussianParams:
+def parse_channel(data: dict) -> MarginalTriple:
     """Parse a channel description dict, naming the violated invariant on error."""
     if not isinstance(data, dict):
         raise InvalidDistribution(f"channel description must be an object, got {type(data).__name__}")
@@ -119,25 +117,16 @@ def parse_channel(data: dict) -> MarginalTriple | GaussianParams:
         if not (matrices[0].input_size == matrices[1].input_size == matrices[2].input_size):
             raise InvalidDistribution("marginal matrices disagree on the input alphabet size")
         return MarginalTriple(*matrices)
-    if kind == "awgn-bcc":
-        return GaussianParams(**{k: _number(data, k) for k in ("power", "n1", "n2", "n3")})
     raise InvalidDistribution(f"unknown channel type {kind!r}")
 
 
-def load_channel(path: str | Path) -> MarginalTriple | GaussianParams:
+def load_channel(path: str | Path) -> MarginalTriple:
     with open(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise InvalidDistribution(f"{path}: not valid JSON ({exc})") from exc
     return parse_channel(data)
-
-
-def as_marginals(channel: MarginalTriple | GaussianParams) -> MarginalTriple:
-    """The three marginals of a discrete channel; a Gaussian description is rejected."""
-    if isinstance(channel, GaussianParams):
-        raise InvalidDistribution("a discrete channel is required, not a Gaussian description")
-    return channel
 
 
 @dataclass(frozen=True)
@@ -168,10 +157,9 @@ def parse_experiment(data: dict, base_dir: Path | None = None) -> ExperimentConf
         path = Path(channel)
         if base_dir is not None and not path.is_absolute():
             path = base_dir / path
-        channel = load_channel(path)
+        marginals = load_channel(path)
     else:
-        channel = parse_channel(channel)
-    marginals = as_marginals(channel)
+        marginals = parse_channel(channel)
 
     pu = pxu = pv1 = pv2 = pxv = None
     if scheme == "superposition":
@@ -182,6 +170,9 @@ def parse_experiment(data: dict, base_dir: Path | None = None) -> ExperimentConf
         pv2 = Pmf(_array(data, "pv2", document))
         pxv = _array(data, "pxv", document)
 
+    trials = _integer(data, "trials", 1000)
+    if trials < 1:
+        raise InvalidDistribution(f"field 'trials' must be positive, got {trials!r}")
     return ExperimentConfig(
         scheme=scheme,
         code=CodeParams(
@@ -192,7 +183,7 @@ def parse_experiment(data: dict, base_dir: Path | None = None) -> ExperimentConf
             l2=_integer(data, "l2", 1),
             seed=_integer(data, "seed", 0),
         ),
-        trials=_integer(data, "trials", 1000),
+        trials=trials,
         marginals=marginals,
         pu=pu,
         pxu=pxu,

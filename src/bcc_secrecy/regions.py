@@ -101,6 +101,9 @@ class GaussianParams:
     n3: float
 
     def __post_init__(self):
+        for name in ("power", "n1", "n2", "n3"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not self.power > 0:
             raise ValueError(f"power must be positive, got {self.power!r}")
         if not 0 < self.n1 <= self.n2 <= self.n3:

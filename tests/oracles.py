@@ -135,6 +135,44 @@ def equivocation_direct(x_words, mz, m1, m2, l1, l2, n) -> tuple[float, float, f
                             p *= mz[word[i]][zseq[i]]
                         total += p
                 joint[(w1, w2, zseq)] = total / (l1 * l2 * m1 * m2)
+    return _equivocations_from_joint(joint, n)
+
+
+def equivocation_binning_direct(
+    v1_words, v2_words, pv1, pv2, x_map, mz, epsilon
+) -> tuple[float, float, float]:
+    """(re1, re2, re12) of a double-binning codebook, one dict entry per outcome.
+
+    Each message pair's typical (j1, j2) come from typical_pair_loop; the
+    pair sends x_i ~ x_map[v1_i, v2_i] and the eavesdropper sees z_i ~ mz[x_i],
+    summed over x per symbol.  A pair with no typical member sends the
+    outcome "erasure" with probability 1, which no z^n equals.
+    """
+    mz = np.asarray(mz, float)
+    x_map = np.asarray(x_map, float)
+    m1, m2, n = v1_words.shape[0], v2_words.shape[0], v1_words.shape[2]
+    nz, nx = mz.shape[1], mz.shape[0]
+    joint: dict = {}
+    for w2 in range(m2):
+        for w1 in range(m1):
+            members = typical_pair_loop(v1_words, v2_words, pv1, pv2, epsilon, w1, w2)
+            if not members:
+                joint[(w1, w2, "erasure")] = 1.0 / (m1 * m2)
+                continue
+            for zseq in itertools.product(range(nz), repeat=n):
+                total = 0.0
+                for j1, j2 in members:
+                    p = 1.0
+                    for i in range(n):
+                        v1, v2 = v1_words[w1, j1, i], v2_words[w2, j2, i]
+                        p *= math.fsum(x_map[v1, v2, x] * mz[x][zseq[i]] for x in range(nx))
+                    total += p
+                joint[(w1, w2, zseq)] = total / len(members) / (m1 * m2)
+    return _equivocations_from_joint(joint, n)
+
+
+def _equivocations_from_joint(joint: dict, n: int) -> tuple[float, float, float]:
+    """(re1, re2, re12) from a dict {(w1, w2, outcome): probability}."""
 
     def cond_entropy(keep):
         grouped: dict = {}

@@ -39,6 +39,7 @@ from bcc_secrecy.coding import (
 )
 from oracles import (
     equivocation_digit_table,
+    equivocation_binning_direct,
     equivocation_direct,
     posterior_argmax_exact,
     sample_iid_searchsorted,
@@ -661,6 +662,8 @@ class TestDoubleBinning:
                     qualifying = typical_pair_loop(
                         cb.v1_words, cb.v2_words, pv1.probs, pv2.probs, cb.epsilon, w1, w2
                     )
+                    table = [j1 * params.l2 + j2 for j1, j2 in qualifying]
+                    assert np.flatnonzero(cb.typical[w1, w2]).tolist() == table
                     got = encode_double_binning(cb, w1, w2, encode_rng(trial))
                     if not qualifying:
                         assert got is None
@@ -677,6 +680,124 @@ class TestDoubleBinning:
         cb = build_double_binning(params, Pmf.uniform(2), Pmf.uniform(2), x_map, 1.0)
         with pytest.raises(ValueError):
             encode_double_binning(cb, 5, 0, encode_rng(0))
+
+    def test_typical_table_counts_against_the_symbol_budget(self, monkeypatch):
+        # The words take (64*32 + 64*32) * 4 = 16,384 symbols; the typical
+        # table's 64*64*32*32 = 2^22 entries take the total past 2^22.
+        params = CodeParams(n=4, m1=64, m2=64, l1=32, l2=32, seed=0)
+        x_map = np.tile(np.array([0.5, 0.5]), (2, 2, 1))
+
+        def no_draw(*args):
+            raise AssertionError("drew a codebook past the budget")
+
+        monkeypatch.setattr(coding, "_sample_conditional", no_draw)
+        with pytest.raises(BudgetExceeded, match="4210688 symbols"):
+            build_double_binning(params, Pmf.uniform(2), Pmf.uniform(2), x_map, 0.1)
+
+
+def random_binning_codebook(rng, seed):
+    """A double-binning codebook with n <= 5, |V1|, |V2| in {2, 3} and a random pair map."""
+    a1, a2, nx = (int(a) for a in rng.integers(2, 4, size=3))
+    params = CodeParams(
+        n=int(rng.integers(1, 6)),
+        m1=int(rng.integers(1, 4)),
+        m2=int(rng.integers(1, 4)),
+        l1=int(rng.integers(1, 4)),
+        l2=int(rng.integers(1, 4)),
+        seed=seed,
+    )
+    pv1 = Pmf((raw := rng.random(a1) + 0.2) / raw.sum())
+    pv2 = Pmf((raw := rng.random(a2) + 0.2) / raw.sum())
+    x_map = rng.random((a1, a2, nx)) + 0.05
+    x_map /= x_map.sum(axis=-1, keepdims=True)
+    return build_double_binning(params, pv1, pv2, x_map, float(rng.uniform(0.1, 0.6)))
+
+
+def binning_oracle(cb, pzx):
+    return equivocation_binning_direct(
+        cb.v1_words, cb.v2_words, cb.pv1.probs, cb.pv2.probs, cb.x_map, pzx.matrix, cb.epsilon
+    )
+
+
+class TestBinningEquivocation:
+    """exact_equivocation on double-binning codebooks: typical rows and erasures."""
+
+    def test_matches_brute_force_oracle(self):
+        rng = np.random.default_rng(1975)
+        failing = mixed = 0
+        for trial in range(30):
+            cb = random_binning_codebook(rng, trial)
+            pzx = random_channel(rng, cb.x_map.shape[-1], int(rng.integers(2, 4)))
+            report = exact_equivocation(cb, pzx)
+            got = (report.re1, report.re2, report.re12)
+            assert got == pytest.approx(binning_oracle(cb, pzx), abs=1e-13, rel=0)
+            p = cb.params
+            rates = (p.rate1, p.rate2, p.rate1 + p.rate2)
+            assert report.gaps == pytest.approx(np.subtract(rates, got).tolist(), abs=0, rel=0)
+            sent = cb.typical.any(axis=2)
+            failing += int((~sent).sum())
+            mixed += bool(sent.any() and not sent.all())
+        # The sample crosses erasures, including codebooks that also send.
+        assert failing >= 10 and mixed >= 3
+
+    @pytest.mark.parametrize("m1,m2", [(2, 4), (3, 3), (1, 2)])
+    def test_every_pair_failing_keeps_both_messages_secret(self, m1, m2):
+        # v1 all 0 and v2 all 1: every pair's type sits on cell (0, 1).
+        params = CodeParams(n=4, m1=m1, m2=m2, l1=2, l2=3, seed=0)
+        cb = BinningCodebook(
+            v1_words=np.zeros((m1, 2, 4), dtype=int),
+            v2_words=np.ones((m2, 3, 4), dtype=int),
+            pv1=Pmf.uniform(2),
+            pv2=Pmf.uniform(2),
+            x_map=np.tile(np.array([0.9, 0.1]), (2, 2, 1)),
+            epsilon=0.1,
+            params=params,
+        )
+        assert not cb.typical.any()
+        report = exact_equivocation(cb, BSC(0.05))
+        rates = (params.rate1, params.rate2, params.rate1 + params.rate2)
+        assert (report.re1, report.re2, report.re12) == pytest.approx(rates, abs=1e-15, rel=0)
+        assert report.gaps == pytest.approx((0.0, 0.0, 0.0), abs=1e-15)
+
+    def test_one_failing_pair_matches_oracle(self):
+        # Under uniform pv1, pv2 and epsilon 0.1 at n = 4, a pair is typical
+        # only when its four symbol pairs are all distinct.  Pair (1, 1)
+        # meets [0, 1, 1, 0] with itself or a constant word, so it fails.
+        v1_words = np.array([[[0, 0, 1, 1], [0, 0, 0, 0]], [[0, 1, 1, 0], [0, 0, 0, 0]]])
+        v2_words = np.array([[[0, 1, 0, 1], [1, 1, 1, 1]], [[0, 1, 1, 0], [1, 1, 1, 1]]])
+        rng = np.random.default_rng(4)
+        x_map = rng.random((2, 2, 3)) + 0.05
+        cb = BinningCodebook(
+            v1_words=v1_words,
+            v2_words=v2_words,
+            pv1=Pmf.uniform(2),
+            pv2=Pmf.uniform(2),
+            x_map=x_map / x_map.sum(axis=-1, keepdims=True),
+            epsilon=0.1,
+            params=CodeParams(n=4, m1=2, m2=2, l1=2, l2=2, seed=0),
+        )
+        assert cb.typical.any(axis=2).tolist() == [[True, True], [True, False]]
+        pzx = random_channel(rng, 3, 3)
+        report = exact_equivocation(cb, pzx)
+        got = (report.re1, report.re2, report.re12)
+        assert got == pytest.approx(binning_oracle(cb, pzx), abs=1e-13, rel=0)
+        # An erasure tells the eavesdropper the pair, so some secrecy is lost.
+        assert report.gaps[2] > 0.0
+
+    def test_shares_the_caps(self, monkeypatch):
+        cb = random_binning_codebook(np.random.default_rng(5), 5)
+        pzx = random_channel(np.random.default_rng(6), cb.x_map.shape[-1], 2)
+        with pytest.raises(BudgetExceeded, match="observation sequences"):
+            exact_equivocation(cb, pzx, z_budget=2**cb.params.n - 1)
+        monkeypatch.setattr(coding, "DEFAULT_COMBO_BUDGET", 0)
+        with pytest.raises(BudgetExceeded, match="combinations"):
+            exact_equivocation(cb, pzx)
+
+    def test_alphabet_mismatch(self):
+        x_map = np.tile(np.array([0.5, 0.5]), (2, 2, 1))
+        cb = build_double_binning(small_params(), Pmf.uniform(2), Pmf.uniform(2), x_map, 0.5)
+        with pytest.raises(DimensionMismatch, match="eavesdropper channel input"):
+            exact_equivocation(cb, random_channel(np.random.default_rng(1), 3, 2))
 
 
 def hamming_tie_across_bins(words, y) -> bool:

@@ -12,26 +12,27 @@ from hypothesis import strategies as st
 
 from bcc_secrecy import (
     DiscreteChannel,
-    GaussianParams,
     InvalidDistribution,
     NegativeEntry,
     Pmf,
     binary_entropy,
+    build_double_binning,
     degraded_rate_pair,
     degraded_rate_terms,
     general_rate_corners,
     general_rate_terms,
 )
+from bcc_secrecy import cli
 from bcc_secrecy.cli import run
 from bcc_secrecy.formats import (
     MarginalTriple,
-    as_marginals,
     format_sig,
     parse_channel,
+    parse_experiment,
     read_frontier_csv,
     write_csv,
 )
-from oracles import cmi_direct
+from oracles import cmi_direct, equivocation_binning_direct
 
 BSC = DiscreteChannel.binary_symmetric
 
@@ -67,9 +68,8 @@ class TestParseChannel:
         }
         parsed = parse_channel(data)
         assert isinstance(parsed, MarginalTriple)
-        m = as_marginals(parsed)
-        assert np.allclose(m.py1x.matrix, BSC(0.1).matrix, atol=1e-12)
-        assert np.allclose(m.pzx.matrix, BSC(0.3).matrix, atol=1e-12)
+        assert np.allclose(parsed.py1x.matrix, BSC(0.1).matrix, atol=1e-12)
+        assert np.allclose(parsed.pzx.matrix, BSC(0.3).matrix, atol=1e-12)
 
     def test_marginal_shortcut(self):
         parsed = parse_channel(bsc_marginals_dict(0.1, 0.2, 0.3))
@@ -77,8 +77,11 @@ class TestParseChannel:
         assert np.allclose(parsed.py2x.matrix, BSC(0.2).matrix)
 
     def test_gaussian(self):
-        parsed = parse_channel({"type": "awgn-bcc", "power": 1, "n1": 0.25, "n2": 0.5, "n3": 1})
-        assert parsed == GaussianParams(1.0, 0.25, 0.5, 1.0)
+        # Gaussian parameters come only from the region gaussian and check
+        # frontier flags; no command reads a Gaussian channel file.
+        data = {"type": "awgn-bcc", "power": 1, "n1": 0.25, "n2": 0.5, "n3": 1}
+        with pytest.raises(InvalidDistribution, match="unknown channel type 'awgn-bcc'"):
+            parse_channel(data)
 
     def test_grace_floor_clamps_tiny_negatives(self):
         data = bsc_marginals_dict(0.1, 0.2, 0.3)
@@ -121,29 +124,29 @@ class TestParseChannel:
     @pytest.mark.parametrize(
         "field,value",
         [
-            ("power", True),
-            ("n1", "0.25"),
-            ("power", math.inf),
-            ("n3", math.nan),
-            pytest.param("n2", 10**400, id="n2-beyond-float-range"),
+            ("power", "inf"),
+            ("n3", "nan"),
+            pytest.param("n2", "1e400", id="n2-beyond-float-range"),
+            ("n1", "-inf"),
         ],
     )
     def test_non_finite_gaussian_field_exit_3(self, tmp_path, capsys, field, value):
-        data = {"type": "awgn-bcc", "power": 1, "n1": 0.25, "n2": 0.5, "n3": 1}
-        data[field] = value
-        path = tmp_path / "awgn.json"
-        path.write_text(json.dumps(data))  # writes the NaN and Infinity literals
-        code = run(["region", "degraded", "--file", str(path), "--out", str(tmp_path / "r.csv")])
-        assert code == 3
-        assert f"field '{field}' must be a finite number" in capsys.readouterr().err
+        # Gaussian parameters are flags: both commands that take them refuse
+        # a non-finite value, naming it (1e400 parses to inf).
+        flags = {"power": "1", "n1": "0.25", "n2": "0.5", "n3": "1", field: value}
+        args = [arg for key, flag in flags.items() for arg in (f"--{key}", flag)]
+        out = tmp_path / "g.csv"
+        assert run(["region", "gaussian", *args, "--alphas", "3", "--out", str(out)]) == 3
+        assert not out.exists()
+        # Rates 5, 7 and 9 lie far off every Gaussian sweep.
+        out.write_text("alpha,r1_bits,r2_bits\n0,5,7\n1,9,5\n")
+        assert run(["check", "frontier", "--file", str(out), *args]) == 3
+        err = capsys.readouterr().err
+        assert err.count(f"{field} must be finite, got {float(value)!r}") == 2
 
     def test_unknown_type(self):
         with pytest.raises(InvalidDistribution, match="unknown channel type"):
             parse_channel({"type": "mystery"})
-
-    def test_gaussian_cannot_become_marginals(self):
-        with pytest.raises(InvalidDistribution):
-            as_marginals(parse_channel({"type": "awgn-bcc", "power": 1, "n1": 1, "n2": 1, "n3": 1}))
 
 
 class TestCsv:
@@ -203,6 +206,7 @@ class TestCliRegionGaussian:
         args = ["--power", "1", "--n1", "0.25", "--n2", "0.5", "--n3", "1"]
         assert run(["region", "gaussian", *args, "--alphas", "31", "--out", str(out)]) == 0
         assert run(["check", "frontier", "--file", str(out), *args]) == 0
+        assert run(["check", "frontier", "--file", str(out), *args, "--tol", "0"]) == 0
 
     def test_check_frontier_detects_tampering(self, tmp_path):
         out = tmp_path / "region.csv"
@@ -258,6 +262,16 @@ class TestCliRegionGaussian:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-12"])
+    def test_check_frontier_tol_must_be_finite_and_nonnegative(self, tmp_path, capsys, tol):
+        # Under --tol nan no deviation compares greater, so this CSV passed.
+        out = tmp_path / "region.csv"
+        out.write_text("alpha,r1_bits,r2_bits\n0,5,7\n1,9,5\n")
+        args = ["--power", "1", "--n1", "0.25", "--n2", "0.5", "--n3", "1"]
+        assert run(["check", "frontier", "--file", str(out), *args, "--tol", tol]) == 2
+        assert "--tol must be a finite number >= 0" in capsys.readouterr().err
+        assert run(["check", "frontier", "--file", str(out), *args, "--tol", "1"]) == 3
+
 
 class TestCliRegionDiscrete:
     def test_degraded_deterministic_artifact(self, tmp_path, cascade_file):
@@ -291,13 +305,14 @@ class TestCliRegionDiscrete:
         )
         assert code == 4
 
-    def test_gaussian_file_rejected_for_discrete_region(self, tmp_path):
+    def test_gaussian_file_rejected_for_discrete_region(self, tmp_path, capsys):
         path = tmp_path / "awgn.json"
         path.write_text(json.dumps({"type": "awgn-bcc", "power": 1, "n1": 1, "n2": 1, "n3": 1}))
         code = run(
             ["region", "degraded", "--file", str(path), "--out", str(tmp_path / "x.csv")]
         )
         assert code == 3
+        assert "unknown channel type 'awgn-bcc'" in capsys.readouterr().err
 
     def test_malformed_json_exit_3(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -541,7 +556,11 @@ class TestCliSimulate:
         out = tmp_path / "results.json"
         assert run(["simulate", "--config", str(path), "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
-        assert payload["equivocation"] is None
+        eq = payload["equivocation"]
+        rates = payload["rates"]
+        r1, r2 = rates["r1_bits"], rates["r2_bits"]
+        assert eq["gaps"] == [r1 - eq["re1"], r2 - eq["re2"], r1 + r2 - eq["re12"]]
+        assert max(eq["re1"], eq["re2"]) <= eq["re12"] <= min(eq["re1"] + eq["re2"], r1 + r2)
         assert "i_v1v2_z" in payload["mutual_informations"]
         assert payload["trials"]["encoding_failures"] >= 0
 
@@ -624,6 +643,32 @@ class TestCliSimulate:
         assert f"field '{field}' must be an integer" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("scheme", ["superposition", "double-binning"])
+    @pytest.mark.parametrize("trials", [0, -2, None])
+    def test_trials_below_one_exit_3_before_any_codebook(
+        self, tmp_path, capsys, monkeypatch, cascade_file, scheme, trials
+    ):
+        def no_codebook(*args):
+            raise AssertionError("built a codebook for an invalid trial count")
+
+        monkeypatch.setattr(cli, "build_superposition", no_codebook)
+        monkeypatch.setattr(cli, "build_double_binning", no_codebook)
+        config = {
+            "scheme": scheme, "n": 4, "m1": 2, "m2": 2, "channel": cascade_file,
+            "pu": [0.5, 0.5], "pxu": [[0.9, 0.1], [0.1, 0.9]],
+            "pv1": [0.5, 0.5], "pv2": [0.5, 0.5],
+            "pxv": [[[0.9, 0.1], [0.1, 0.9]], [[0.1, 0.9], [0.9, 0.1]]],
+        }
+        # None: a valid file, with --trials 0 on the command line.
+        config["trials"] = 10 if trials is None else trials
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o.json"
+        override = ["--trials", "0"] if trials is None else []
+        assert run(["simulate", "--config", str(path), "--out", str(out), *override]) == 3
+        assert "field 'trials' must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, True, "0.1"])
     def test_non_finite_epsilon_exit_3(self, tmp_path, capsys, cascade_file, value):
         config = {
@@ -689,6 +734,9 @@ class TestSeedContract:
     the seed, so these counts pin the whole trial path: sampler, encoders,
     channel draws, the order in which one Generator serves them, and ML
     decoders.  A change to the seed contract must re-record them on purpose.
+    The double-binning equivocation was recorded when exact_equivocation
+    took that scheme, and is checked against the brute-force oracle below:
+    both pairs with w1 = 1 send erasures, so the eavesdropper learns W1.
     """
 
     PXV = [[[0.95, 0.05], [0.65, 0.35]], [[0.35, 0.65], [0.05, 0.95]]]
@@ -702,7 +750,7 @@ class TestSeedContract:
             {"pv1": [0.5, 0.5], "pv2": [0.5, 0.5], "pxv": PXV, "l1": 4, "l2": 4, "epsilon": 0.12,
              "seed": 6},
             {"errors_rx1": 251, "errors_rx2": 368, "errors_union": 380, "encoding_failures": 223},
-            None,
+            (0.0, 0.12229274473685203, 0.12229274473685203),
         ),
     }
 
@@ -720,11 +768,21 @@ class TestSeedContract:
         assert payload["code"] == {"n": 8, "m1": 2, "m2": 2, **layers}
         assert payload["trials"]["count"] == 500
         assert {k: payload["trials"][k] for k in counts} == counts
-        if equivocation is None:
-            assert payload["equivocation"] is None
-        else:
-            got = [payload["equivocation"][k] for k in ("re1", "re2", "re12")]
-            assert got == pytest.approx(equivocation, abs=1e-12, rel=0)
+        got = [payload["equivocation"][k] for k in ("re1", "re2", "re12")]
+        assert got == pytest.approx(equivocation, abs=1e-12, rel=0)
+
+    def test_double_binning_equivocation_matches_the_oracle(self, cascade_file):
+        fields, _, equivocation = self.CASES["double-binning"]
+        config = parse_experiment(
+            {"scheme": "double-binning", "n": 8, "m1": 2, "m2": 2, "channel": cascade_file, **fields}
+        )
+        cb = build_double_binning(config.code, config.pv1, config.pv2, config.pxv, config.epsilon)
+        assert cb.typical.any(axis=2).tolist() == [[True, True], [False, False]]
+        want = equivocation_binning_direct(
+            cb.v1_words, cb.v2_words, config.pv1.probs, config.pv2.probs, cb.x_map,
+            config.marginals.pzx.matrix, cb.epsilon,
+        )
+        assert equivocation == pytest.approx(want, abs=1e-13, rel=0)
 
 
 # Malformed values of every JSON kind, nested a little.

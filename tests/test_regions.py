@@ -112,6 +112,16 @@ class TestGaussianParams:
         with pytest.raises(ValueError):
             GaussianParams(0.0, 0.25, 0.5, 1.0)
 
+    @pytest.mark.parametrize("index", range(4))
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_field_named(self, index, value):
+        # inf passed every ordering check and gave nan rates.
+        fields = [1.0, 0.25, 0.5, 1.0]
+        fields[index] = value
+        name = ("power", "n1", "n2", "n3")[index]
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            GaussianParams(*fields)
+
 
 class TestGaussianRegionPoint:
     def test_alpha_zero_collapses_r1(self):
