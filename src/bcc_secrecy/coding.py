@@ -13,9 +13,11 @@ Two code constructions are implemented at small blocklength n:
   from it.  At small n there can be none, which is reported, not hidden.
 
 Both schemes share one trial path: one inverse-CDF sampler draws every
-codeword, x^n and channel output; one ML index (`_ml_index`) serves every
-receiver; and `run_error_experiment` picks the scheme's encoder and
-decoder once, then runs one loop body.
+codeword, x^n and channel output; one batched ML index (`_ml_index`)
+serves every receiver; and `run_error_experiment` picks the scheme's
+encoder and decoder once, then runs blocks of trials through one body.
+The encoders take message arrays and the decoders observation arrays with
+a leading batch axis, so a block makes one call of each.
 
 Decoders are maximum likelihood rather than typical-set decoders: at
 n <= 16 typicality is vacuous, and ML is the optimal benchmark, so the
@@ -28,6 +30,8 @@ small-n secrecy accounting exact.
 All randomness comes from numpy's PCG64 seeded through SeedSequence with a
 (seed, purpose-tag) pair: one tag per codebook, and one for the Generator
 that `run_error_experiment` passes through the encoders and `transmit`.
+That Generator serves each block of trials in one order: every w1, every
+w2, the encoder's draws, every y1 noise draw, then every y2 one.
 """
 
 from __future__ import annotations
@@ -50,6 +54,12 @@ _TILE = 1 << 16
 # Bytes of exact_equivocation's |Z|^n tables (pz, the pair's sum and block
 # product, the m1 + m2 message rows): 1 GiB, over 20 times a benchmark job's.
 _TABLE_BYTES = 1 << 30
+# Trials that run_error_experiment draws, encodes, sends and decodes at once.
+_TRIAL_BLOCK = 256
+# Floats of log-likelihood terms that _ml_index gathers at a time (128 KiB).
+_SCORE_FLOATS = 1 << 14
+# Terms of a binomial tail that _clopper_pearson sums at a time.
+_TAIL_TERMS = 1 << 12
 
 # Purpose tags for substream derivation.
 _TAG_CLOUD = 1
@@ -120,11 +130,17 @@ class CodeParams:
         return math.log2(self.l2) / self.n
 
 
-def _check_messages(params: CodeParams, w1: int, w2: int) -> None:
-    if not 0 <= w1 < params.m1:
-        raise ValueError(f"message w1={w1!r} outside [0, {params.m1})")
-    if not 0 <= w2 < params.m2:
-        raise ValueError(f"message w2={w2!r} outside [0, {params.m2})")
+def _check_messages(params: CodeParams, w1, w2) -> tuple[np.ndarray, np.ndarray]:
+    """w1 and w2 as integer arrays of one shape, each inside its message range."""
+    w1, w2 = np.asarray(w1), np.asarray(w2)
+    if w1.shape != w2.shape:
+        raise DimensionMismatch(f"messages have shapes {w1.shape} and {w2.shape}")
+    for name, w, m in (("w1", w1, params.m1), ("w2", w2, params.m2)):
+        if not np.issubdtype(w.dtype, np.integer):
+            raise ValueError(f"messages {name} must be integers, got dtype {w.dtype}")
+        if w.size and not (0 <= w.min() and w.max() < m):
+            raise ValueError(f"message {name}={w!r} outside [0, {m})")
+    return w1, w2
 
 
 def _check_symbols(total: int) -> None:
@@ -208,15 +224,26 @@ def _clopper_pearson(k: int, n: int) -> tuple[float, float]:
     lo solves P(X >= k) = 0.025 and hi solves P(X >= k + 1) = 0.975 for
     X ~ Binomial(n, p), each by bisection on p until the midpoint is an
     end (lo = 0 at k = 0, hi = 1 at k = n): Clopper & Pearson (1934).
+    A tail is summed _TAIL_TERMS terms at a time, each block's log
+    binomial coefficients running on from lgamma at its first index, so
+    the memory used does not grow with n.
     """
-    i = np.arange(n + 1)
-    log_comb = np.concatenate(([0.0], np.cumsum(np.log((n - i[:-1]) / (i[:-1] + 1)))))
+    log_n_factorial = math.lgamma(n + 1)
+
+    def upper_tail(p: float, j: int) -> float:
+        log_p, log_q = math.log(p), math.log1p(-p)
+        total = 0.0
+        for start in range(j, n + 1, _TAIL_TERMS):
+            i = np.arange(start, min(start + _TAIL_TERMS, n + 1))
+            log_comb = np.concatenate(([0.0], np.cumsum(np.log((n - i[:-1]) / (i[:-1] + 1)))))
+            log_comb += log_n_factorial - math.lgamma(start + 1) - math.lgamma(n - start + 1)
+            total += float(np.exp(log_comb + i * log_p + (n - i) * log_q).sum())
+        return total
 
     def root(j: int, tail: float) -> float:
         lo, hi = 0.0, 1.0
         while lo < (p := 0.5 * (lo + hi)) < hi:
-            terms = log_comb[j:] + i[j:] * math.log(p) + (n - i[j:]) * math.log1p(-p)
-            lo, hi = (lo, p) if np.exp(terms).sum() > tail else (p, hi)
+            lo, hi = (lo, p) if upper_tail(p, j) > tail else (p, hi)
         return p
 
     return (0.0 if k == 0 else root(k, 0.025)), (1.0 if k == n else root(k + 1, 0.975))
@@ -247,15 +274,17 @@ def build_superposition(
     return SuperpositionCodebook(u_words=u_words, x_words=x_words, pu=pu, pxu=pxu, params=params)
 
 
-def encode_superposition(
-    cb: SuperpositionCodebook, w1: int, w2: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Pick a bin member uniformly in each layer (j2, then j1, from rng); return its x^n."""
+def encode_superposition(cb: SuperpositionCodebook, w1, w2, rng: np.random.Generator) -> np.ndarray:
+    """x^n for messages w1, w2: ints, or integer arrays of one shape S.
+
+    A bin member is picked uniformly in each layer, every cloud member j2
+    from rng first, then every satellite member j1.  Returns S + (n,).
+    """
     params = cb.params
-    _check_messages(params, w1, w2)
-    j2 = int(rng.integers(params.l2))
-    j1 = int(rng.integers(params.l1))
-    return np.array(cb.x_words[w2, j2, w1, j1])
+    w1, w2 = _check_messages(params, w1, w2)
+    j2 = rng.integers(params.l2, size=w1.shape)
+    j1 = rng.integers(params.l1, size=w1.shape)
+    return cb.x_words[w2, j2, w1, j1]
 
 
 def transmit(x: np.ndarray, ch: DiscreteChannel, rng: np.random.Generator) -> np.ndarray:
@@ -272,21 +301,45 @@ def _log_matrix(matrix: np.ndarray) -> np.ndarray:
     return np.where(matrix > 0.0, np.log2(np.where(matrix > 0.0, matrix, 1.0)), -np.inf)
 
 
-def _ml_index(words: np.ndarray, y: np.ndarray, log_matrix: np.ndarray) -> tuple[int, ...]:
-    """Index into words[..., n] of the word most likely to have produced y.
+def _ml_index(words: np.ndarray, ys: np.ndarray, log_matrix: np.ndarray) -> np.ndarray:
+    """Flat row-major index into words[..., n] of the likeliest word for each row of ys (B, n).
 
-    The per-symbol terms are sorted before summation so that words whose
-    likelihoods agree in exact arithmetic (same multiset of factors) get
-    bit-identical scores; ties go to the lowest row-major index.
+    A word's score sums its per-symbol terms along the contiguous last axis
+    after sorting them, so that words whose likelihoods agree in exact
+    arithmetic (same multiset of factors) get bit-identical scores, and the
+    lowest index wins a tie.  The terms are gathered as flat cells of
+    log_matrix, at most _SCORE_FLOATS of them (and as many cell indices) at
+    a time, but at least one word's n: observations in blocks, and words in
+    tiles whose winners only a strictly higher score in a later tile
+    displaces, so the tiling moves no decision.
     """
-    scores = np.sort(log_matrix[words, y], axis=-1).sum(axis=-1)
-    return tuple(int(i) for i in np.unravel_index(int(np.argmax(scores)), scores.shape))
+    n = words.shape[-1]
+    rows = words.reshape(-1, n) * log_matrix.shape[1]
+    cells = log_matrix.ravel()
+    best = np.full(len(ys), -np.inf)
+    index = np.zeros(len(ys), np.int64)
+    tile = max(_SCORE_FLOATS // n, 1)
+    for w0 in range(0, len(rows), tile):
+        part = rows[w0 : w0 + tile]
+        step = max(_SCORE_FLOATS // part.size, 1)
+        for y0 in range(0, len(ys), step):
+            block = slice(y0, y0 + step)
+            terms = cells[part + ys[block, None, :]]
+            terms.sort(axis=-1)
+            scores = terms.sum(axis=-1)
+            top = scores.argmax(axis=-1)
+            top_scores = scores.max(axis=-1)
+            better = top_scores > best[block]
+            best[block][better] = top_scores[better]
+            index[block][better] = top[better] + w0
+    return index
 
 
 def _check_observation(y: np.ndarray, n: int, ch: DiscreteChannel) -> np.ndarray:
+    """y as an int64 array of shape (n,) or (B, n) inside the channel's output alphabet."""
     seq = np.asarray(y, dtype=np.int64)
-    if seq.shape != (n,):
-        raise DimensionMismatch(f"observation has shape {seq.shape}, expected ({n},)")
+    if seq.ndim not in (1, 2) or seq.shape[-1] != n:
+        raise DimensionMismatch(f"observation has shape {seq.shape}, expected ({n},) or (B, {n})")
     if seq.size and (seq.min() < 0 or seq.max() >= ch.output_size):
         raise ValueError(
             f"observation symbols outside the channel output alphabet [0, {ch.output_size})"
@@ -294,29 +347,34 @@ def _check_observation(y: np.ndarray, n: int, ch: DiscreteChannel) -> np.ndarray
     return seq
 
 
-def decode_rx2(cb: SuperpositionCodebook, y2: np.ndarray, ch_y2_given_u: DiscreteChannel) -> int:
+def decode_rx2(cb: SuperpositionCodebook, y2: np.ndarray, ch_y2_given_u: DiscreteChannel):
     """ML bin estimate for the second receiver, over all cloud words.
 
-    Ties break toward the lowest codeword index (bin-major order).
+    y2 is one observation (n,), decoded to an int, or a batch (B, n),
+    decoded to B estimates.  Ties break toward the lowest codeword index
+    (bin-major order).
     """
     if ch_y2_given_u.input_size != cb.pu.alphabet_size:
         raise DimensionMismatch("composite channel input does not match the cloud alphabet")
     seq = _check_observation(y2, cb.params.n, ch_y2_given_u)
-    return _ml_index(cb.u_words, seq, _log_matrix(ch_y2_given_u.matrix))[0]
+    flat = _ml_index(cb.u_words, seq.reshape(-1, cb.params.n), _log_matrix(ch_y2_given_u.matrix))
+    w2 = flat // cb.params.l2
+    return int(w2[0]) if seq.ndim == 1 else w2
 
 
-def decode_rx1(
-    cb: SuperpositionCodebook, y1: np.ndarray, ch_y1_given_x: DiscreteChannel
-) -> tuple[int, int]:
+def decode_rx1(cb: SuperpositionCodebook, y1: np.ndarray, ch_y1_given_x: DiscreteChannel):
     """Joint ML over all (cloud, satellite) pairs; returns (w1_hat, w2_hat).
 
-    Ties break toward the lexicographically lowest (cloud, satellite) index.
+    y1 is one observation (n,), decoded to two ints, or a batch (B, n),
+    decoded to two arrays of B estimates.  Ties break toward the
+    lexicographically lowest (cloud, satellite) index.
     """
     if ch_y1_given_x.input_size != cb.pxu.output_size:
         raise DimensionMismatch("channel input does not match the transmit alphabet")
     seq = _check_observation(y1, cb.params.n, ch_y1_given_x)
-    w2, _, w1, _ = _ml_index(cb.x_words, seq, _log_matrix(ch_y1_given_x.matrix))
-    return w1, w2
+    flat = _ml_index(cb.x_words, seq.reshape(-1, cb.params.n), _log_matrix(ch_y1_given_x.matrix))
+    w2, _, w1, _ = np.unravel_index(flat, cb.x_words.shape[:4])
+    return (int(w1[0]), int(w2[0])) if seq.ndim == 1 else (w1, w2)
 
 
 def _likelihoods(factors: np.ndarray) -> np.ndarray:
@@ -468,23 +526,31 @@ def build_double_binning(
     )
 
 
-def encode_double_binning(
-    cb: BinningCodebook, w1: int, w2: int, rng: np.random.Generator
-) -> np.ndarray | None:
-    """Encode by picking a jointly typical pair from the selected bins.
+def encode_double_binning(cb: BinningCodebook, w1, w2, rng: np.random.Generator):
+    """x^n for messages w1, w2 (ints, or integer arrays of one shape S) from jointly typical pairs.
 
-    A pair qualifies when the max-norm distance between its empirical
-    joint type and the product target pv1 x pv2 is at most epsilon.  One
-    qualifying pair is drawn uniformly from rng, then x^n per symbol from
-    the pair map.  Returns None, drawing nothing, when no pair qualifies,
-    which is an observable event at small blocklength.
+    A pair (j1, j2) of the selected bins qualifies when the max-norm
+    distance between its empirical joint type and the product target
+    pv1 x pv2 is at most epsilon.  For the message pairs that have one,
+    rng draws every pick, uniform over the qualifying pairs, then the
+    uniforms of every x^n, synthesized per symbol from the pair map.  A
+    message pair with none draws nothing, an observable event at small
+    blocklength: it gets a row of -1 in the S + (n,) result, or None for
+    a single message pair.
     """
-    _check_messages(cb.params, w1, w2)
-    rows = _typical_rows(cb, w1, w2)
-    if len(rows) == 0:
-        return None
-    pair_index = rows[int(rng.integers(len(rows)))]
-    return _sample_conditional(rng, cb.x_map.reshape(-1, cb.x_map.shape[-1]), pair_index)
+    params = cb.params
+    w1, w2 = _check_messages(params, w1, w2)
+    typical = cb.typical[w1, w2]
+    counts = typical.sum(axis=-1)
+    sent = counts > 0
+    picks = rng.integers(counts[sent])
+    # j1 * l2 + j2 of each pick: the first member whose running count exceeds it.
+    member = (typical[sent].cumsum(axis=-1) > picks[:, None]).argmax(axis=-1)
+    j1, j2 = np.divmod(member, params.l2)
+    pairs = cb.v1_words[w1[sent], j1] * cb.pv2.alphabet_size + cb.v2_words[w2[sent], j2]
+    x = np.full(w1.shape + (params.n,), -1, np.int64)
+    x[sent] = _sample_conditional(rng, cb.x_map.reshape(-1, cb.x_map.shape[-1]), pairs)
+    return None if x.ndim == 1 and not sent else x
 
 
 def run_error_experiment(
@@ -497,14 +563,19 @@ def run_error_experiment(
 
     Each trial draws uniform messages, encodes, sends the same x^n through
     both receiver channels with independent noise, and decodes with the ML
-    decoders.  One Generator (_TAG_TRIALS) serves every draw in trial
-    order: w1, w2, the encoder's draws, then y1's noise and y2's.  The
+    decoders.  Trials run in blocks of _TRIAL_BLOCK (the last one shorter),
+    and one Generator (_TAG_TRIALS) serves each block in this order: every
+    w1, every w2, the encoder's draws (superposition: every j2, then every
+    j1; double binning: the pair picks, then the x^n uniforms, of the
+    trials that encode), every y1 noise draw, then every y2 one.  The
     union event counts a trial in which either receiver misses its own
     message.  For double-binning codebooks an encoding failure counts as
     an error at both receivers and is also tallied separately.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials!r}")
+    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
+        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     py1x, py2x = channels
     params = cb.params
     rng = _rng(seed, _TAG_TRIALS)
@@ -523,26 +594,30 @@ def run_error_experiment(
         log_rx2 = _log_matrix(np.einsum("v,vwx,xy->wy", cb.pv1.probs, cb.x_map, py2x.matrix))
 
         def decode(y1, y2):
-            return _ml_index(cb.v1_words, y1, log_rx1)[0], _ml_index(cb.v2_words, y2, log_rx2)[0]
+            return (
+                _ml_index(cb.v1_words, y1, log_rx1) // params.l1,
+                _ml_index(cb.v2_words, y2, log_rx2) // params.l2,
+            )
 
     errors_rx1 = errors_rx2 = errors_union = failures = 0
-    for _ in range(trials):
-        w1 = int(rng.integers(params.m1))
-        w2 = int(rng.integers(params.m2))
+    for start in range(0, trials, _TRIAL_BLOCK):
+        size = min(_TRIAL_BLOCK, trials - start)
+        w1 = rng.integers(params.m1, size=size)
+        w2 = rng.integers(params.m2, size=size)
         x = encode(cb, w1, w2, rng)
-        if x is None:
-            # An encoding failure counts as an error at both receivers.
-            failures += 1
-            w1_hat = w2_hat = -1
-        else:
-            y1 = transmit(x, py1x, rng)
-            y2 = transmit(x, py2x, rng)
-            w1_hat, w2_hat = decode(y1, y2)
+        # An encoding failure (a row of -1) counts as an error at both receivers.
+        sent = x[:, 0] >= 0
+        y1 = transmit(x[sent], py1x, rng)
+        y2 = transmit(x[sent], py2x, rng)
+        w1_hat = np.full(size, -1)
+        w2_hat = np.full(size, -1)
+        w1_hat[sent], w2_hat[sent] = decode(y1, y2)
         err1 = w1_hat != w1
         err2 = w2_hat != w2
-        errors_rx1 += err1
-        errors_rx2 += err2
-        errors_union += err1 or err2
+        errors_rx1 += int(err1.sum())
+        errors_rx2 += int(err2.sum())
+        errors_union += int((err1 | err2).sum())
+        failures += size - int(sent.sum())
 
     return TrialResult(
         trials=trials,

@@ -212,6 +212,17 @@ def posterior_argmax_exact(words_flat, y, matrix) -> int:
     return best_idx
 
 
+def ml_index_per_sequence(words, y, log_matrix) -> int:
+    """Flat index into words[..., n] of the word most likely to have produced one y.
+
+    The library's single-observation scorer before it took batches: the
+    sorted per-symbol terms of every word summed along the last axis, the
+    first maximum winning.  The batched scorer must agree bit for bit.
+    """
+    scores = np.sort(log_matrix[words, y], axis=-1).sum(axis=-1)
+    return int(np.argmax(scores))
+
+
 def frontier_deviation(points_a, points_b) -> float:
     """Max vertical gap between two frontier polylines (sorted by r1)."""
     ax = np.array([p[0] for p in points_a])

@@ -245,14 +245,15 @@ def test_criterion_09_ml_decoder_optimality():
         nonlocal mismatches, outputs_checked
         flat_x = cb.x_words.reshape(-1, n)
         flat_u = cb.u_words.reshape(-1, n)
-        for combo in itertools.product(range(ny), repeat=n):
-            y = np.array(combo)
-            got1 = decode_rx1(cb, y, rx1_channel)
+        # Every output sequence, decoded in one batched call per receiver.
+        ys = np.array(list(itertools.product(range(ny), repeat=n)))
+        got_w1, got_w2 = decode_rx1(cb, ys, rx1_channel)
+        got_bins = decode_rx2(cb, ys, rx2_channel)
+        for y, got1, got2 in zip(ys, zip(got_w1, got_w2), got_bins, strict=True):
             want_flat = posterior_argmax_exact(flat_x, y, rx1_channel.matrix)
             w2, _, w1, _ = np.unravel_index(want_flat, cb.x_words.shape[:4])
             if got1 != (int(w1), int(w2)):
                 mismatches += 1
-            got2 = decode_rx2(cb, y, rx2_channel)
             want2 = posterior_argmax_exact(flat_u, y, rx2_channel.matrix) // cb.params.l2
             if got2 != want2:
                 mismatches += 1

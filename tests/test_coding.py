@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -31,6 +32,7 @@ from bcc_secrecy.coding import (
     _TAG_TRIALS,
     _TAG_V1,
     _TAG_V2,
+    _TRIAL_BLOCK,
     _clopper_pearson,
     _log_matrix,
     _ml_index,
@@ -41,6 +43,7 @@ from oracles import (
     equivocation_digit_table,
     equivocation_binning_direct,
     equivocation_direct,
+    ml_index_per_sequence,
     posterior_argmax_exact,
     sample_iid_searchsorted,
     typical_pair_loop,
@@ -70,6 +73,11 @@ def channel_rng(seed):
 def random_channel(rng, n_in, n_out):
     m = rng.random((n_in, n_out)) + 0.05
     return DiscreteChannel(m / m.sum(axis=1, keepdims=True))
+
+
+def all_outputs(size, n):
+    """Every sequence of n symbols from [0, size), one per row."""
+    return np.array(list(itertools.product(range(size), repeat=n)), dtype=np.int64).reshape(-1, n)
 
 
 class TestSampler:
@@ -248,6 +256,23 @@ class TestEncodeSuperposition:
             out = encode_superposition(cb, 1, 0, encode_rng(s))
             assert np.array_equal(out, cb.x_words[0, j2, 1, j1])
 
+    def test_batch_draws_every_cloud_member_then_every_satellite_member(self):
+        params = CodeParams(n=4, m1=2, m2=3, l1=3, l2=5, seed=8)
+        cb = build_superposition(params, Pmf.uniform(2), BSC(0.3))
+        w1, w2 = np.array([[1, 0, 1], [0, 0, 1]]), np.array([[2, 0, 1], [1, 2, 0]])
+        rng = encode_rng(6)
+        j2, j1 = rng.integers(5, size=(2, 3)), rng.integers(3, size=(2, 3))
+        out = encode_superposition(cb, w1, w2, encode_rng(6))
+        assert out.shape == (2, 3, 4)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(out[idx], cb.x_words[w2[idx], j2[idx], w1[idx], j1[idx]])
+
+    def test_messages_must_be_integers_of_one_shape(self, codebook):
+        with pytest.raises(DimensionMismatch):
+            encode_superposition(codebook, np.array([0, 1]), np.array([0]), encode_rng(0))
+        with pytest.raises(ValueError, match="integers"):
+            encode_superposition(codebook, np.array([0.0]), np.array([0]), encode_rng(0))
+
 
 class TestTransmit:
     def test_identity_channel_is_lossless(self):
@@ -337,8 +362,25 @@ class TestDecoding:
             w2, _, w1, _ = np.unravel_index(flat_idx, cb.x_words.shape[:4])
             assert got == (int(w1), int(w2))
 
+    def test_batch_matches_single_observations(self):
+        rng = np.random.default_rng(78)
+        params = CodeParams(n=4, m1=3, m2=2, l1=2, l2=3, seed=14)
+        cb = build_superposition(params, Pmf.uniform(2), random_channel(rng, 2, 3))
+        ch1, ch2 = random_channel(rng, 3, 3), random_channel(rng, 2, 3)
+        ys = all_outputs(3, 4)
+        w1_hat, w2_hat = decode_rx1(cb, ys, ch1)
+        bins = decode_rx2(cb, ys, ch2)
+        assert w1_hat.shape == w2_hat.shape == bins.shape == (81,)
+        for y, a, b, c in zip(ys, w1_hat, w2_hat, bins, strict=True):
+            assert decode_rx1(cb, y, ch1) == (a, b)
+            assert decode_rx2(cb, y, ch2) == c
+        empty = np.zeros((0, 4), dtype=np.int64)
+        assert [len(hat) for hat in (*decode_rx1(cb, empty, ch1), decode_rx2(cb, empty, ch2))] == [0] * 3
+
     def test_dimension_checks(self):
         cb = build_superposition(small_params(), Pmf.uniform(2), BSC(0.1))
+        with pytest.raises(DimensionMismatch):
+            decode_rx2(cb, np.zeros((2, 2, 3), dtype=int), BSC(0.1))  # one batch axis at most
         with pytest.raises(DimensionMismatch):
             decode_rx2(cb, np.array([0, 1]), BSC(0.1))  # wrong length
         with pytest.raises(ValueError):
@@ -350,6 +392,58 @@ def assert_matches(report, expected):
     # so the fields agree with the digit-table oracle to rounding, not bits.
     got = (report.re1, report.re2, report.re12, *report.gaps)
     assert got == pytest.approx(expected, abs=1e-13, rel=0)
+
+
+class TestBatchedScorer:
+    """_ml_index against the per-sequence scorer, compared with ==."""
+
+    @staticmethod
+    def assert_matches_per_sequence(words, ys, log_matrix):
+        got = _ml_index(words, ys, log_matrix)
+        want = [ml_index_per_sequence(words, y, log_matrix) for y in ys]
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_random_codebooks(self, size):
+        rng = np.random.default_rng(900 + size)
+        for n in (1, 2, 5, 8, 9, 12, 17):
+            shape = tuple(int(d) for d in rng.integers(1, 4, size=int(rng.integers(1, 5))))
+            words = rng.integers(size, size=(*shape, n))
+            matrix = random_channel(rng, size, int(rng.integers(2, 4))).matrix
+            ys = rng.integers(matrix.shape[1], size=(int(rng.integers(1, 700)), n))
+            self.assert_matches_per_sequence(words, ys, _log_matrix(matrix))
+
+    def test_channels_with_zero_entries(self):
+        rng = np.random.default_rng(911)
+        for size, outputs in ((2, 2), (3, 3), (3, 2)):
+            matrix = rng.random((size, outputs)) * (rng.random((size, outputs)) < 0.6)
+            matrix[np.arange(size), rng.integers(outputs, size=size)] += 0.5
+            matrix /= matrix.sum(axis=1, keepdims=True)
+            log_matrix = _log_matrix(matrix)
+            assert np.isneginf(log_matrix).any()
+            words = rng.integers(size, size=(4, 3, 6))
+            self.assert_matches_per_sequence(words, all_outputs(outputs, 6), log_matrix)
+
+    def test_bsc_ties_across_bins(self):
+        params = CodeParams(n=6, m1=1, m2=4, l1=1, l2=3, seed=33)
+        cb = build_superposition(params, Pmf.uniform(2), DiscreteChannel.identity(2))
+        ys = all_outputs(2, 6)
+        assert sum(hamming_tie_across_bins(cb.u_words, y) for y in ys) > 0
+        for p in (0.05, 0.25):
+            self.assert_matches_per_sequence(cb.u_words, ys, _log_matrix(BSC(p).matrix))
+
+    @pytest.mark.parametrize("cap", [1, 5, 6, 7, 13, 47])
+    def test_scoring_blocks_move_no_decision(self, monkeypatch, cap):
+        rng = np.random.default_rng(925)
+        monkeypatch.setattr(coding, "_SCORE_FLOATS", cap)
+        ties = build_superposition(
+            CodeParams(n=6, m1=1, m2=4, l1=1, l2=3, seed=33), Pmf.uniform(2), BSC(0.1)
+        ).u_words
+        self.assert_matches_per_sequence(ties, all_outputs(2, 6), _log_matrix(BSC(0.25).matrix))
+        words = rng.integers(3, size=(3, 4, 5))
+        matrix = random_channel(rng, 3, 3).matrix.copy()
+        matrix[0, 1] = 0.0
+        self.assert_matches_per_sequence(words, all_outputs(3, 5), _log_matrix(matrix))
 
 
 class TestExactEquivocation:
@@ -674,6 +768,37 @@ class TestDoubleBinning:
                     expected = _sample_conditional(pick, x_map.reshape(a1 * a2, -1), pair_index)
                     assert np.array_equal(got, expected)
 
+    def test_batch_draws_picks_then_uniforms_for_encodable_pairs_only(self):
+        params = CodeParams(n=6, m1=2, m2=2, l1=3, l2=3, seed=32)
+        cb = build_double_binning(
+            params, Pmf.uniform(2), Pmf.uniform(2), TestDoubleBinningDecoding.X_MAP, 0.2
+        )
+        encodable = cb.typical.any(axis=2)
+        assert encodable.any() and not encodable.all()
+        w1, w2 = np.array([0, 1, 1, 0, 1, 0, 0]), np.array([1, 0, 1, 0, 1, 1, 0])
+        sent = encodable[w1, w2]
+        assert sent.any() and not sent.all()
+        out = encode_double_binning(cb, w1, w2, encode_rng(12))
+        assert out.shape == (7, 6) and np.all(out[~sent] == -1)
+        rng = encode_rng(12)
+        counts = cb.typical[w1[sent], w2[sent]].sum(axis=1)
+        picks = rng.integers(counts)
+        pairs = []
+        for a, b, pick in zip(w1[sent], w2[sent], picks):
+            qualifying = typical_pair_loop(
+                cb.v1_words, cb.v2_words, cb.pv1.probs, cb.pv2.probs, cb.epsilon, a, b
+            )
+            j1, j2 = qualifying[pick]
+            pairs.append(cb.v1_words[a, j1] * 2 + cb.v2_words[b, j2])
+        expected = _sample_conditional(rng, cb.x_map.reshape(4, 2), np.array(pairs))
+        assert np.array_equal(out[sent], expected)
+        # Pairs that cannot encode draw nothing.
+        rng = encode_rng(12)
+        failed = np.flatnonzero(~encodable.ravel())[0]
+        out = encode_double_binning(cb, np.full(3, failed // 2), np.full(3, failed % 2), rng)
+        assert np.all(out == -1)
+        assert rng.random() == encode_rng(12).random()
+
     def test_message_range_checked(self):
         params = small_params()
         x_map = np.tile(np.array([0.5, 0.5]), (2, 2, 1))
@@ -816,11 +941,10 @@ class TestDoubleBinningDecoding:
         cb = build_double_binning(params, Pmf.uniform(2), Pmf.uniform(2), self.X_MAP, 0.5)
         composite = BSC(0.25).matrix
         flat = cb.v1_words.reshape(-1, 5)
+        ys = all_outputs(2, 5)
         ties = 0
-        for idx in range(2**5):
-            y = np.array([(idx >> i) & 1 for i in range(5)])
-            want = np.unravel_index(posterior_argmax_exact(flat, y, composite), (4, 3))
-            assert _ml_index(cb.v1_words, y, _log_matrix(composite)) == want
+        for y, got in zip(ys, _ml_index(cb.v1_words, ys, _log_matrix(composite)), strict=True):
+            assert got == posterior_argmax_exact(flat, y, composite)
             ties += hamming_tie_across_bins(cb.v1_words, y)
         assert ties > 0
 
@@ -837,39 +961,40 @@ class TestDoubleBinningDecoding:
         calls, encodes = [], []
         ml_index, encode = coding._ml_index, coding.encode_double_binning
 
-        def recording_ml_index(words, y, log_matrix):
-            calls.append((words, np.array(y), log_matrix, ml_index(words, y, log_matrix)))
+        def recording_ml_index(words, ys, log_matrix):
+            calls.append((words, np.array(ys), log_matrix, ml_index(words, ys, log_matrix)))
             return calls[-1][-1]
 
         def recording_encode(cb, w1, w2, rng):
-            encodes.append((w1, w2, encode(cb, w1, w2, rng)))
+            encodes.append((np.array(w1), np.array(w2), encode(cb, w1, w2, rng)))
             return encodes[-1][-1]
 
         monkeypatch.setattr(coding, "_ml_index", recording_ml_index)
         monkeypatch.setattr(coding, "encode_double_binning", recording_encode)
-        result = run_error_experiment(cb, (py1x, py2x), trials=150, seed=5)
+        # Two blocks, the second short.
+        trials = _TRIAL_BLOCK + 44
+        result = run_error_experiment(cb, (py1x, py2x), trials=trials, seed=5)
 
-        sent = [(w1, w2) for w1, w2, x in encodes if x is not None]
-        assert len(encodes) == 150 and len(calls) == 2 * len(sent)
-        errors = [0, 0, 0]
+        w1, w2, x = (np.concatenate(parts) for parts in zip(*encodes))
+        sent = x[:, 0] >= 0
+        assert len(w1) == trials and len(calls) == 2 * len(encodes)
+        hats = []
         ties = 0
-        for (w1, w2), rx1, rx2 in zip(sent, calls[0::2], calls[1::2]):
-            hats = []
-            for (words, y, log_matrix, got), composite in zip((rx1, rx2), composites):
+        for calls_k, composite in zip((calls[0::2], calls[1::2]), composites):
+            hats_k = []
+            for words, ys, log_matrix, got in calls_k:
                 assert np.array_equal(log_matrix, np.log2(composite))
                 flat = words.reshape(-1, params.n)
-                flat_idx = posterior_argmax_exact(flat, y, composite)
-                want = np.unravel_index(flat_idx, words.shape[:2])
-                assert got == want
-                hats.append(got[0])
-                ties += hamming_tie_across_bins(words, y)
-            errors[0] += hats[0] != w1
-            errors[1] += hats[1] != w2
-            errors[2] += hats[0] != w1 or hats[1] != w2
-        failures = 150 - len(sent)
+                for y, index in zip(ys, got, strict=True):
+                    assert index == posterior_argmax_exact(flat, y, composite)
+                    hats_k.append(index // words.shape[1])
+                    ties += hamming_tie_across_bins(words, y)
+            hats.append(np.array(hats_k))
+        err1, err2 = hats[0] != w1[sent], hats[1] != w2[sent]
+        failures = trials - int(sent.sum())
         assert result.encoding_failures == failures
         assert [result.errors_rx1, result.errors_rx2, result.errors_union] == [
-            e + failures for e in errors
+            int(e.sum()) + failures for e in (err1, err2, err1 | err2)
         ]
         assert ties > 0
 
@@ -945,6 +1070,43 @@ class TestRunErrorExperiment:
         with pytest.raises(ValueError):
             run_error_experiment(cb, (BSC(0.1), BSC(0.1)), trials=0, seed=0)
 
+    @pytest.mark.parametrize("trials", [True, 2.5, 3.0, "3", np.int64(3)])
+    def test_trials_must_be_an_int(self, trials):
+        cb = build_superposition(small_params(), Pmf.uniform(2), BSC(0.1))
+        with pytest.raises(ValueError, match="trials must be a positive integer"):
+            run_error_experiment(cb, (BSC(0.1), BSC(0.1)), trials=trials, seed=0)
+
+    @pytest.mark.parametrize("seed", [True, 1.7, "1", None])
+    def test_seed_must_be_an_int(self, seed):
+        cb = build_superposition(small_params(), Pmf.uniform(2), BSC(0.1))
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            run_error_experiment(cb, (BSC(0.1), BSC(0.1)), trials=5, seed=seed)
+
+    def test_counts_are_python_ints(self):
+        _, binning = trial_codebooks()
+        result = run_error_experiment(binning, (BSC(0.1), BSC(0.2)), trials=300, seed=2)
+        assert result.encoding_failures > 0
+        for name in ("trials", "errors_rx1", "errors_rx2", "errors_union", "encoding_failures"):
+            assert type(getattr(result, name)) is int, name
+
+    def test_peak_memory_is_bounded_and_flat_in_trials(self):
+        # The trials benchmark's superposition shape: n=12, m = l = 4.
+        params = CodeParams(n=12, m1=4, m2=4, l1=4, l2=4, seed=3)
+        cb = build_superposition(params, Pmf.uniform(2), BSC(0.15))
+        peaks = []
+        for trials in (1000, 20_000):
+            tracemalloc.start()
+            try:
+                run_error_experiment(cb, (BSC(0.05), BSC(0.14)), trials=trials, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # Blocks of _TRIAL_BLOCK trials, _SCORE_FLOATS scoring terms and
+        # _TAIL_TERMS interval terms keep every buffer a fixed size.
+        assert max(peaks) < 2**20
+        # 20x the trials may not raise the peak beyond allocator noise (16 KiB).
+        assert peaks[1] <= peaks[0] + 2**14, peaks
+
 
 def trial_codebooks():
     """One codebook per scheme; the double-binning one fails to encode now and then."""
@@ -991,34 +1153,37 @@ class TestTrialStream:
 
         def binning_decode(cb, y1, y2):
             hats = []
-            for words, y, composite in zip((cb.v1_words, cb.v2_words), (y1, y2), composites):
-                flat = posterior_argmax_exact(words.reshape(-1, cb.params.n), y, composite)
-                hats.append(flat // words.shape[1])
-            return tuple(hats)
+            for words, ys, composite in zip((cb.v1_words, cb.v2_words), (y1, y2), composites):
+                flat = words.reshape(-1, cb.params.n)
+                hats.append([posterior_argmax_exact(flat, y, composite) // words.shape[1] for y in ys])
+            return hats
 
         schemes = (
             (superposition, encode_superposition,
              lambda cb, y1, y2: (decode_rx1(cb, y1, py1x)[0], decode_rx2(cb, y2, rx2_given_u))),
             (binning, encode_double_binning, binning_decode),
         )
+        # Two blocks, the second short.
+        trials = _TRIAL_BLOCK + 45
         for cb, encode, decode in schemes:
             rng = _rng(17, _TAG_TRIALS)
             errors = [0, 0, 0, 0]
-            for _ in range(200):
-                w1 = int(rng.integers(cb.params.m1))
-                w2 = int(rng.integers(cb.params.m2))
+            for start in range(0, trials, _TRIAL_BLOCK):
+                size = min(_TRIAL_BLOCK, trials - start)
+                w1 = rng.integers(cb.params.m1, size=size)
+                w2 = rng.integers(cb.params.m2, size=size)
                 x = encode(cb, w1, w2, rng)
-                if x is None:
-                    errors[3] += 1
-                    hats = (-1, -1)
-                else:
-                    y1 = transmit(x, py1x, rng)
-                    y2 = transmit(x, py2x, rng)
-                    hats = decode(cb, y1, y2)
-                errors[0] += hats[0] != w1
-                errors[1] += hats[1] != w2
-                errors[2] += hats != (w1, w2)
-            result = run_error_experiment(cb, self.CHANNELS, trials=200, seed=17)
+                sent = x[:, 0] >= 0
+                y1 = transmit(x[sent], py1x, rng)
+                y2 = transmit(x[sent], py2x, rng)
+                hats = np.full((2, size), -1)
+                hats[:, sent] = decode(cb, y1, y2)
+                err1, err2 = hats[0] != w1, hats[1] != w2
+                errors[0] += int(err1.sum())
+                errors[1] += int(err2.sum())
+                errors[2] += int((err1 | err2).sum())
+                errors[3] += size - int(sent.sum())
+            result = run_error_experiment(cb, self.CHANNELS, trials=trials, seed=17)
             got = [result.errors_rx1, result.errors_rx2, result.errors_union]
             assert got + [result.encoding_failures] == errors
             # The binning replay must cross encoding failures, which draw nothing.
