@@ -104,12 +104,6 @@ class Pmf:
     def uniform(cls, k: int) -> "Pmf":
         return cls(np.full(k, 1.0 / k))
 
-    @classmethod
-    def point_mass(cls, k: int, index: int) -> "Pmf":
-        probs = np.zeros(k)
-        probs[index] = 1.0
-        return cls(probs)
-
 
 @dataclass(frozen=True)
 class DiscreteChannel:
@@ -133,21 +127,11 @@ class DiscreteChannel:
         return self.matrix.shape[1]
 
     @classmethod
-    def identity(cls, k: int) -> "DiscreteChannel":
-        return cls(np.eye(k))
-
-    @classmethod
     def binary_symmetric(cls, crossover: float) -> "DiscreteChannel":
         p = float(crossover)
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"crossover probability {p!r} outside [0, 1]")
         return cls(np.array([[1.0 - p, p], [p, 1.0 - p]]))
-
-    @classmethod
-    def constant_rows(cls, row, n_inputs: int) -> "DiscreteChannel":
-        """Channel whose output ignores the input (every row equals `row`)."""
-        r = np.asarray(row, dtype=np.float64)
-        return cls(np.tile(r, (n_inputs, 1)))
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,7 @@ from .regions import (
     DEFAULT_BUDGET,
     DEFAULT_RESOLUTION,
     GaussianParams,
+    _check_budget,
     degraded_rate_terms,
     degraded_region_inner,
     gaussian_region_point,
@@ -72,6 +73,7 @@ def region_gaussian(power, n1, n2, n3, alphas, out):
     """Closed-form Gaussian region, one CSV row per alpha (pre-Pareto)."""
     if alphas < 2:
         raise click.UsageError("--alphas must be at least 2")
+    _check_budget(alphas, DEFAULT_BUDGET, f"{alphas} alphas")
     g = GaussianParams(power=power, n1=n1, n2=n2, n3=n3)
     grid = np.linspace(0.0, 1.0, alphas)
     rows = np.column_stack([grid, *gaussian_region_point(g, grid)]).tolist()

@@ -535,8 +535,8 @@ def encode_double_binning(cb: BinningCodebook, w1, w2, rng: np.random.Generator)
     rng draws every pick, uniform over the qualifying pairs, then the
     uniforms of every x^n, synthesized per symbol from the pair map.  A
     message pair with none draws nothing, an observable event at small
-    blocklength: it gets a row of -1 in the S + (n,) result, or None for
-    a single message pair.
+    blocklength: it gets a row of -1 in the S + (n,) result, a single
+    message pair included.
     """
     params = cb.params
     w1, w2 = _check_messages(params, w1, w2)
@@ -550,7 +550,7 @@ def encode_double_binning(cb: BinningCodebook, w1, w2, rng: np.random.Generator)
     pairs = cb.v1_words[w1[sent], j1] * cb.pv2.alphabet_size + cb.v2_words[w2[sent], j2]
     x = np.full(w1.shape + (params.n,), -1, np.int64)
     x[sent] = _sample_conditional(rng, cb.x_map.reshape(-1, cb.x_map.shape[-1]), pairs)
-    return None if x.ndim == 1 and not sent else x
+    return x
 
 
 def run_error_experiment(

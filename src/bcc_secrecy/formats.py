@@ -196,10 +196,14 @@ def parse_experiment(data: dict, base_dir: Path | None = None) -> ExperimentConf
 
 def _atomic_write(path: str | Path, text: str) -> None:
     target = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=target.parent or Path("."), prefix=f".{target.name}.")
+    fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # mkstemp creates the file 0600; give it the mode a plain open would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp_name, 0o666 & ~umask)
         os.replace(tmp_name, target)
     except BaseException:
         os.unlink(tmp_name)

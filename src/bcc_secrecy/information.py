@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .channels import DimensionMismatch, DiscreteChannel, Pmf
@@ -18,21 +16,6 @@ def entropy_last_axis(probs: np.ndarray) -> np.ndarray:
     p = np.asarray(probs, dtype=np.float64)
     terms = np.where(p > 0.0, p * np.log2(np.where(p > 0.0, p, 1.0)), 0.0)
     return -terms.sum(axis=-1)
-
-
-def entropy(p: Pmf) -> float:
-    """Entropy of a validated pmf, clamped into [0, log2 alphabet_size]."""
-    h = float(entropy_last_axis(p.probs))
-    return min(max(h, 0.0), math.log2(p.alphabet_size))
-
-
-def binary_entropy(p: float) -> float:
-    """Entropy of a Bernoulli(p) bit."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability {p!r} outside [0, 1]")
-    if p in (0.0, 1.0):
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
 
 
 def mutual_information(input_dist: Pmf, ch: DiscreteChannel) -> float:

@@ -8,9 +8,9 @@ Four computations are provided, all in bits per channel use:
   r1 + r2 <= S}; its two dominant corners are collected and hulled.
 * ``degraded_region_inner``: the layered (cloud/satellite) region for
   degraded channels, driven by a single auxiliary U.
-* ``gaussian_region_point`` / ``gaussian_region_sweep``: the closed-form
-  power-split region for the additive-Gaussian family, parameterized by
-  the fraction ``alpha`` of power spent on the first receiver's layer.
+* ``gaussian_region_point``: the closed-form power-split region for the
+  additive-Gaussian family, parameterized by the fraction ``alpha`` of
+  power spent on the first receiver's layer.
 * ``wiretap_secrecy_capacity``: max I(V;Y) - I(V;Z), evaluated as
   max_p [phi(p) - vex phi(p)] with phi(q) = H(qW_Y) - H(qW_Z): one lower
   convex hull over the gridded rows P(x|v), so P(v) and |V| need no grid.
@@ -71,24 +71,12 @@ class RatePoint(NamedTuple):
 class RegionFrontier:
     """Pareto-maximal boundary of a rate region, sorted by r1 ascending.
 
-    When ``hulled`` is true the points, together with the origin and the
-    axis feet (max r1, 0) and (0, max r2), are in convex position: the
-    region is their convex hull, closed downward (time sharing included).
+    The points, together with the origin and the axis feet (max r1, 0) and
+    (0, max r2), are in convex position: the region is their convex hull,
+    closed downward (time sharing included).
     """
 
     points: list[RatePoint]
-    hulled: bool
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[p.r1, p.r2] for p in self.points], dtype=np.float64)
-
-    @property
-    def max_r1(self) -> float:
-        return max(p.r1 for p in self.points)
-
-    @property
-    def max_r2(self) -> float:
-        return max(p.r2 for p in self.points)
 
 
 @dataclass(frozen=True)
@@ -148,19 +136,6 @@ def gaussian_region_point(g: GaussianParams, alpha: float | np.ndarray) -> RateP
     return RatePoint(r1, r2)
 
 
-def gaussian_region_sweep(g: GaussianParams, num_alphas: int = 101) -> RegionFrontier:
-    """Evaluate the closed form on a uniform alpha grid and Pareto-filter.
-
-    The grid {0, 1/(k-1), ..., 1} always contains both endpoints.  No
-    convex hull is applied (the closed-form frontier is already concave).
-    """
-    if num_alphas < 2:
-        raise ValueError(f"num_alphas must be at least 2, got {num_alphas!r}")
-    points = np.column_stack(gaussian_region_point(g, np.linspace(0.0, 1.0, num_alphas)))
-    front = _pareto(points)
-    return RegionFrontier(points=[RatePoint(float(x), float(y)) for x, y in front], hulled=False)
-
-
 def _pareto(arr: np.ndarray) -> np.ndarray:
     """Deduplicated Pareto-maximal points, sorted by r1 ascending.
 
@@ -202,7 +177,7 @@ def upper_right_hull(points: Sequence[RatePoint] | np.ndarray) -> RegionFrontier
         while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
             chain.pop()
         chain.append(p)
-    return RegionFrontier(points=[RatePoint(x, y) for x, y in chain[-2::-1]], hulled=True)
+    return RegionFrontier(points=[RatePoint(x, y) for x, y in chain[-2::-1]])
 
 
 def _grid_steps(resolution: float) -> int:

@@ -18,6 +18,15 @@ def entropy_direct(probs) -> float:
     return -math.fsum(p * math.log2(p) for p in probs if p > 0.0)
 
 
+def binary_entropy(p: float) -> float:
+    """Entropy of a Bernoulli(p) bit."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability {p!r} outside [0, 1]")
+    if p in (0.0, 1.0):
+        return 0.0
+    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+
+
 def mi_direct(px, matrix) -> float:
     """I(X;Y) straight from the joint-sum definition."""
     matrix = np.asarray(matrix, dtype=float)

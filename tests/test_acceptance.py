@@ -15,7 +15,6 @@ from bcc_secrecy import (
     DiscreteChannel,
     GaussianParams,
     Pmf,
-    binary_entropy,
     build_superposition,
     capacity_fn,
     cascade,
@@ -33,6 +32,7 @@ from bcc_secrecy import (
     wiretap_secrecy_capacity,
 )
 from oracles import (
+    binary_entropy,
     equivocation_direct,
     frontier_deviation,
     marton_corners_direct,
@@ -97,7 +97,7 @@ def test_criterion_03_eavesdropper_removal_limit():
 def test_criterion_04_marton_reduction():
     py1x = BSC(0.1)
     py2x = DiscreteChannel([[0.8, 0.2], [0.3, 0.7]])
-    pzx = DiscreteChannel.constant_rows([0.5, 0.5], 2)
+    pzx = DiscreteChannel(np.full((2, 2), 0.5))
     frontier = general_inner_bound(py1x, py2x, pzx, resolution=0.1)
 
     points = [(0.0, 0.0)]
@@ -189,7 +189,7 @@ def test_criterion_07_exact_equivocation_oracle():
     assert checked == 50
     assert worst <= 1e-12, worst
 
-    uninformative = DiscreteChannel.constant_rows([0.5, 0.5], 2)
+    uninformative = DiscreteChannel(np.full((2, 2), 0.5))
     params = CodeParams(n=3, m1=2, m2=2, l1=2, l2=2, seed=99)
     cb = build_superposition(params, Pmf.uniform(2), BSC(0.1))
     assert exact_equivocation(cb, uninformative).gaps == (0.0, 0.0, 0.0)
@@ -277,7 +277,7 @@ def test_criterion_09_ml_decoder_optimality():
 
     # degenerate codebook: identical cloud words force ties everywhere
     params = CodeParams(n=3, m1=2, m2=2, l1=2, l2=2, seed=41)
-    cb = build_superposition(params, Pmf.point_mass(2, 0), BSC(0.2))
+    cb = build_superposition(params, Pmf((1.0, 0.0)), BSC(0.2))
     check_instance(cb, random_channel(rng, 2, 2), random_channel(rng, 2, 2), 3, 2)
 
     # the 2^12 output ceiling

@@ -15,7 +15,6 @@ from bcc_secrecy import (
     InvalidDistribution,
     NegativeEntry,
     Pmf,
-    binary_entropy,
     build_double_binning,
     degraded_rate_pair,
     degraded_rate_terms,
@@ -31,8 +30,9 @@ from bcc_secrecy.formats import (
     parse_experiment,
     read_frontier_csv,
     write_csv,
+    write_json,
 )
-from oracles import cmi_direct, equivocation_binning_direct
+from oracles import binary_entropy, cmi_direct, equivocation_binning_direct
 
 BSC = DiscreteChannel.binary_symmetric
 
@@ -161,6 +161,26 @@ class TestCsv:
         write_csv(tmp_path / "out.csv", ["a"], [[1.0]])
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
 
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_mode_is_what_a_plain_open_gives(self, tmp_path, umask):
+        # The temporary file starts as 0600 whatever the umask.
+        old = os.umask(umask)
+        try:
+            write_csv(tmp_path / "out.csv", ["a"], [[1.0]])
+            write_json(tmp_path / "out.json", {"a": 1})
+            (tmp_path / "plain").write_text("")
+        finally:
+            os.umask(old)
+        plain = (tmp_path / "plain").stat().st_mode & 0o777
+        assert plain == 0o666 & ~umask
+        for name in ("out.csv", "out.json"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == plain, name
+
+    def test_bare_file_name_goes_to_the_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        write_csv("out.csv", ["a"], [[1.0]])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+
     def test_malformed_csv_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1.0,zap\n")
@@ -252,6 +272,18 @@ class TestCliRegionGaussian:
         out.write_text("\n".join(lines) + "\n")
         assert run(["check", "frontier", "--file", str(out), *args]) == 3
         assert capsys.readouterr().err.endswith("alpha must lie in [0, 1], got 1.25\n")
+
+    def test_alphas_capped_by_the_default_budget(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "g.csv"
+        args = ["region", "gaussian", "--power", "1", "--n1", "0.25", "--n2", "0.5", "--n3", "1"]
+        assert run([*args, "--alphas", "5000001", "--out", str(out)]) == 4
+        assert "5000001 alphas exceed budget 5000000" in capsys.readouterr().err
+        assert not out.exists()
+        monkeypatch.setattr(cli, "DEFAULT_BUDGET", 3)
+        assert run([*args, "--alphas", "4", "--out", str(out)]) == 4
+        assert not out.exists()
+        assert run([*args, "--alphas", "3", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 4
 
     def test_invalid_params_exit_3(self, tmp_path):
         code = run(

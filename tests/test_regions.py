@@ -21,7 +21,6 @@ from bcc_secrecy import (
     degraded_rate_pair,
     degraded_region_inner,
     gaussian_region_point,
-    gaussian_region_sweep,
     general_inner_bound,
     general_rate_corners,
     general_rate_terms,
@@ -31,8 +30,10 @@ from bcc_secrecy import (
     upper_right_hull,
     wiretap_secrecy_capacity,
 )
+from bcc_secrecy.cli import run
 from bcc_secrecy.regions import _composition_blocks, _compositions, _lower_facets, _wiretap_phi
 from oracles import (
+    binary_entropy,
     cmi_direct,
     degraded_rates_direct,
     frontier_deviation,
@@ -49,7 +50,7 @@ CANONICAL = GaussianParams(power=1.0, n1=0.25, n2=0.5, n3=1.0)
 
 
 def uninformative(n_inputs, row=(0.5, 0.5)):
-    return DiscreteChannel.constant_rows(row, n_inputs)
+    return DiscreteChannel(np.tile(row, (n_inputs, 1)))
 
 
 def bits(points):
@@ -187,9 +188,14 @@ class TestGaussianRegionPoint:
             assert abs(err) <= 1e-12
 
 
+def gaussian_sweep(g, num_alphas):
+    """Hull of the closed form on the alpha grid that `region gaussian` writes."""
+    return upper_right_hull(np.column_stack(gaussian_region_point(g, np.linspace(0, 1, num_alphas))))
+
+
 class TestGaussianRegionSweep:
     def test_two_alphas_give_endpoints(self):
-        frontier = gaussian_region_sweep(CANONICAL, 2)
+        frontier = gaussian_sweep(CANONICAL, 2)
         assert frontier.points == [
             gaussian_region_point(CANONICAL, 0.0),
             gaussian_region_point(CANONICAL, 1.0),
@@ -199,22 +205,24 @@ class TestGaussianRegionSweep:
         g = GaussianParams(1.0, 0.25, 1.0, 1.0)
         for alpha in np.linspace(0, 1, 21):
             assert gaussian_region_point(g, float(alpha)).r2 == 0.0
-        frontier = gaussian_region_sweep(g, 21)
+        frontier = gaussian_sweep(g, 21)
         assert all(p.r2 == 0.0 for p in frontier.points)
 
     def test_all_noise_equal_collapses_to_origin(self):
         g = GaussianParams(1.0, 1.0, 1.0, 1.0)
-        assert gaussian_region_sweep(g, 21).points == [RatePoint(0.0, 0.0)]
+        assert gaussian_sweep(g, 21).points == [RatePoint(0.0, 0.0)]
 
     def test_frontier_contains_midpoint(self):
-        frontier = gaussian_region_sweep(CANONICAL, 101)
+        frontier = gaussian_sweep(CANONICAL, 101)
         match = [p for p in frontier.points if abs(p.r1 - 0.5) < 1e-9]
         assert match and abs(match[0].r2 - 0.0849625007211562) < 1e-9
 
     def test_pareto_invariant(self):
-        frontier = gaussian_region_sweep(CANONICAL, 101)
+        frontier = gaussian_sweep(CANONICAL, 101)
         pts = frontier.points
         assert all(a.r1 < b.r1 and a.r2 > b.r2 for a, b in zip(pts, pts[1:]))
+        # The closed form is strictly concave in alpha: the hull keeps every grid point.
+        assert len(pts) == 101
 
     def test_eavesdropper_monotonicity(self):
         weaker_eve = GaussianParams(1.0, 0.25, 0.5, 4.0)
@@ -224,16 +232,19 @@ class TestGaussianRegionSweep:
             assert relaxed.r1 >= base.r1 - 1e-15
             assert relaxed.r2 >= base.r2 - 1e-15
 
-    def test_num_alphas_validated(self):
-        with pytest.raises(ValueError):
-            gaussian_region_sweep(CANONICAL, 1)
+    def test_num_alphas_validated(self, tmp_path):
+        out = tmp_path / "g.csv"
+        args = ["region", "gaussian", "--power", "1", "--n1", "0.25", "--n2", "0.5", "--n3", "1"]
+        assert run([*args, "--alphas", "1", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert run([*args, "--alphas", "2", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 3
 
 
 class TestUpperRightHull:
     def test_two_extreme_points_survive(self):
         frontier = upper_right_hull([RatePoint(1, 0), RatePoint(0, 1)])
         assert frontier.points == [RatePoint(0, 1), RatePoint(1, 0)]
-        assert frontier.hulled
 
     def test_dominated_point_removed(self):
         frontier = upper_right_hull([RatePoint(1, 1), RatePoint(0.5, 0.5)])
@@ -447,7 +458,7 @@ class TestDegradedRegion:
     def test_clamp_soundness(self):
         # emitted point is the coordinatewise max of the raw formulas and 0
         pu = Pmf((0.5, 0.5))
-        pxu = DiscreteChannel.identity(2)  # raw r1 is slightly negative here
+        pxu = DiscreteChannel(np.eye(2))  # raw r1 is slightly negative here
         py1x, py2x, pzx = DEGRADED
         point = degraded_rate_pair(pu, pxu, py1x, py2x, pzx)
         joint_uxy1 = np.einsum("u,ux,xy->uxy", pu.probs, pxu.matrix, py1x.matrix)
@@ -546,7 +557,7 @@ class TestGeneralInnerBound:
         py1x, pzx = BSC(0.1), BSC(0.2)
         frontier = general_inner_bound(py1x, uninformative(2), pzx, resolution=0.1)
         # with deterministic maps on both sides the embeddings coincide
-        best_r1 = frontier.max_r1
+        best_r1 = max(p.r1 for p in frontier.points)
         rates = []
         for pv in simplex_grid(2, 10):
             for assignment in ((0, 0), (0, 1), (1, 0), (1, 1)):
@@ -560,8 +571,7 @@ class TestGeneralInnerBound:
         py1x, py2x, pzx = DEGRADED
         general = general_inner_bound(py1x, py2x, pzx, resolution=0.1)
         layered = degraded_region_inner(py1x, py2x, pzx, resolution=0.02, u_card=2)
-        xs = layered.as_array()[:, 0]
-        ys = layered.as_array()[:, 1]
+        xs, ys = np.array(layered.points).T
         env_x = np.concatenate([[0.0], xs, [xs[-1]]])
         env_y = np.concatenate([[ys[0]], ys, [0.0]])
         for p in general.points:
@@ -618,8 +628,6 @@ class TestWiretapSecrecyCapacity:
 
     def test_degraded_pair_attains_known_value_on_coarse_grid(self):
         value = wiretap_secrecy_capacity(BSC(0.1), BSC(0.2), resolution=0.1)
-        from bcc_secrecy import binary_entropy
-
         assert value == pytest.approx(binary_entropy(0.2) - binary_entropy(0.1), abs=1e-12)
 
     def test_budget_counts_points_on_the_squared_grid(self):
@@ -665,8 +673,6 @@ class TestWiretapSecrecyCapacity:
                 assert value == pytest.approx(expected, abs=1e-12), (steps, value, expected)
 
     def test_benchmark_chains_attain_the_closed_form(self):
-        from bcc_secrecy import binary_entropy
-
         workloads = {}
         source = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
         exec(compile(source.read_text(), str(source), "exec"), workloads)
