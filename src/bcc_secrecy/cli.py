@@ -76,7 +76,7 @@ def region_gaussian(power, n1, n2, n3, alphas, out):
     _check_budget(alphas, DEFAULT_BUDGET, f"{alphas} alphas")
     g = GaussianParams(power=power, n1=n1, n2=n2, n3=n3)
     grid = np.linspace(0.0, 1.0, alphas)
-    rows = np.column_stack([grid, *gaussian_region_point(g, grid)]).tolist()
+    rows = np.column_stack([grid, *gaussian_region_point(g, grid)])
     write_csv(out, ["alpha", "r1_bits", "r2_bits"], rows)
     click.echo(f"wrote {len(rows)} rows to {out}")
 

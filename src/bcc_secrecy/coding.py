@@ -130,17 +130,21 @@ class CodeParams:
         return math.log2(self.l2) / self.n
 
 
+def _symbols(values: np.ndarray, k: int, what: str, alphabet: str = "") -> np.ndarray:
+    """values as int64, once each is checked to be an integer in [0, k); never truncated."""
+    if not np.issubdtype(values.dtype, np.integer):
+        raise ValueError(f"{what} must be integers, got dtype {values.dtype}")
+    if values.size and not (0 <= values.min() and values.max() < k):
+        raise ValueError(f"{what} outside {alphabet}[0, {k})")
+    return values.astype(np.int64, copy=False)
+
+
 def _check_messages(params: CodeParams, w1, w2) -> tuple[np.ndarray, np.ndarray]:
-    """w1 and w2 as integer arrays of one shape, each inside its message range."""
+    """w1 and w2 as int64 arrays of one shape, each inside its message range."""
     w1, w2 = np.asarray(w1), np.asarray(w2)
     if w1.shape != w2.shape:
         raise DimensionMismatch(f"messages have shapes {w1.shape} and {w2.shape}")
-    for name, w, m in (("w1", w1, params.m1), ("w2", w2, params.m2)):
-        if not np.issubdtype(w.dtype, np.integer):
-            raise ValueError(f"messages {name} must be integers, got dtype {w.dtype}")
-        if w.size and not (0 <= w.min() and w.max() < m):
-            raise ValueError(f"message {name}={w!r} outside [0, {m})")
-    return w1, w2
+    return _symbols(w1, params.m1, "messages w1"), _symbols(w2, params.m2, "messages w2")
 
 
 def _check_symbols(total: int) -> None:
@@ -289,11 +293,7 @@ def encode_superposition(cb: SuperpositionCodebook, w1, w2, rng: np.random.Gener
 
 def transmit(x: np.ndarray, ch: DiscreteChannel, rng: np.random.Generator) -> np.ndarray:
     """Send a sequence through a memoryless channel, one draw from rng per symbol."""
-    seq = np.asarray(x, dtype=np.int64)
-    if seq.size and (seq.min() < 0 or seq.max() >= ch.input_size):
-        raise ValueError(
-            f"sequence symbols outside the channel input alphabet [0, {ch.input_size})"
-        )
+    seq = _symbols(np.asarray(x), ch.input_size, "sequence symbols", "the channel input alphabet ")
     return _sample_conditional(rng, ch.matrix, seq)
 
 
@@ -337,14 +337,10 @@ def _ml_index(words: np.ndarray, ys: np.ndarray, log_matrix: np.ndarray) -> np.n
 
 def _check_observation(y: np.ndarray, n: int, ch: DiscreteChannel) -> np.ndarray:
     """y as an int64 array of shape (n,) or (B, n) inside the channel's output alphabet."""
-    seq = np.asarray(y, dtype=np.int64)
+    seq = np.asarray(y)
     if seq.ndim not in (1, 2) or seq.shape[-1] != n:
         raise DimensionMismatch(f"observation has shape {seq.shape}, expected ({n},) or (B, {n})")
-    if seq.size and (seq.min() < 0 or seq.max() >= ch.output_size):
-        raise ValueError(
-            f"observation symbols outside the channel output alphabet [0, {ch.output_size})"
-        )
-    return seq
+    return _symbols(seq, ch.output_size, "observation symbols", "the channel output alphabet ")
 
 
 def decode_rx2(cb: SuperpositionCodebook, y2: np.ndarray, ch_y2_given_u: DiscreteChannel):

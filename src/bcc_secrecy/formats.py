@@ -19,6 +19,7 @@ place, so a failed run never leaves a partial artifact.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -26,6 +27,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -34,6 +36,7 @@ from .coding import CodeParams
 
 NEGATIVE_GRACE = 1e-12
 SIG_DIGITS = 12
+CSV_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -194,12 +197,12 @@ def parse_experiment(data: dict, base_dir: Path | None = None) -> ExperimentConf
     )
 
 
-def _atomic_write(path: str | Path, text: str) -> None:
+def _atomic_write(path: str | Path, pieces: Iterable[str]) -> None:
     target = Path(path)
     fd, tmp_name = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         # mkstemp creates the file 0600; give it the mode a plain open would.
         umask = os.umask(0)
         os.umask(umask)
@@ -215,14 +218,16 @@ def format_sig(value: float) -> str:
     return "%.*g" % (SIG_DIGITS, value)
 
 
-def write_csv(path: str | Path, header: list[str], rows: list[list[float]]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(format_sig(v) for v in row) for row in rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
+def write_csv(path: str | Path, header: list[str], rows: np.ndarray | list[list[float]]) -> None:
+    """Header, then one line per row, formatted CSV_BLOCK_ROWS rows at a time."""
+    starts = range(0, len(rows), CSV_BLOCK_ROWS)
+    blocks = (np.asarray(rows[i : i + CSV_BLOCK_ROWS], dtype=np.float64).tolist() for i in starts)
+    text = ("".join(",".join(map(format_sig, row)) + "\n" for row in block) for block in blocks)
+    _atomic_write(path, itertools.chain([",".join(header) + "\n"], text))
 
 
 def write_json(path: str | Path, payload) -> None:
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
 
 
 def read_frontier_csv(path: str | Path) -> tuple[list[str], np.ndarray]:

@@ -23,9 +23,9 @@ before its budget: ``resolution`` (1/k) and its auxiliary cardinalities
 grid-limited and candidate counts are capped by an explicit budget rather
 than silently truncated.  Both region searches share one search loop:
 the budget is checked before any grid is built, each outer-grid step's
-candidates are reduced to their own hull, and one hull runs on the union
-of those.  Candidates are independent, so the result does not depend on
-evaluation order.
+candidates are reduced to their Pareto staircase, and one hull runs on
+the union of those.  Candidates are independent, so the result depends
+neither on evaluation order nor on how the grid is split into steps.
 
 Each region kernel computes the per-letter terms of a batch of
 candidates (one candidate's, unclamped: ``degraded_rate_terms`` and
@@ -109,7 +109,7 @@ def capacity_fn(snr: float | np.ndarray) -> float | np.ndarray:
     values = np.asarray(snr, dtype=np.float64)
     if np.any(values < 0):
         raise ValueError(f"snr must be nonnegative, got {float(values[values < 0][0])!r}")
-    caps = np.array([0.5 * math.log2(1.0 + s) for s in values.ravel().tolist()])
+    caps = np.fromiter((0.5 * math.log2(1.0 + s) for s in values.ravel().tolist()), np.float64)
     return float(caps[0]) if values.ndim == 0 else caps.reshape(values.shape)
 
 
@@ -136,30 +136,27 @@ def gaussian_region_point(g: GaussianParams, alpha: float | np.ndarray) -> RateP
     return RatePoint(r1, r2)
 
 
-def _pareto(arr: np.ndarray) -> np.ndarray:
-    """Deduplicated Pareto-maximal points, sorted by r1 ascending.
+def _pareto(points) -> np.ndarray:
+    """Deduplicated Pareto-maximal rate pairs, sorted by r1 ascending.
 
-    Visiting rows r1 descending (ties: r2 descending), keep each row whose
-    r2 strictly exceeds every r2 before it.
+    Rejects non-finite or negative pairs.  Visiting rows r1 descending, keep
+    each row whose r2 strictly exceeds every r2 before it; of kept rows with
+    equal r1, the last has the largest r2.  Only comparisons are made, so the
+    staircase of a union is the staircase of its parts' staircases.
     """
-    arr = np.asarray(arr, dtype=np.float64)
-    desc = arr[np.lexsort((arr[:, 1], arr[:, 0]))[::-1]]
-    prior_best = np.maximum.accumulate(np.concatenate(([-np.inf], desc[:, 1])))[:-1]
-    return desc[desc[:, 1] > prior_best][::-1]
-
-
-def _cross(o, a, b) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
-def _rate_points(points) -> np.ndarray:
-    """Candidate rate pairs as an (N, 2) array, rejecting non-finite or negative ones."""
     arr = np.asarray(points, dtype=np.float64).reshape(-1, 2)
     if not np.all(np.isfinite(arr)):
         raise ValueError("non-finite rate point")
     if np.any(arr < 0.0):
         raise ValueError("rate points must be nonnegative")
-    return arr
+    desc = arr[np.argsort(arr[:, 0])[::-1]]
+    prior_best = np.maximum.accumulate(np.concatenate(([-np.inf], desc[:, 1])))[:-1]
+    kept = desc[desc[:, 1] > prior_best]
+    return np.delete(kept, np.flatnonzero(kept[:-1, 0] == kept[1:, 0]), axis=0)[::-1]
+
+
+def _cross(o, a, b) -> float:
+    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
 def upper_right_hull(points: Sequence[RatePoint] | np.ndarray) -> RegionFrontier:
@@ -168,12 +165,11 @@ def upper_right_hull(points: Sequence[RatePoint] | np.ndarray) -> RegionFrontier
     Only the Pareto staircase can hold them: one monotone chain runs over
     it r1 descending, then the origin, which is dropped at the end.
     """
-    arr = _rate_points(points)
-    if arr.size == 0:
+    if np.size(points) == 0:
         raise ValueError("empty point set")
     origin = [0.0, 0.0]
     chain: list[list[float]] = []
-    for p in _pareto(np.vstack([arr, origin]))[::-1].tolist() + [origin]:
+    for p in _pareto(points)[::-1].tolist() + [origin]:
         while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
             chain.pop()
         chain.append(p)
@@ -207,12 +203,13 @@ def _search(n_outer: int, n_inner: int, budget: int, chunks: Iterator) -> Region
     """Hull over the rate pairs that `chunks` yields, after one budget check.
 
     `chunks` is a generator, so its grids are built only after the check
-    passes.  The hull of a union is the hull of its parts' hulls, so each
-    chunk is reduced to its own hull vertices as it arrives.
+    passes.  Each chunk is reduced to its Pareto staircase as it arrives,
+    and one hull runs on the union of those, so the frontier does not
+    depend on how the grid is chunked.
     """
     total = n_outer * n_inner
     _check_budget(total, budget, f"{n_outer} x {n_inner} = {total} candidates")
-    return upper_right_hull(np.vstack([upper_right_hull(points).points for points in chunks]))
+    return upper_right_hull(np.vstack([_pareto(points) for points in chunks]))
 
 
 def simplex_grid(dim: int, steps: int) -> np.ndarray:

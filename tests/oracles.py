@@ -308,6 +308,19 @@ def hull_two_chain(points) -> list[tuple[float, float]]:
     return keep[::-1]
 
 
+def pareto_lexsort(arr) -> np.ndarray:
+    """Deduplicated Pareto-maximal rows of an (N, 2) array, sorted by r1 ascending.
+
+    The two-key reference for the library's one-key staircase: visiting rows
+    r1 descending (ties: r2 descending), keep each row whose r2 strictly
+    exceeds every r2 before it.
+    """
+    arr = np.asarray(arr, dtype=np.float64)
+    desc = arr[np.lexsort((arr[:, 1], arr[:, 0]))[::-1]]
+    prior_best = np.maximum.accumulate(np.concatenate(([-np.inf], desc[:, 1])))[:-1]
+    return desc[desc[:, 1] > prior_best][::-1]
+
+
 def equivocation_digit_table(x_words, mz, m1, m2, l1, l2, n) -> tuple[float, ...]:
     """(re1, re2, re12, *gaps) by the library's former digit-table path.
 

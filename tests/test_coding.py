@@ -272,6 +272,10 @@ class TestEncodeSuperposition:
             encode_superposition(codebook, np.array([0, 1]), np.array([0]), encode_rng(0))
         with pytest.raises(ValueError, match="integers"):
             encode_superposition(codebook, np.array([0.0]), np.array([0]), encode_rng(0))
+        with pytest.raises(ValueError, match="messages w1 must be integers, got dtype bool"):
+            encode_superposition(codebook, np.array([True]), np.array([0]), encode_rng(0))
+        with pytest.raises(ValueError, match="messages w2 must be integers"):
+            encode_superposition(codebook, 0, "1", encode_rng(0))
 
 
 class TestTransmit:
@@ -292,8 +296,23 @@ class TestTransmit:
         assert abs(flips - n * 0.1) <= 3 * sigma
 
     def test_symbol_range_checked(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"outside the channel input alphabet \[0, 2\)"):
             transmit(np.array([0, 2]), BSC(0.1), channel_rng(1))
+
+    @pytest.mark.parametrize(
+        "x", [[0.7, 1.9, 0.2], [0.0, 1.0, 0.0], [True, False, True], ["1", "0", "1"]],
+        ids=["fractional", "integral-float", "bool", "str"],
+    )
+    def test_non_integer_symbols_rejected(self, x):
+        with pytest.raises(ValueError, match="sequence symbols must be integers"):
+            transmit(np.array(x), BSC(0.1), channel_rng(1))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int32, np.uint64])
+    def test_integer_dtypes_send_as_int64(self, dtype):
+        x = np.array([0, 1, 1, 0, 1])
+        expected = transmit(x, BSC(0.3), channel_rng(4))
+        out = transmit(x.astype(dtype), BSC(0.3), channel_rng(4))
+        assert out.dtype == expected.dtype and np.array_equal(out, expected)
 
 
 def handmade_superposition(u_words, x_words, n, pu_size=2, x_size=2, pxu=None):
@@ -385,6 +404,26 @@ class TestDecoding:
             decode_rx2(cb, np.array([0, 1]), BSC(0.1))  # wrong length
         with pytest.raises(ValueError):
             decode_rx1(cb, np.array([0, 1, 2]), BSC(0.1))  # symbol out of range
+
+    def test_non_integer_observations_rejected(self):
+        cb = build_superposition(small_params(), Pmf.uniform(2), BSC(0.1))
+        match = "observation symbols must be integers"
+        with pytest.raises(ValueError, match=match):
+            decode_rx1(cb, np.array([0.9, 0.1, 1.5]), BSC(0.1))
+        with pytest.raises(ValueError, match=match):
+            decode_rx1(cb, np.array([[1.0, 0.0, 1.0]]), BSC(0.1))
+        with pytest.raises(ValueError, match=match):
+            decode_rx2(cb, ["1", "0", "1"], BSC(0.1))
+        with pytest.raises(ValueError, match=match):
+            decode_rx2(cb, np.array([True, False, True]), BSC(0.1))
+
+    def test_unsigned_observations_decode_as_int64(self):
+        cb = build_superposition(small_params(), Pmf.uniform(2), BSC(0.1))
+        ys = all_outputs(2, 3)
+        expected = (*decode_rx1(cb, ys, BSC(0.1)), decode_rx2(cb, ys, BSC(0.1)))
+        for dtype in (np.uint8, np.uint64):
+            got = (*decode_rx1(cb, ys.astype(dtype), BSC(0.1)), decode_rx2(cb, ys.astype(dtype), BSC(0.1)))
+            assert all(np.array_equal(g, e) for g, e in zip(got, expected, strict=True))
 
 
 def assert_matches(report, expected):
@@ -487,6 +526,44 @@ class TestExactEquivocation:
             assert report.re1 == pytest.approx(re1, abs=1e-12)
             assert report.re2 == pytest.approx(re2, abs=1e-12)
             assert report.re12 == pytest.approx(re12, abs=1e-12)
+
+    @staticmethod
+    def random_codes(seed, count):
+        """Seeded superposition codes, n from 2 to 8, with an eavesdropper channel each."""
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            params = CodeParams(
+                n=int(rng.integers(2, 9)),
+                m1=int(rng.integers(1, 4)),
+                m2=int(rng.integers(1, 4)),
+                l1=int(rng.integers(1, 3)),
+                l2=int(rng.integers(1, 3)),
+                seed=int(rng.integers(0, 2**31)),
+            )
+            nx = int(rng.integers(2, 4))
+            pu = Pmf(rng.dirichlet(np.ones(2)))
+            cb = build_superposition(params, pu, random_channel(rng, 2, nx))
+            yield rng, cb, random_channel(rng, nx, int(rng.integers(2, 4)))
+
+    def test_degrading_the_eavesdropper_never_lowers_equivocation(self):
+        # W -> X^n -> Z^n -> Z'^n with Z' = Z through M: data processing.
+        for rng, cb, pzx in self.random_codes(71, 40):
+            m = random_channel(rng, pzx.output_size, int(rng.integers(2, 4)))
+            sharp = exact_equivocation(cb, pzx)
+            blurred = exact_equivocation(cb, DiscreteChannel(pzx.matrix @ m.matrix))
+            assert blurred.re1 >= sharp.re1 - 1e-12
+            assert blurred.re2 >= sharp.re2 - 1e-12
+            assert blurred.re12 >= sharp.re12 - 1e-12
+
+    def test_relabeling_eavesdropper_outputs_leaves_report(self):
+        for _, cb, pzx in self.random_codes(73, 20):
+            base = exact_equivocation(cb, pzx)
+            renamed = exact_equivocation(cb, DiscreteChannel(np.roll(pzx.matrix, 1, axis=1)))
+            fields = ("re1", "re2", "re12")
+            assert [getattr(renamed, f) for f in fields] == pytest.approx(
+                [getattr(base, f) for f in fields], abs=1e-12
+            )
+            assert renamed.gaps == pytest.approx(base.gaps, abs=1e-12)
 
     def test_equivocation_bounds(self):
         rng = np.random.default_rng(17)

@@ -31,7 +31,13 @@ from bcc_secrecy import (
     wiretap_secrecy_capacity,
 )
 from bcc_secrecy.cli import run
-from bcc_secrecy.regions import _composition_blocks, _compositions, _lower_facets, _wiretap_phi
+from bcc_secrecy.regions import (
+    _composition_blocks,
+    _compositions,
+    _lower_facets,
+    _pareto,
+    _wiretap_phi,
+)
 from oracles import (
     binary_entropy,
     cmi_direct,
@@ -39,6 +45,7 @@ from oracles import (
     frontier_deviation,
     gaussian_point_scalar,
     hull_two_chain,
+    pareto_lexsort,
     simplex_grid_compositions,
     verify_frontier_shape,
     wiretap_grid_search,
@@ -255,11 +262,11 @@ class TestUpperRightHull:
         assert frontier.points == [RatePoint(0, 2), RatePoint(2, 0)]
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="empty point set"):
             upper_right_hull([])
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="rate points must be nonnegative"):
             upper_right_hull([RatePoint(-0.1, 0.2)])
 
     def test_all_origin_collapses(self):
@@ -318,6 +325,59 @@ class TestUpperRightHull:
             cloud = rng.uniform(0, 2, size=(int(rng.integers(1, 40)), 2))
             frontier = upper_right_hull(cloud)
             verify_frontier_shape(frontier, cloud)
+
+
+def same_array(got, want):
+    """Equal shape, dtype and bits, element for element."""
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestPareto:
+    @given(
+        st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=60),
+        st.integers(1, 4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_lattice_clouds_match_lexsort_oracle(self, cells, repeats):
+        # a 5 x 5 lattice, each row repeated: every r1 and r2 is tied many times
+        cloud = np.repeat(np.array(cells, dtype=float) / 4.0, repeats, axis=0)
+        assert same_array(_pareto(cloud), pareto_lexsort(cloud))
+
+    @pytest.mark.parametrize(
+        "cloud",
+        [
+            [(0.5, 0.9), (0.5, 0.1), (0.5, 0.3), (0.5, 0.9), (0.5, 0.2)],  # all r1 equal
+            [(0.1, 0.5), (0.9, 0.5), (0.3, 0.5), (0.9, 0.5)],  # all r2 equal
+            [(0.25, 0.75)],
+            [(0.0, 0.0)] * 5,
+        ],
+        ids=["equal-r1", "equal-r2", "one-row", "all-zero"],
+    )
+    def test_tie_clouds_match_lexsort_oracle(self, cloud):
+        cloud = np.array(cloud)
+        assert same_array(_pareto(cloud), pareto_lexsort(cloud))
+        assert len(_pareto(cloud)) == 1
+
+    def test_seeded_float_clouds_match_lexsort_oracle(self):
+        rng = np.random.default_rng(59)
+        for _ in range(200):
+            cloud = np.round(rng.uniform(0, 1, size=(int(rng.integers(1, 300)), 2)), 2)
+            assert same_array(_pareto(cloud), pareto_lexsort(cloud))
+
+    def test_empty_gives_empty(self):
+        got = _pareto([])
+        assert same_array(got, pareto_lexsort(np.empty((0, 2))))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite rate point"):
+            _pareto([(0.1, 0.2), (bad, 0.3)])
+        with pytest.raises(ValueError, match="non-finite rate point"):
+            upper_right_hull([RatePoint(0.1, bad)])
+
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError, match="rate points must be nonnegative"):
+            _pareto([(0.1, 0.2), (0.3, -1e-300)])
 
 
 class TestSimplexGrid:
@@ -527,6 +587,22 @@ class TestRegionSearch:
             assert len(frontier.points) >= 2
             assert bits(frontier.points) == bits(hull_two_chain(cloud))
 
+    def test_frontier_does_not_depend_on_the_chunking(self, monkeypatch):
+        _, cloud = self.one_shot(
+            monkeypatch, degraded_region_inner, *DEGRADED, resolution=0.1, u_card=2
+        )
+        rng = np.random.default_rng(61)
+        random_cuts = np.sort(rng.choice(np.arange(1, len(cloud)), 40, replace=False))
+        chunkings = [
+            [cloud],
+            np.array_split(cloud, 11),
+            np.array_split(cloud[::-1], 300),
+            np.split(cloud, random_cuts),
+        ]
+        results = [regions._search(1, len(cloud), len(cloud), iter(c)) for c in chunkings]
+        assert all(bits(r.points) == bits(results[0].points) for r in results)
+        assert bits(results[0].points) == bits(hull_two_chain(cloud))
+
     def test_astronomical_grid_refused_without_allocating(self):
         huge = dict(resolution=0.001, v1_card=12, v2_card=12)
         tracemalloc.start()
@@ -717,3 +793,64 @@ class TestWiretapSecrecyCapacity:
         assert value == pytest.approx(0.0, abs=1e-12)
         # Qhull's own heap is not traced; it holds only the 501 rows.
         assert peak < 4 * 2**20, peak
+
+
+def relabel(channels, names, alphabet):
+    """The channels with one alphabet's symbols renamed by a cyclic shift.
+
+    "x" shifts the rows of every channel; a name from `names` shifts the
+    columns of its channel.
+    """
+    return [
+        DiscreteChannel(np.roll(ch.matrix, 1, axis=0 if alphabet == "x" else 1))
+        if alphabet in ("x", name)
+        else ch
+        for name, ch in zip(names, channels, strict=True)
+    ]
+
+
+def random_channels(seed, nx, count):
+    rng = np.random.default_rng(seed)
+    return [DiscreteChannel(rng.dirichlet(np.full(nx, 0.6), size=nx)) for _ in range(count)]
+
+
+BINARY_TRIPLE = [
+    DiscreteChannel(m)
+    for m in ([[0.95, 0.05], [0.2, 0.8]], [[0.85, 0.15], [0.3, 0.7]], [[0.7, 0.3], [0.45, 0.55]])
+]
+
+
+class TestRelabelingInvariance:
+    """Renaming the symbols of X, Y1, Y2 or Z moves no rate, up to round-off."""
+
+    @pytest.mark.parametrize(
+        "channels, grid",
+        [
+            (BINARY_TRIPLE, dict(resolution=0.1)),
+            (BINARY_TRIPLE, dict(resolution=0.25, deterministic_x=False)),
+            (random_channels(7, 3, 3), dict(resolution=0.25, v1_card=2, v2_card=2)),
+            (random_channels(8, 3, 3), dict(resolution=0.5, v1_card=2, v2_card=2, deterministic_x=False)),
+        ],
+        ids=["binary", "binary-stochastic-x", "ternary", "ternary-stochastic-x"],
+    )
+    def test_general_inner_bound(self, channels, grid):
+        base = general_inner_bound(*channels, **grid).points
+        assert max(max(p) for p in base) > 0.01
+        for alphabet in ("x", "y1", "y2", "z"):
+            renamed = relabel(channels, ("y1", "y2", "z"), alphabet)
+            points = general_inner_bound(*renamed, **grid).points
+            assert frontier_deviation(base, points) <= 1e-12, alphabet
+            assert abs(base[-1].r1 - points[-1].r1) <= 1e-12, alphabet
+
+    @pytest.mark.parametrize(
+        "channels, resolution",
+        [(BINARY_TRIPLE[::2], 0.01), (random_channels(9, 3, 2), 0.05), (random_channels(10, 3, 2), 0.05)],
+        ids=["binary", "ternary-9", "ternary-10"],
+    )
+    def test_wiretap_secrecy_capacity(self, channels, resolution):
+        base = wiretap_secrecy_capacity(*channels, resolution=resolution)
+        assert base > 0.01
+        for alphabet in ("x", "y", "z"):
+            renamed = relabel(channels, ("y", "z"), alphabet)
+            value = wiretap_secrecy_capacity(*renamed, resolution=resolution)
+            assert value == pytest.approx(base, abs=1e-12), alphabet
