@@ -9,6 +9,7 @@ here is a pure function of its inputs, so values can be shared freely.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +19,7 @@ DEGRADED_TOL = 1e-7
 
 
 class InvalidDistribution(ValueError):
-    """A probability vector, matrix, or tensor violates an invariant."""
+    """A malformed input: a probability array that violates an invariant, or a bad scalar."""
 
 
 class NegativeEntry(InvalidDistribution):
@@ -69,6 +70,37 @@ def _check_stochastic(arr: np.ndarray, lead: int, what: str, part: str = "row") 
         raise SumNotOne(f"{where} sums to {float(sums[idx])!r}, expected 1 within {SUM_TOL}")
 
 
+def _check_integer(value, name: str, low: int | None = None, high: int | None = None) -> int:
+    """`value` if it is an int, not a bool, within [low, high]; never coerced.
+
+    numpy integers are rejected too: checked parameters end up in JSON.
+    """
+    sign = {0: "nonnegative", 1: "positive"}.get(low) if high is None else None
+    if isinstance(value, bool) or not isinstance(value, int):
+        kind = f"a {sign} integer" if sign else "an integer"
+        raise InvalidDistribution(f"{name} must be {kind}, got {value!r}")
+    if high is not None and not low <= value <= high:
+        raise InvalidDistribution(f"{name} must lie in [{low}, {high}], got {value!r}")
+    if low is not None and value < low:
+        raise InvalidDistribution(f"{name} must be {sign or f'at least {low}'}, got {value!r}")
+    return value
+
+
+def _check_finite(value, name: str) -> float:
+    """`value` as a float if it is a finite int or float, not a bool."""
+    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+    # The comparison is False for NaN, for infinities and for integers beyond the float range.
+    if not (numeric and abs(value) <= sys.float_info.max):
+        raise InvalidDistribution(f"{name} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _check_budget(total: int, budget: int, what: str) -> None:
+    """Raise BudgetExceeded when `total` exceeds `budget`, before anything is allocated."""
+    if total > _check_integer(budget, "budget", 0):
+        raise BudgetExceeded(f"{what} exceed budget {budget}")
+
+
 def validate_pmf(probs) -> None:
     """Check the pmf invariants, raising on the first violation.
 
@@ -102,6 +134,7 @@ class Pmf:
 
     @classmethod
     def uniform(cls, k: int) -> "Pmf":
+        _check_integer(k, "alphabet size", 1)
         return cls(np.full(k, 1.0 / k))
 
 
@@ -128,7 +161,7 @@ class DiscreteChannel:
 
     @classmethod
     def binary_symmetric(cls, crossover: float) -> "DiscreteChannel":
-        p = float(crossover)
+        p = _check_finite(crossover, "crossover probability")
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"crossover probability {p!r} outside [0, 1]")
         return cls(np.array([[1.0 - p, p], [p, 1.0 - p]]))

@@ -19,6 +19,7 @@ from .channels import (
     DimensionMismatch,
     InvalidDistribution,
     Pmf,
+    _check_budget,
     check_stochastic_degraded,
 )
 from .coding import (
@@ -42,7 +43,6 @@ from .regions import (
     DEFAULT_BUDGET,
     DEFAULT_RESOLUTION,
     GaussianParams,
-    _check_budget,
     degraded_rate_terms,
     degraded_region_inner,
     gaussian_region_point,
@@ -73,7 +73,7 @@ def region_gaussian(power, n1, n2, n3, alphas, out):
     """Closed-form Gaussian region, one CSV row per alpha (pre-Pareto)."""
     if alphas < 2:
         raise click.UsageError("--alphas must be at least 2")
-    _check_budget(alphas, DEFAULT_BUDGET, f"{alphas} alphas")
+    _check_budget(alphas, DEFAULT_BUDGET, f"grid too large: {alphas} alphas")
     g = GaussianParams(power=power, n1=n1, n2=n2, n3=n3)
     grid = np.linspace(0.0, 1.0, alphas)
     rows = np.column_stack([grid, *gaussian_region_point(g, grid)])

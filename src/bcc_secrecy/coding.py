@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import BudgetExceeded, DimensionMismatch, DiscreteChannel, Pmf, cascade
-from .channels import _check_stochastic
+from .channels import DimensionMismatch, DiscreteChannel, Pmf, cascade
+from .channels import _check_budget, _check_finite, _check_integer, _check_stochastic
 
 DEFAULT_CODEBOOK_SYMBOL_BUDGET = 1 << 22
 DEFAULT_Z_SEQUENCE_BUDGET = 1 << 20
@@ -107,11 +107,8 @@ class CodeParams:
 
     def __post_init__(self):
         for name in ("n", "m1", "m2", "l1", "l2"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+            _check_integer(getattr(self, name), name, 1)
+        _check_integer(self.seed, "seed")
 
     @property
     def rate1(self) -> float:
@@ -145,12 +142,6 @@ def _check_messages(params: CodeParams, w1, w2) -> tuple[np.ndarray, np.ndarray]
     if w1.shape != w2.shape:
         raise DimensionMismatch(f"messages have shapes {w1.shape} and {w2.shape}")
     return _symbols(w1, params.m1, "messages w1"), _symbols(w2, params.m2, "messages w2")
-
-
-def _check_symbols(total: int) -> None:
-    budget = DEFAULT_CODEBOOK_SYMBOL_BUDGET
-    if total > budget:
-        raise BudgetExceeded(f"codebook needs {total} symbols, over the budget of {budget}")
 
 
 @dataclass(frozen=True)
@@ -269,7 +260,8 @@ def build_superposition(
             f"{pxu.input_size}"
         )
     n, m1, m2, l1, l2 = params.n, params.m1, params.m2, params.l1, params.l2
-    _check_symbols(m2 * l2 * n + m2 * l2 * m1 * l1 * n)
+    total = m2 * l2 * n + m2 * l2 * m1 * l1 * n
+    _check_budget(total, DEFAULT_CODEBOOK_SYMBOL_BUDGET, f"the codebook's {total} symbols")
     u_words = _sample_conditional(
         _rng(params.seed, _TAG_CLOUD), pu.probs[None], np.zeros((m2, l2, n), np.int64)
     )
@@ -423,19 +415,16 @@ def exact_equivocation(
     matrix = pzx.matrix if superposition else cb.x_map.reshape(-1, x_size) @ pzx.matrix
     nz = pzx.output_size
     count = nz**n
-    if count > z_budget:
-        raise BudgetExceeded(f"|Z|^n = {count} observation sequences exceed budget {z_budget}")
+    _check_budget(count, z_budget, f"|Z|^n = {count} observation sequences")
     combos = m1 * m2 * l1 * l2
-    if combos > DEFAULT_COMBO_BUDGET:
-        raise BudgetExceeded(
-            f"{combos} message/randomization combinations exceed {DEFAULT_COMBO_BUDGET}"
-        )
+    _check_budget(combos, DEFAULT_COMBO_BUDGET, f"{combos} message/randomization combinations")
     head = n // 2
     width = nz ** (n - head)
     rows = max(_TILE // width, 1)
     tables = m1 + m2 + 2 + (l1 * l2 > rows)
-    if 8 * tables * count > _TABLE_BYTES:
-        raise BudgetExceeded(f"{tables} tables of |Z|^n = {count} floats exceed {_TABLE_BYTES} bytes")
+    nbytes = 8 * tables * count
+    what = f"{nbytes} bytes in {tables} tables of |Z|^n = {count} floats"
+    _check_budget(nbytes, _TABLE_BYTES, what)
 
     inv_messages = 1.0 / (m1 * m2)
     pz = np.zeros(count)
@@ -491,6 +480,7 @@ def build_double_binning(
     epsilon: float,
 ) -> BinningCodebook:
     """Draw both binned codebooks; bit-identical for identical arguments."""
+    epsilon = _check_finite(epsilon, "epsilon")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     rows = np.asarray(x_map, dtype=np.float64)
@@ -504,7 +494,8 @@ def build_double_binning(
         )
     n, m1, m2, l1, l2 = params.n, params.m1, params.m2, params.l1, params.l2
     # The words, then one typical-pair entry per (w1, w2, j1, j2).
-    _check_symbols((m1 * l1 + m2 * l2) * n + m1 * m2 * l1 * l2)
+    total = (m1 * l1 + m2 * l2) * n + m1 * m2 * l1 * l2
+    _check_budget(total, DEFAULT_CODEBOOK_SYMBOL_BUDGET, f"the codebook's {total} symbols")
     v1_words = _sample_conditional(
         _rng(params.seed, _TAG_V1), pv1.probs[None], np.zeros((m1, l1, n), np.int64)
     )
@@ -517,7 +508,7 @@ def build_double_binning(
         pv1=pv1,
         pv2=pv2,
         x_map=rows,
-        epsilon=float(epsilon),
+        epsilon=epsilon,
         params=params,
     )
 
@@ -568,10 +559,8 @@ def run_error_experiment(
     message.  For double-binning codebooks an encoding failure counts as
     an error at both receivers and is also tallied separately.
     """
-    if isinstance(trials, bool) or not isinstance(trials, int) or trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    _check_integer(trials, "trials", 1)
+    _check_integer(seed, "seed")
     py1x, py2x = channels
     params = cb.params
     rng = _rng(seed, _TAG_TRIALS)

@@ -23,7 +23,6 @@ import itertools
 import json
 import math
 import os
-import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,7 +30,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .channels import DiscreteChannel, InvalidDistribution, Pmf, _check_stochastic
+from .channels import DiscreteChannel, InvalidDistribution, Pmf
+from .channels import _check_finite, _check_integer, _check_stochastic
 from .coding import CodeParams
 
 NEGATIVE_GRACE = 1e-12
@@ -73,33 +73,14 @@ def _require(data: dict, key: str, document: str = "channel description"):
     return data[key]
 
 
-def _integer(
-    data: dict, key: str, default: int | None = None, document: str = "channel description"
-) -> int:
-    """A field that must be a JSON integer: 4.9, 4.0, true and "4" are all rejected."""
-    value = _require(data, key, document) if default is None else data.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidDistribution(f"field {key!r} must be an integer, got {value!r}")
-    return value
-
-
-def _number(data: dict, key: str, default: float) -> float:
-    """A field that must be a finite JSON number: true, "0.25", NaN and Infinity are rejected."""
-    value = data.get(key, default)
-    numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
-    # The comparison is False for NaN, for infinities and for integers beyond the float range.
-    if not (numeric and abs(value) <= sys.float_info.max):
-        raise InvalidDistribution(f"field {key!r} must be a finite number, got {value!r}")
-    return float(value)
-
-
 def parse_channel(data: dict) -> MarginalTriple:
     """Parse a channel description dict, naming the violated invariant on error."""
     if not isinstance(data, dict):
         raise InvalidDistribution(f"channel description must be an object, got {type(data).__name__}")
     kind = _require(data, "type")
     if kind == "bcc":
-        sizes = tuple(_integer(data, k) for k in ("x", "y1", "y2", "z"))
+        keys = ("x", "y1", "y2", "z")
+        sizes = tuple(_check_integer(_require(data, k), f"field {k!r}") for k in keys)
         if any(s < 1 for s in sizes):
             raise InvalidDistribution(f"alphabet sizes must be positive, got {sizes}")
         flat = _array(data, "joint")
@@ -173,19 +154,15 @@ def parse_experiment(data: dict, base_dir: Path | None = None) -> ExperimentConf
         pv2 = Pmf(_array(data, "pv2", document))
         pxv = _array(data, "pxv", document)
 
-    trials = _integer(data, "trials", 1000)
-    if trials < 1:
-        raise InvalidDistribution(f"field 'trials' must be positive, got {trials!r}")
+    fields = {"l1": 1, "l2": 1, "seed": 0, "trials": 1000, "epsilon": 0.1, **data}
+    # JSON integers only: 4.9, 4.0, true and "4" are all rejected.
+    trials = _check_integer(fields["trials"], "field 'trials'", 1)
+    code = {}
+    for key in ("n", "m1", "m2", "l1", "l2", "seed"):
+        code[key] = _check_integer(_require(fields, key, document), f"field {key!r}")
     return ExperimentConfig(
         scheme=scheme,
-        code=CodeParams(
-            n=_integer(data, "n", document=document),
-            m1=_integer(data, "m1", document=document),
-            m2=_integer(data, "m2", document=document),
-            l1=_integer(data, "l1", 1),
-            l2=_integer(data, "l2", 1),
-            seed=_integer(data, "seed", 0),
-        ),
+        code=CodeParams(**code),
         trials=trials,
         marginals=marginals,
         pu=pu,
@@ -193,7 +170,7 @@ def parse_experiment(data: dict, base_dir: Path | None = None) -> ExperimentConf
         pv1=pv1,
         pv2=pv2,
         pxv=pxv,
-        epsilon=_number(data, "epsilon", 0.1),
+        epsilon=_check_finite(fields["epsilon"], "field 'epsilon'"),
     )
 
 
@@ -219,10 +196,11 @@ def format_sig(value: float) -> str:
 
 
 def write_csv(path: str | Path, header: list[str], rows: np.ndarray | list[list[float]]) -> None:
-    """Header, then one line per row, formatted CSV_BLOCK_ROWS rows at a time."""
+    """Header, then one format_sig line per row, CSV_BLOCK_ROWS rows to one % operation."""
+    line = ",".join([f"%.{SIG_DIGITS}g"] * len(header)) + "\n"
     starts = range(0, len(rows), CSV_BLOCK_ROWS)
-    blocks = (np.asarray(rows[i : i + CSV_BLOCK_ROWS], dtype=np.float64).tolist() for i in starts)
-    text = ("".join(",".join(map(format_sig, row)) + "\n" for row in block) for block in blocks)
+    blocks = (np.asarray(rows[i : i + CSV_BLOCK_ROWS], dtype=np.float64) for i in starts)
+    text = ((line * len(block)) % tuple(block.ravel().tolist()) for block in blocks)
     _atomic_write(path, itertools.chain([",".join(header) + "\n"], text))
 
 

@@ -43,8 +43,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import BudgetExceeded, DimensionMismatch, DiscreteChannel, Pmf, validate_pmf
-from .channels import _check_stochastic
+from .channels import DimensionMismatch, DiscreteChannel, Pmf, validate_pmf
+from .channels import _check_budget, _check_finite, _check_integer, _check_stochastic
 from .information import entropy_last_axis
 
 DEFAULT_RESOLUTION = 0.05
@@ -90,8 +90,7 @@ class GaussianParams:
 
     def __post_init__(self):
         for name in ("power", "n1", "n2", "n3"):
-            if not math.isfinite(value := getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            _check_finite(getattr(self, name), name)
         if not self.power > 0:
             raise ValueError(f"power must be positive, got {self.power!r}")
         if not 0 < self.n1 <= self.n2 <= self.n3:
@@ -107,8 +106,9 @@ def capacity_fn(snr: float | np.ndarray) -> float | np.ndarray:
     Logs are math.log2 per element; np.log2 can differ in the last ulp.
     """
     values = np.asarray(snr, dtype=np.float64)
-    if np.any(values < 0):
-        raise ValueError(f"snr must be nonnegative, got {float(values[values < 0][0])!r}")
+    bad = ~(values >= 0)
+    if np.any(bad):
+        raise ValueError(f"snr must be nonnegative, got {float(values[bad][0])!r}")
     caps = np.fromiter((0.5 * math.log2(1.0 + s) for s in values.ravel().tolist()), np.float64)
     return float(caps[0]) if values.ndim == 0 else caps.reshape(values.shape)
 
@@ -178,25 +178,13 @@ def upper_right_hull(points: Sequence[RatePoint] | np.ndarray) -> RegionFrontier
 
 def _grid_steps(resolution: float) -> int:
     """k for a resolution of 1/k, the step of every auxiliary grid."""
+    resolution = _check_finite(resolution, "resolution")
     if not 0.0 < resolution <= 1.0:
         raise ValueError(f"resolution must lie in (0, 1], got {resolution!r}")
     steps = round(1.0 / resolution)
     if steps < 1 or abs(1.0 / resolution - steps) > 1e-9:
         raise ValueError(f"resolution must be 1/k for integer k, got {resolution!r}")
     return steps
-
-
-def _aux_card(name: str, card: int | None, default: int) -> int:
-    if card is None:
-        return default
-    if not 1 <= card <= MAX_AUX_CARD:
-        raise ValueError(f"{name} must lie in [1, {MAX_AUX_CARD}], got {card!r}")
-    return card
-
-
-def _check_budget(total: int, budget: int, what: str) -> None:
-    if total > budget:
-        raise BudgetExceeded(f"grid too large: {what} exceed budget {budget}")
 
 
 def _search(n_outer: int, n_inner: int, budget: int, chunks: Iterator) -> RegionFrontier:
@@ -208,16 +196,14 @@ def _search(n_outer: int, n_inner: int, budget: int, chunks: Iterator) -> Region
     depend on how the grid is chunked.
     """
     total = n_outer * n_inner
-    _check_budget(total, budget, f"{n_outer} x {n_inner} = {total} candidates")
+    _check_budget(total, budget, f"grid too large: {n_outer} x {n_inner} = {total} candidates")
     return upper_right_hull(np.vstack([_pareto(points) for points in chunks]))
 
 
 def simplex_grid(dim: int, steps: int) -> np.ndarray:
     """All pmfs over `dim` outcomes with entries that are multiples of 1/steps."""
-    if dim < 1:
-        raise ValueError(f"dim must be positive, got {dim!r}")
-    if steps < 1:
-        raise ValueError(f"steps must be positive, got {steps!r}")
+    _check_integer(dim, "dim", 1)
+    _check_integer(steps, "steps", 1)
     return _compositions(dim, steps) / steps
 
 
@@ -361,7 +347,7 @@ def degraded_region_inner(
     """Layered-scheme region: hull over gridded (P(u), P(x|u)) candidates."""
     steps = _grid_steps(resolution)
     nx = _check_shared_input(py1x, py2x, pzx)
-    u_card = _aux_card("u_card", u_card, nx)
+    u_card = nx if u_card is None else _check_integer(u_card, "u_card", 1, MAX_AUX_CARD)
 
     def chunks():
         pxu_batch = _row_product(simplex_grid(nx, steps), u_card)
@@ -462,8 +448,8 @@ def general_inner_bound(
     """
     steps = _grid_steps(resolution)
     nx = _check_shared_input(py1x, py2x, pzx)
-    v1 = _aux_card("v1_card", v1_card, nx)
-    v2 = _aux_card("v2_card", v2_card, nx)
+    v1 = nx if v1_card is None else _check_integer(v1_card, "v1_card", 1, MAX_AUX_CARD)
+    v2 = nx if v2_card is None else _check_integer(v2_card, "v2_card", 1, MAX_AUX_CARD)
     # A deterministic map picks a one-hot row for every (v1, v2) pair.
     n_rows = nx if deterministic_x else _simplex_count(nx, steps)
 
@@ -527,7 +513,8 @@ def wiretap_secrecy_capacity(
     steps = _grid_steps(resolution)
     nx = _check_shared_input(main, eve)
     n_points = _simplex_count(nx, steps * steps)
-    _check_budget(n_points, budget, f"{n_points} points P(x) on the 1/{steps * steps} grid")
+    what = f"grid too large: {n_points} points P(x) on the 1/{steps * steps} grid"
+    _check_budget(n_points, budget, what)
     if nx == 1:
         return 0.0
     rows = simplex_grid(nx, steps)

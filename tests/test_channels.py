@@ -1,7 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from bcc_secrecy import (
+    BudgetExceeded,
     DimensionMismatch,
     DiscreteChannel,
     InvalidDistribution,
@@ -12,6 +15,7 @@ from bcc_secrecy import (
     check_stochastic_degraded,
     validate_pmf,
 )
+from bcc_secrecy.channels import _check_budget, _check_finite, _check_integer
 from bcc_secrecy.formats import parse_channel
 
 BSC = DiscreteChannel.binary_symmetric
@@ -66,6 +70,13 @@ class TestPmf:
         with pytest.raises(SumNotOne):
             Pmf((0.2, 0.2))
 
+    @pytest.mark.parametrize("k", [0, -1, True, 2.0, np.int64(2)])
+    def test_uniform_size_is_a_positive_int(self, k):
+        # Pmf.uniform(0) divided by zero; True gave a one-symbol pmf.
+        message = f"^alphabet size must be .*, got {re.escape(repr(k))}$"
+        with pytest.raises(InvalidDistribution, match=message):
+            Pmf.uniform(k)
+
 
 class TestDiscreteChannel:
     def test_row_sum_violation_names_row(self):
@@ -80,10 +91,64 @@ class TestDiscreteChannel:
         with pytest.raises(ValueError):
             BSC(1.5)
 
+    @pytest.mark.parametrize("crossover", [True, False, float("nan"), "0.1", None])
+    def test_bsc_crossover_is_a_number(self, crossover):
+        # float() read True as BSC(1.0) and "0.1" as BSC(0.1).
+        with pytest.raises(InvalidDistribution, match="crossover probability must be a finite number"):
+            BSC(crossover)
+        assert BSC(np.float64(0.25)).matrix.tolist() == [[0.75, 0.25], [0.25, 0.75]]
+
     def test_identity(self):
         ch = DiscreteChannel(np.eye(3, dtype=int))
         assert ch.matrix.dtype == np.float64 and np.array_equal(ch.matrix, np.eye(3))
         assert (ch.input_size, ch.output_size) == (3, 3)
+
+
+class TestScalarChecks:
+    """The one integer, finite-number and budget rule that every module's scalars go through."""
+
+    @pytest.mark.parametrize("value", [True, False, 2.0, 2.5, "2", None, np.int64(2), np.int32(2)])
+    def test_integer_never_coerced(self, value):
+        message = f"^count must be an integer, got {re.escape(repr(value))}$"
+        with pytest.raises(InvalidDistribution, match=message):
+            _check_integer(value, "count")
+
+    def test_integer_bounds(self):
+        assert _check_integer(-(10**30), "seed") == -(10**30)
+        assert _check_integer(0, "budget", 0) == 0
+        assert _check_integer(12, "card", 1, 12) == 12
+        cases = [
+            ((0, "n", 1), "n must be positive, got 0"),
+            ((-1, "budget", 0), "budget must be nonnegative, got -1"),
+            ((1, "steps", 2), "steps must be at least 2, got 1"),
+            ((13, "card", 1, 12), r"card must lie in \[1, 12\], got 13"),
+            ((0, "card", 1, 12), r"card must lie in \[1, 12\], got 0"),
+            ((2.5, "n", 1), r"n must be a positive integer, got 2\.5"),
+            ((True, "budget", 0), "budget must be a nonnegative integer, got True"),
+        ]
+        for args, message in cases:
+            with pytest.raises(InvalidDistribution, match=f"^{message}$"):
+                _check_integer(*args)
+
+    def test_finite(self):
+        assert _check_finite(3, "power") == 3.0 and type(_check_finite(3, "power")) is float
+        assert _check_finite(np.float64(0.5), "power") == 0.5
+        assert _check_finite(-1e308, "power") == -1e308
+        bad = [float("nan"), float("inf"), -float("inf"), 10**400, True, "1", None, np.float32(1)]
+        for value in bad:
+            with pytest.raises(InvalidDistribution, match="^power must be a finite number, got"):
+                _check_finite(value, "power")
+
+    def test_budget(self):
+        _check_budget(10, 10, "10 rows")
+        with pytest.raises(BudgetExceeded, match="^11 rows exceed budget 10$"):
+            _check_budget(11, 10, "11 rows")
+        # The budget is checked first, whatever the total: a NaN cap turned itself off.
+        for budget in (float("nan"), True, 1e9):
+            with pytest.raises(InvalidDistribution, match="^budget must be a nonnegative integer, got"):
+                _check_budget(0, budget, "0 rows")
+        with pytest.raises(InvalidDistribution, match="^budget must be nonnegative, got -1$"):
+            _check_budget(0, -1, "0 rows")
 
 
 class TestCascade:

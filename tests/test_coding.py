@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -565,6 +566,19 @@ class TestExactEquivocation:
             )
             assert renamed.gaps == pytest.approx(base.gaps, abs=1e-12)
 
+    def test_relabeling_input_symbols_leaves_report(self):
+        # Renaming x to sigma[x] in the satellite conditional's columns, in the
+        # codewords and in the eavesdropper's rows sends the same z^n law.
+        for _, cb, pzx in self.random_codes(79, 20):
+            sigma = np.roll(np.arange(pzx.input_size), 1)
+            inverse = np.argsort(sigma)
+            renamed = dataclasses.replace(
+                cb, x_words=sigma[cb.x_words], pxu=DiscreteChannel(cb.pxu.matrix[:, inverse])
+            )
+            assert exact_equivocation(renamed, DiscreteChannel(pzx.matrix[inverse])) == (
+                exact_equivocation(cb, pzx)
+            )
+
     def test_equivocation_bounds(self):
         rng = np.random.default_rng(17)
         for trial in range(10):
@@ -638,7 +652,7 @@ class TestExactEquivocation:
         monkeypatch.setattr(coding, "_TILE", 8)
         assert_matches(exact_equivocation(cb, pzx), expected)
         monkeypatch.setattr(coding, "_TABLE_BYTES", 7 * 8 * 8 - 1)
-        with pytest.raises(BudgetExceeded, match=r"7 tables of \|Z\|\^n = 8 floats exceed 447"):
+        with pytest.raises(BudgetExceeded, match=r"448 bytes in 7 tables of \|Z\|\^n = 8 floats exceed budget 447"):
             exact_equivocation(cb, pzx)
 
     def test_plogp_sum_matches_masked_expression(self):
@@ -695,7 +709,7 @@ class TestExactEquivocation:
         monkeypatch.setattr(coding, "_TABLE_BYTES", 6 * 8 * 8)
         exact_equivocation(cb, BSC(0.2))
         monkeypatch.setattr(coding, "_TABLE_BYTES", 6 * 8 * 8 - 1)
-        with pytest.raises(BudgetExceeded, match=r"6 tables of \|Z\|\^n = 8 floats exceed 383"):
+        with pytest.raises(BudgetExceeded, match=r"384 bytes in 6 tables of \|Z\|\^n = 8 floats exceed budget 383"):
             exact_equivocation(cb, BSC(0.2))
 
     def test_budgets_enforced(self, monkeypatch):
@@ -762,6 +776,14 @@ class TestDoubleBinning:
         x_map = np.tile(np.array([0.5, 0.5]), (2, 2, 1))
         with pytest.raises(ValueError):
             build_double_binning(small_params(), Pmf.uniform(2), Pmf.uniform(2), x_map, 0.0)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, True, "0.1"])
+    def test_epsilon_is_a_finite_number(self, epsilon):
+        # A NaN epsilon made every pair atypical: every trial failed to encode
+        # and the equivocation report read as perfect secrecy.
+        x_map = np.tile(np.array([0.5, 0.5]), (2, 2, 1))
+        with pytest.raises(InvalidDistribution, match="epsilon must be a finite number"):
+            build_double_binning(small_params(), Pmf.uniform(2), Pmf.uniform(2), x_map, epsilon)
 
     def test_loose_threshold_always_succeeds_uniformly(self):
         params = CodeParams(n=4, m1=1, m2=1, l1=2, l2=2, seed=5)
@@ -997,6 +1019,13 @@ class TestBinningEquivocation:
         monkeypatch.setattr(coding, "DEFAULT_COMBO_BUDGET", 0)
         with pytest.raises(BudgetExceeded, match="combinations"):
             exact_equivocation(cb, pzx)
+
+    @pytest.mark.parametrize("z_budget", [math.nan, True, 1e9, -1])
+    def test_z_budget_is_a_nonnegative_int(self, z_budget):
+        # A NaN cap passed every comparison and turned itself off.
+        cb = build_superposition(small_params(), Pmf.uniform(2), BSC(0.1))
+        with pytest.raises(InvalidDistribution, match="^budget must be (a )?nonnegative"):
+            exact_equivocation(cb, BSC(0.2), z_budget=z_budget)
 
     def test_alphabet_mismatch(self):
         x_map = np.tile(np.array([0.5, 0.5]), (2, 2, 1))
@@ -1299,3 +1328,21 @@ class TestRandomizationHelpsSecrecy:
                 values.append(exact_equivocation(cb, pzx).re12)
             means[l] = float(np.mean(values))
         assert means[4] >= means[1]
+
+    @pytest.mark.parametrize("l2", [1, 2])
+    def test_first_layer_dithering_raises_second_layer_equivocation(self, l2):
+        # The abstract's layered claim: randomization in the first (satellite)
+        # layer raises the secrecy of the second (cloud) layer's message.
+        # Each seed draws the same cloud words at l1 = 1 and l1 = 4, so the
+        # rise in re2 is paired; n = 8 is needed for it to clear the noise.
+        rises = []
+        for seed in range(40):
+            re2 = {}
+            for l1 in (1, 4):
+                params = CodeParams(n=8, m1=2, m2=2, l1=l1, l2=l2, seed=seed)
+                cb = build_superposition(params, Pmf.uniform(2), BSC(0.1))
+                re2[l1] = exact_equivocation(cb, BSC(0.2)).re2
+            rises.append(re2[4] - re2[1])
+        mean = float(np.mean(rises))
+        standard_error = float(np.std(rises, ddof=1)) / math.sqrt(len(rises))
+        assert mean > 3 * standard_error

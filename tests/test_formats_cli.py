@@ -144,7 +144,7 @@ class TestParseChannel:
         out.write_text("alpha,r1_bits,r2_bits\n0,5,7\n1,9,5\n")
         assert run(["check", "frontier", "--file", str(out), *args]) == 3
         err = capsys.readouterr().err
-        assert err.count(f"{field} must be finite, got {float(value)!r}") == 2
+        assert err.count(f"{field} must be a finite number, got {float(value)!r}") == 2
 
     def test_unknown_type(self):
         with pytest.raises(InvalidDistribution, match="unknown channel type"):
@@ -163,8 +163,14 @@ class TestCsv:
         "n_rows", [0, 1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 3 * CSV_BLOCK_ROWS + 7]
     )
     def test_blocks_write_the_one_shot_bytes(self, tmp_path, n_rows):
-        rows = np.random.default_rng(n_rows).uniform(-1e3, 1e3, size=(n_rows, 3))
+        rng = np.random.default_rng(n_rows)
+        rows = rng.uniform(-1e3, 1e3, size=(n_rows, 3))
         rows[::5] = np.round(rows[::5])  # some integral values: "%g" drops their point
+        rows[1::3] *= 10.0 ** rng.integers(-300, 300, size=rows[1::3].shape)  # mixed magnitudes
+        rows[2::7, 0] = -0.0
+        rows[3::11] = 0.0  # zero rows
+        rows[4::13, 1] = 5e-324
+        rows[5::13, 2] = -np.finfo(np.float64).max
         lines = ["a,b,c"] + [",".join(format_sig(v) for v in row) for row in rows.tolist()]
         expected = "\n".join(lines) + "\n"
         write_csv(tmp_path / "array.csv", ["a", "b", "c"], rows)
@@ -365,6 +371,15 @@ class TestCliRegionDiscrete:
             ]
         )
         assert code == 4
+
+    @pytest.mark.parametrize("command", [["region", "degraded"], ["region", "general"], ["wiretap"]])
+    def test_negative_budget_exit_3(self, tmp_path, capsys, cascade_file, command):
+        # A malformed budget is an input error, not an exceeded budget.
+        out = tmp_path / "x.csv"
+        argv = [*command, "--file", cascade_file, "--budget", "-1"]
+        assert run(argv + (["--out", str(out)] if command[0] == "region" else [])) == 3
+        assert capsys.readouterr().err == "error: budget must be nonnegative, got -1\n"
+        assert not out.exists()
 
     def test_gaussian_file_rejected_for_discrete_region(self, tmp_path, capsys):
         path = tmp_path / "awgn.json"
@@ -701,7 +716,8 @@ class TestCliSimulate:
         superposition_config.write_text(json.dumps(config))
         out = tmp_path / "o.json"
         assert run(["simulate", "--config", str(superposition_config), "--out", str(out)]) == 3
-        assert f"field '{field}' must be an integer" in capsys.readouterr().err
+        kind = "a positive integer" if field == "trials" else "an integer"
+        assert f"field '{field}' must be {kind}, got {value!r}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("scheme", ["superposition", "double-binning"])
@@ -781,6 +797,13 @@ class TestCliSimulate:
             ]
         )
         assert code == 4
+
+    def test_negative_z_budget_exit_3(self, tmp_path, capsys, superposition_config):
+        out = tmp_path / "o.json"
+        argv = ["simulate", "--config", str(superposition_config), "--budget", "-1", "--out", str(out)]
+        assert run(argv) == 3
+        assert capsys.readouterr().err == "error: budget must be nonnegative, got -1\n"
+        assert not out.exists()
 
     def test_no_partial_output_on_failure(self, tmp_path, superposition_config):
         out = tmp_path / "o.json"

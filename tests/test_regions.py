@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -95,6 +96,12 @@ class TestCapacityFn:
         with pytest.raises(ValueError):
             capacity_fn(-0.1)
 
+    def test_nan_snr_rejected(self):
+        with pytest.raises(ValueError, match="snr must be nonnegative, got nan"):
+            capacity_fn(math.nan)
+        with pytest.raises(ValueError, match="got nan$"):
+            capacity_fn(np.array([0.0, math.nan, -1.0]))
+
     def test_monotone(self):
         xs = np.linspace(0, 50, 200)
         vals = [capacity_fn(x) for x in xs]
@@ -121,13 +128,13 @@ class TestGaussianParams:
             GaussianParams(0.0, 0.25, 0.5, 1.0)
 
     @pytest.mark.parametrize("index", range(4))
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, True])
     def test_non_finite_field_named(self, index, value):
         # inf passed every ordering check and gave nan rates.
         fields = [1.0, 0.25, 0.5, 1.0]
         fields[index] = value
         name = ("power", "n1", "n2", "n3")[index]
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
+        with pytest.raises(ValueError, match=f"{name} must be a finite number"):
             GaussianParams(*fields)
 
 
@@ -397,6 +404,19 @@ class TestSimplexGrid:
             tracemalloc.stop()
         assert peak < 64 * 1024
 
+    @pytest.mark.parametrize(
+        "dim,steps,message",
+        [
+            (True, 2, "dim must be a positive integer, got True"),
+            (2, 2.0, "steps must be a positive integer, got 2.0"),
+            (0, 2, "dim must be positive, got 0"),
+            (2, 0, "steps must be positive, got 0"),
+        ],
+    )
+    def test_dim_and_steps_are_positive_ints(self, dim, steps, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            simplex_grid(dim, steps)
+
     def test_contains_vertices(self):
         grid = simplex_grid(2, 10)
         assert [1.0, 0.0] in grid.tolist()
@@ -442,6 +462,36 @@ class TestGridArguments:
             for resolution in (0.0, 1.5):
                 with pytest.raises(ValueError, match=rf"must lie in \(0, 1\], got {resolution}"):
                     search(resolution=resolution)
+
+    def test_resolution_is_a_finite_number(self):
+        # True passed 0 < True <= 1 as a resolution of 1.
+        for search in self.SEARCHES:
+            for resolution in (True, "0.5", math.nan):
+                with pytest.raises(ValueError, match="resolution must be a finite number"):
+                    search(resolution=resolution)
+
+    @pytest.mark.parametrize("card", [True, 2.0, 2.5, np.int64(2)])
+    def test_cardinality_is_an_int(self, card):
+        # These raised TypeError from math.comb, or ran as the integer.
+        degraded, general, _ = self.SEARCHES
+        got = re.escape(repr(card))
+        with pytest.raises(ValueError, match=f"^u_card must be an integer, got {got}$"):
+            degraded(u_card=card)
+        for name in ("v1_card", "v2_card"):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got {got}$"):
+                general(**{name: card})
+
+    @pytest.mark.parametrize("budget", [math.nan, True, 1e9, -1, np.int64(10**6)])
+    def test_budget_is_a_nonnegative_int(self, budget):
+        # A NaN budget passed the comparison and the whole grid ran; True was read as 1.
+        searches = (
+            lambda: degraded_region_inner(*DEGRADED, resolution=0.5, u_card=1, budget=budget),
+            lambda: general_inner_bound(*DEGRADED, resolution=0.5, v1_card=1, budget=budget),
+            lambda: wiretap_secrecy_capacity(*DEGRADED[::2], resolution=0.5, budget=budget),
+        )
+        for search in searches:
+            with pytest.raises(ValueError, match="^budget must be (a )?nonnegative"):
+                search()
 
     def test_cardinality_bounds(self):
         degraded, general, _ = self.SEARCHES
@@ -854,3 +904,31 @@ class TestRelabelingInvariance:
             renamed = relabel(channels, ("y", "z"), alphabet)
             value = wiretap_secrecy_capacity(*renamed, resolution=resolution)
             assert value == pytest.approx(base, abs=1e-12), alphabet
+
+
+def support(frontier, directions):
+    """max over the region (frontier, origin and axis feet) of d . r, per direction d."""
+    points = np.array([[p.r1, p.r2] for p in frontier.points] + [[0.0, 0.0]])
+    return (directions @ points.T).max(axis=1)
+
+
+def degraded_chain(seed):
+    """A random binary chain y1 -> y2 -> z: Y1 = W1, Y2 = W1 @ M1, Z = Y2 @ M2."""
+    w1, m1, m2 = random_channels(seed, 2, 3)
+    y2 = cascade(w1, m1)
+    return w1, y2, cascade(y2, m2)
+
+
+class TestGeneralInsideDegraded:
+    """On a degraded chain the layered region is the capacity region, so the
+    general double-binning bound cannot exceed it in any direction."""
+
+    ANGLES = np.linspace(0.0, np.pi / 2, 2001)
+    DIRECTIONS = np.column_stack([np.cos(ANGLES), np.sin(ANGLES)])
+
+    @pytest.mark.parametrize("chain", [DEGRADED, *(degraded_chain(seed) for seed in range(4))])
+    def test_support_functions(self, chain):
+        general = general_inner_bound(*chain, resolution=0.1)
+        degraded = degraded_region_inner(*chain, resolution=0.1)
+        excess = support(general, self.DIRECTIONS) - support(degraded, self.DIRECTIONS)
+        assert excess.max() <= 1e-12
