@@ -16,6 +16,8 @@ import numpy as np
 
 SUM_TOL = 1e-9
 DEGRADED_TOL = 1e-7
+# Entry types that _check_numbers accepts; bool, an int subclass, is excluded there.
+_REAL = (int, float, np.integer, np.floating)
 
 
 class InvalidDistribution(ValueError):
@@ -30,8 +32,8 @@ class SumNotOne(InvalidDistribution):
     """Probabilities do not sum to one within tolerance."""
 
 
-class DimensionMismatch(ValueError):
-    """Operand shapes are incompatible."""
+class DimensionMismatch(InvalidDistribution):
+    """Operand shapes or alphabet sizes are incompatible."""
 
 
 class BudgetExceeded(RuntimeError):
@@ -50,13 +52,45 @@ def _position(idx: tuple[int, ...]) -> str:
     return f"index {idx[0] if len(idx) == 1 else idx}"
 
 
-def _check_stochastic(arr: np.ndarray, lead: int, what: str, part: str = "row") -> None:
-    """Raise on the first non-finite or negative entry, or slice not summing to 1.
+def _check_numbers(value, what: str) -> np.ndarray:
+    """`value` as a float64 array if it holds only real numbers; never coerced.
 
-    The first `lead` axes index the slices (lead 0: one pmf).  Messages name
+    An ndarray is judged by its dtype, integer or floating, and is not
+    copied when it is float64 already.  Anything else is judged entry by
+    entry: Python and numpy ints and floats pass; bools, strings, None,
+    ragged rows, complex values and ints beyond the float range do not.
+    """
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind in "iuf":
+            return np.asarray(value, dtype=np.float64)
+        raise InvalidDistribution(f"{what} must be an array of numbers, got dtype {value.dtype}")
+    try:
+        cells = np.array(value, dtype=object)
+        if all(isinstance(c, _REAL) and not isinstance(c, bool) for c in cells.flat):
+            return cells.astype(np.float64)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidDistribution(f"{what} must be an array of numbers, got {value!r}")
+
+
+def _check_sizes(got, expected, what: str) -> None:
+    """Raise DimensionMismatch naming both sides unless `got` equals `expected`."""
+    if got != expected:
+        raise DimensionMismatch(f"{what}: got {got}, expected {expected}")
+
+
+def _check_stochastic(value, ndim: int, lead: int, what: str, part: str = "row") -> np.ndarray:
+    """A new float64 array of `value`, once it is a nonempty `ndim`-axis stochastic array.
+
+    The first `lead` axes index the slices (lead 0: one pmf).  Raises on the
+    first non-finite or negative entry, or slice not summing to 1, naming
     the array, the offending index or the slice (`part`).  Signs are checked
     before sums, so -1e-12 is rejected even when the sum is within tolerance.
     """
+    arr = np.array(_check_numbers(value, what))
+    if arr.ndim != ndim or arr.size == 0:
+        shape = arr.shape
+        raise DimensionMismatch(f"{what} must have {ndim} axes and be nonempty, got shape {shape}")
     idx = _first(~np.isfinite(arr))
     if idx is not None:
         raise InvalidDistribution(f"non-finite entry in {what} at {_position(idx)}")
@@ -68,6 +102,7 @@ def _check_stochastic(arr: np.ndarray, lead: int, what: str, part: str = "row") 
     if idx is not None:
         where = f"{part} {idx[0] if lead == 1 else idx} of {what}" if lead else what
         raise SumNotOne(f"{where} sums to {float(sums[idx])!r}, expected 1 within {SUM_TOL}")
+    return arr
 
 
 def _check_integer(value, name: str, low: int | None = None, high: int | None = None) -> int:
@@ -101,17 +136,6 @@ def _check_budget(total: int, budget: int, what: str) -> None:
         raise BudgetExceeded(f"{what} exceed budget {budget}")
 
 
-def validate_pmf(probs) -> None:
-    """Check the pmf invariants, raising on the first violation.
-
-    Raises NegativeEntry or SumNotOne naming the offending index or total.
-    """
-    arr = np.asarray(probs, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise InvalidDistribution(f"expected a nonempty 1-d vector, got shape {arr.shape}")
-    _check_stochastic(arr, 0, "pmf")
-
-
 def _freeze(obj, name, arr):
     arr.flags.writeable = False
     object.__setattr__(obj, name, arr)
@@ -124,9 +148,7 @@ class Pmf:
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.probs, dtype=np.float64)
-        validate_pmf(arr)
-        _freeze(self, "probs", arr)
+        _freeze(self, "probs", _check_stochastic(self.probs, 1, 0, "pmf"))
 
     @property
     def alphabet_size(self) -> int:
@@ -145,11 +167,7 @@ class DiscreteChannel:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.matrix, dtype=np.float64)
-        if arr.ndim != 2 or arr.size == 0:
-            raise InvalidDistribution(f"expected a nonempty 2-d matrix, got shape {arr.shape}")
-        _check_stochastic(arr, 1, "channel matrix")
-        _freeze(self, "matrix", arr)
+        _freeze(self, "matrix", _check_stochastic(self.matrix, 2, 1, "channel matrix"))
 
     @property
     def input_size(self) -> int:
@@ -183,11 +201,7 @@ class DegradednessReport:
 
 def cascade(first: DiscreteChannel, second: DiscreteChannel) -> DiscreteChannel:
     """Compose two channels in series (matrix product, row-stochastic)."""
-    if first.output_size != second.input_size:
-        raise DimensionMismatch(
-            f"cannot cascade: first has {first.output_size} outputs, "
-            f"second expects {second.input_size} inputs"
-        )
+    _check_sizes(second.input_size, first.output_size, "cascade: second inputs vs first outputs")
     return DiscreteChannel(first.matrix @ second.matrix)
 
 
@@ -205,11 +219,7 @@ def check_stochastic_degraded(
     """
     from scipy.optimize import linprog  # deferred: the import costs more than most commands
 
-    if stronger.input_size != weaker.input_size:
-        raise DimensionMismatch(
-            f"channels disagree on the input alphabet: "
-            f"{stronger.input_size} vs {weaker.input_size}"
-        )
+    _check_sizes(weaker.input_size, stronger.input_size, "channels disagree on the input alphabet")
     a = stronger.matrix
     b = weaker.matrix
     n_mid = stronger.output_size

@@ -14,14 +14,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .channels import (
-    BudgetExceeded,
-    DimensionMismatch,
-    InvalidDistribution,
-    Pmf,
-    _check_budget,
-    check_stochastic_degraded,
-)
+from .channels import BudgetExceeded, InvalidDistribution, Pmf, _check_budget, check_stochastic_degraded
 from .coding import (
     DEFAULT_Z_SEQUENCE_BUDGET,
     build_double_binning,
@@ -35,6 +28,7 @@ from .formats import (
     load_channel,
     parse_experiment,
     read_frontier_csv,
+    read_json,
     write_csv,
     write_json,
 )
@@ -220,11 +214,7 @@ def check_frontier(path, power, n1, n2, n3, tol):
 )
 def simulate(config_path, out, seed, trials, budget):
     """Run a coding experiment described by a JSON config."""
-    with open(config_path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidDistribution(f"{config_path}: not valid JSON ({exc})") from exc
+    raw = read_json(config_path)
     if isinstance(raw, dict):
         raw.update({k: v for k, v in (("seed", seed), ("trials", trials)) if v is not None})
     config = parse_experiment(raw, base_dir=Path(config_path).parent)
@@ -284,7 +274,7 @@ def run(argv: list[str]) -> int:
     except BudgetExceeded as exc:
         click.echo(f"error: {exc}", err=True)
         return 4
-    except (InvalidDistribution, DimensionMismatch, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return 3
     return 0

@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import DimensionMismatch, DiscreteChannel, Pmf, cascade
-from .channels import _check_budget, _check_finite, _check_integer, _check_stochastic
+from .channels import DiscreteChannel, Pmf, cascade
+from .channels import _check_budget, _check_finite, _check_integer, _check_sizes, _check_stochastic
 
 DEFAULT_CODEBOOK_SYMBOL_BUDGET = 1 << 22
 DEFAULT_Z_SEQUENCE_BUDGET = 1 << 20
@@ -139,8 +139,7 @@ def _symbols(values: np.ndarray, k: int, what: str, alphabet: str = "") -> np.nd
 def _check_messages(params: CodeParams, w1, w2) -> tuple[np.ndarray, np.ndarray]:
     """w1 and w2 as int64 arrays of one shape, each inside its message range."""
     w1, w2 = np.asarray(w1), np.asarray(w2)
-    if w1.shape != w2.shape:
-        raise DimensionMismatch(f"messages have shapes {w1.shape} and {w2.shape}")
+    _check_sizes(w2.shape, w1.shape, "shape of messages w2 vs w1")
     return _symbols(w1, params.m1, "messages w1"), _symbols(w2, params.m2, "messages w2")
 
 
@@ -254,11 +253,7 @@ def build_superposition(
     Cloud words are i.i.d. from pu; each satellite word is drawn symbol by
     symbol from pxu conditioned on its cloud word.
     """
-    if pu.alphabet_size != pxu.input_size:
-        raise DimensionMismatch(
-            f"cloud alphabet {pu.alphabet_size} does not match conditional input "
-            f"{pxu.input_size}"
-        )
+    _check_sizes(pxu.input_size, pu.alphabet_size, "conditional inputs vs cloud alphabet")
     n, m1, m2, l1, l2 = params.n, params.m1, params.m2, params.l1, params.l2
     total = m2 * l2 * n + m2 * l2 * m1 * l1 * n
     _check_budget(total, DEFAULT_CODEBOOK_SYMBOL_BUDGET, f"the codebook's {total} symbols")
@@ -330,8 +325,8 @@ def _ml_index(words: np.ndarray, ys: np.ndarray, log_matrix: np.ndarray) -> np.n
 def _check_observation(y: np.ndarray, n: int, ch: DiscreteChannel) -> np.ndarray:
     """y as an int64 array of shape (n,) or (B, n) inside the channel's output alphabet."""
     seq = np.asarray(y)
-    if seq.ndim not in (1, 2) or seq.shape[-1] != n:
-        raise DimensionMismatch(f"observation has shape {seq.shape}, expected ({n},) or (B, {n})")
+    expected = (n,) if seq.ndim < 2 else (len(seq), n)
+    _check_sizes(seq.shape, expected, "observation shape, (n,) or (B, n)")
     return _symbols(seq, ch.output_size, "observation symbols", "the channel output alphabet ")
 
 
@@ -342,8 +337,7 @@ def decode_rx2(cb: SuperpositionCodebook, y2: np.ndarray, ch_y2_given_u: Discret
     decoded to B estimates.  Ties break toward the lowest codeword index
     (bin-major order).
     """
-    if ch_y2_given_u.input_size != cb.pu.alphabet_size:
-        raise DimensionMismatch("composite channel input does not match the cloud alphabet")
+    _check_sizes(ch_y2_given_u.input_size, cb.pu.alphabet_size, "composite inputs vs cloud alphabet")
     seq = _check_observation(y2, cb.params.n, ch_y2_given_u)
     flat = _ml_index(cb.u_words, seq.reshape(-1, cb.params.n), _log_matrix(ch_y2_given_u.matrix))
     w2 = flat // cb.params.l2
@@ -357,8 +351,7 @@ def decode_rx1(cb: SuperpositionCodebook, y1: np.ndarray, ch_y1_given_x: Discret
     decoded to two arrays of B estimates.  Ties break toward the
     lexicographically lowest (cloud, satellite) index.
     """
-    if ch_y1_given_x.input_size != cb.pxu.output_size:
-        raise DimensionMismatch("channel input does not match the transmit alphabet")
+    _check_sizes(ch_y1_given_x.input_size, cb.pxu.output_size, "channel inputs vs transmit alphabet")
     seq = _check_observation(y1, cb.params.n, ch_y1_given_x)
     flat = _ml_index(cb.x_words, seq.reshape(-1, cb.params.n), _log_matrix(ch_y1_given_x.matrix))
     w2, _, w1, _ = np.unravel_index(flat, cb.x_words.shape[:4])
@@ -410,8 +403,7 @@ def exact_equivocation(
     n, m1, m2, l1, l2 = params.n, params.m1, params.m2, params.l1, params.l2
     superposition = isinstance(cb, SuperpositionCodebook)
     x_size = cb.pxu.output_size if superposition else cb.x_map.shape[-1]
-    if pzx.input_size != x_size:
-        raise DimensionMismatch("eavesdropper channel input does not match the transmit alphabet")
+    _check_sizes(pzx.input_size, x_size, "eavesdropper channel inputs vs transmit alphabet")
     matrix = pzx.matrix if superposition else cb.x_map.reshape(-1, x_size) @ pzx.matrix
     nz = pzx.output_size
     count = nz**n
@@ -483,15 +475,8 @@ def build_double_binning(
     epsilon = _check_finite(epsilon, "epsilon")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    rows = np.asarray(x_map, dtype=np.float64)
-    if rows.ndim != 3:
-        raise DimensionMismatch(f"x_map must have 3 axes (v1, v2, x), got shape {rows.shape}")
-    _check_stochastic(rows, 2, "x_map")
-    if rows.shape[:2] != (pv1.alphabet_size, pv2.alphabet_size):
-        raise DimensionMismatch(
-            f"x_map shape {rows.shape} does not match auxiliary alphabets "
-            f"({pv1.alphabet_size}, {pv2.alphabet_size})"
-        )
+    rows = _check_stochastic(x_map, 3, 2, "x_map")
+    _check_sizes(rows.shape[:2], (pv1.alphabet_size, pv2.alphabet_size), "x_map (v1, v2) axes")
     n, m1, m2, l1, l2 = params.n, params.m1, params.m2, params.l1, params.l2
     # The words, then one typical-pair entry per (w1, w2, j1, j2).
     total = (m1 * l1 + m2 * l2) * n + m1 * m2 * l1 * l2

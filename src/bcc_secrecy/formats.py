@@ -11,10 +11,11 @@ Both load to a ``MarginalTriple``: everything downstream reads only
 P(y1|x), P(y2|x) and P(z|x), so a "bcc" tensor is summed down.
 
 Entries in [-1e-12, 0) are clamped to zero at load time to absorb
-decimal round-off in hand-written files; anything below that floor, or
-any other invariant violation, is rejected with the violated invariant
-named.  Output files are written to a temporary file and renamed into
-place, so a failed run never leaves a partial artifact.
+decimal round-off in hand-written files; anything below that floor, a
+field that the description's type does not define, or any other
+invariant violation is rejected with the violated invariant named.
+Output files are written to a temporary file and renamed into place, so
+a failed run never leaves a partial artifact.
 """
 
 from __future__ import annotations
@@ -31,12 +32,18 @@ from typing import Iterable
 import numpy as np
 
 from .channels import DiscreteChannel, InvalidDistribution, Pmf
-from .channels import _check_finite, _check_integer, _check_stochastic
+from .channels import _check_finite, _check_integer, _check_numbers, _check_sizes, _check_stochastic
 from .coding import CodeParams
 
 NEGATIVE_GRACE = 1e-12
 SIG_DIGITS = 12
 CSV_BLOCK_ROWS = 4096
+# The fields of each channel type, and of an experiment config (either scheme).
+CHANNEL_FIELDS = {
+    "bcc": ("type", "x", "y1", "y2", "z", "joint"),
+    "bcc-marginals": ("type", "py1x", "py2x", "pzx"),
+}
+EXPERIMENT_FIELDS = "scheme channel n m1 m2 l1 l2 seed trials epsilon pu pxu pv1 pv2 pxv".split()
 
 
 @dataclass(frozen=True)
@@ -49,22 +56,9 @@ class MarginalTriple:
 
 
 def _array(data: dict, key: str, document: str = "channel description") -> np.ndarray:
-    """A field that must be a JSON number or a nested array of them, with the grace floor applied.
-
-    Strings, booleans, null, objects, ragged arrays and integers beyond
-    the float range are rejected naming the field.
-    """
-    value = _require(data, key, document)
-    try:
-        cells = np.array(value, dtype=object)
-        if not all(type(cell) in (int, float) for cell in cells.flat):
-            raise TypeError
-        out = cells.astype(np.float64)
-    except (TypeError, ValueError, OverflowError):
-        message = f"field {key!r} must be an array of numbers, got {value!r}"
-        raise InvalidDistribution(message) from None
-    out[(out < 0.0) & (out >= -NEGATIVE_GRACE)] = 0.0
-    return out
+    """A field that must be a number or a nested array of them, with the grace floor applied."""
+    out = _check_numbers(_require(data, key, document), f"field {key!r}")
+    return np.where((out < 0.0) & (out >= -NEGATIVE_GRACE), 0.0, out)
 
 
 def _require(data: dict, key: str, document: str = "channel description"):
@@ -73,44 +67,54 @@ def _require(data: dict, key: str, document: str = "channel description"):
     return data[key]
 
 
+def _reject_unknown(data: dict, fields, document: str) -> None:
+    for key in data:
+        if key not in fields:
+            raise InvalidDistribution(f"{document} has an unknown field {key!r}")
+
+
+def _read_text(path: str | Path) -> str:
+    """The file at `path` as UTF-8 text; undecodable bytes name the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidDistribution(f"{path}: not UTF-8 text ({exc})") from exc
+
+
+def read_json(path: str | Path):
+    """The JSON document in the file at `path`; malformed JSON names the file."""
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise InvalidDistribution(f"{path}: not valid JSON ({exc})") from exc
+
+
 def parse_channel(data: dict) -> MarginalTriple:
     """Parse a channel description dict, naming the violated invariant on error."""
     if not isinstance(data, dict):
         raise InvalidDistribution(f"channel description must be an object, got {type(data).__name__}")
     kind = _require(data, "type")
+    if not isinstance(kind, str) or kind not in CHANNEL_FIELDS:
+        raise InvalidDistribution(f"unknown channel type {kind!r}")
+    _reject_unknown(data, CHANNEL_FIELDS[kind], "channel description")
     if kind == "bcc":
         keys = ("x", "y1", "y2", "z")
         sizes = tuple(_check_integer(_require(data, k), f"field {k!r}") for k in keys)
         if any(s < 1 for s in sizes):
             raise InvalidDistribution(f"alphabet sizes must be positive, got {sizes}")
         flat = _array(data, "joint")
-        expected = math.prod(sizes)
-        if flat.ndim != 1 or flat.size != expected:
-            raise InvalidDistribution(
-                f"joint array has {flat.size} entries, expected {expected} for sizes {sizes}"
-            )
-        tensor = flat.reshape(sizes)
-        _check_stochastic(tensor, 1, "broadcast tensor", part="slice for input")
+        _check_sizes(flat.shape, (math.prod(sizes),), f"joint array shape for sizes {sizes}")
+        tensor = _check_stochastic(flat.reshape(sizes), 4, 1, "broadcast tensor", "slice for input")
         axes = ((2, 3), (1, 3), (1, 2))  # summed out for y1, y2 and z
         return MarginalTriple(*(DiscreteChannel(tensor.sum(axis=a)) for a in axes))
-    if kind == "bcc-marginals":
-        matrices = [
-            DiscreteChannel(_array(data, k))
-            for k in ("py1x", "py2x", "pzx")
-        ]
-        if not (matrices[0].input_size == matrices[1].input_size == matrices[2].input_size):
-            raise InvalidDistribution("marginal matrices disagree on the input alphabet size")
-        return MarginalTriple(*matrices)
-    raise InvalidDistribution(f"unknown channel type {kind!r}")
+    matrices = [DiscreteChannel(_array(data, k)) for k in ("py1x", "py2x", "pzx")]
+    sizes = [m.input_size for m in matrices]
+    _check_sizes(sizes, sizes[:1] * 3, "marginal matrices disagree on the input alphabet size")
+    return MarginalTriple(*matrices)
 
 
 def load_channel(path: str | Path) -> MarginalTriple:
-    with open(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidDistribution(f"{path}: not valid JSON ({exc})") from exc
-    return parse_channel(data)
+    return parse_channel(read_json(path))
 
 
 @dataclass(frozen=True)
@@ -133,6 +137,7 @@ def parse_experiment(data: dict, base_dir: Path | None = None) -> ExperimentConf
     if not isinstance(data, dict):
         raise InvalidDistribution(f"experiment config must be an object, got {type(data).__name__}")
     document = "experiment config"
+    _reject_unknown(data, EXPERIMENT_FIELDS, document)
     scheme = _require(data, "scheme", document)
     if scheme not in ("superposition", "double-binning"):
         raise InvalidDistribution(f"unknown scheme {scheme!r}")
@@ -209,8 +214,7 @@ def write_json(path: str | Path, payload) -> None:
 
 
 def read_frontier_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
-    with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+    lines = [line.strip() for line in _read_text(path).split("\n") if line.strip()]
     if not lines:
         raise InvalidDistribution(f"{path}: empty CSV")
     header = lines[0].split(",")

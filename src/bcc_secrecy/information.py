@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import DimensionMismatch, DiscreteChannel, Pmf
+from .channels import DiscreteChannel, Pmf, _check_sizes
 
 
 def entropy_last_axis(probs: np.ndarray) -> np.ndarray:
@@ -20,10 +20,7 @@ def entropy_last_axis(probs: np.ndarray) -> np.ndarray:
 
 def mutual_information(input_dist: Pmf, ch: DiscreteChannel) -> float:
     """I(X;Y) = H(Y) - H(Y|X) for p(x) through P(y|x), clamped at 0."""
-    if input_dist.alphabet_size != ch.input_size:
-        raise DimensionMismatch(
-            f"input has {input_dist.alphabet_size} symbols, channel expects {ch.input_size}"
-        )
+    _check_sizes(input_dist.alphabet_size, ch.input_size, "input symbols vs channel inputs")
     py = input_dist.probs @ ch.matrix
     value = float(entropy_last_axis(py) - input_dist.probs @ entropy_last_axis(ch.matrix))
     return max(value, 0.0)

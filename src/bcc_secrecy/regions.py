@@ -43,8 +43,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import DimensionMismatch, DiscreteChannel, Pmf, validate_pmf
-from .channels import _check_budget, _check_finite, _check_integer, _check_stochastic
+from .channels import DiscreteChannel, Pmf, _check_budget, _check_finite, _check_integer
+from .channels import _check_numbers, _check_sizes, _check_stochastic
 from .information import entropy_last_axis
 
 DEFAULT_RESOLUTION = 0.05
@@ -105,7 +105,7 @@ def capacity_fn(snr: float | np.ndarray) -> float | np.ndarray:
 
     Logs are math.log2 per element; np.log2 can differ in the last ulp.
     """
-    values = np.asarray(snr, dtype=np.float64)
+    values = _check_numbers(snr, "snr")
     bad = ~(values >= 0)
     if np.any(bad):
         raise ValueError(f"snr must be nonnegative, got {float(values[bad][0])!r}")
@@ -124,7 +124,7 @@ def gaussian_region_point(g: GaussianParams, alpha: float | np.ndarray) -> RateP
     monotone in the noise ordering, so both coordinates are nonnegative in
     floating point without clamping.
     """
-    alpha = np.asarray(alpha, dtype=np.float64)
+    alpha = _check_numbers(alpha, "alpha")
     outside = ~((alpha >= 0.0) & (alpha <= 1.0))
     if np.any(outside):
         raise ValueError(f"alpha must lie in [0, 1], got {float(alpha[outside][0])!r}")
@@ -144,7 +144,7 @@ def _pareto(points) -> np.ndarray:
     equal r1, the last has the largest r2.  Only comparisons are made, so the
     staircase of a union is the staircase of its parts' staircases.
     """
-    arr = np.asarray(points, dtype=np.float64).reshape(-1, 2)
+    arr = _check_numbers(points, "rate points").reshape(-1, 2)
     if not np.all(np.isfinite(arr)):
         raise ValueError("non-finite rate point")
     if np.any(arr < 0.0):
@@ -259,10 +259,9 @@ def _row_product(rows: np.ndarray, n_inputs: int) -> np.ndarray:
 
 
 def _check_shared_input(*channels: DiscreteChannel) -> int:
-    sizes = {ch.input_size for ch in channels}
-    if len(sizes) != 1:
-        raise DimensionMismatch(f"channels disagree on the input alphabet: {sorted(sizes)}")
-    return sizes.pop()
+    sizes = [ch.input_size for ch in channels]
+    _check_sizes(sizes, sizes[:1] * len(sizes), "channels disagree on the input alphabet")
+    return sizes[0]
 
 
 def _mi_from_joint(joint: np.ndarray) -> np.ndarray:
@@ -314,10 +313,8 @@ def degraded_rate_terms(
 ) -> dict[str, float]:
     """Unclamped i_x_y1_given_u, i_u_y2, i_u_z, i_x_z of one (P(u), P(x|u)) candidate."""
     _check_shared_input(py1x, py2x, pzx)
-    if pu.alphabet_size != pxu.input_size:
-        raise DimensionMismatch("cloud distribution does not match the conditional's input")
-    if pxu.output_size != py1x.input_size:
-        raise DimensionMismatch("conditional output does not match the channel input")
+    _check_sizes(pxu.input_size, pu.alphabet_size, "conditional inputs vs cloud alphabet")
+    _check_sizes(pxu.output_size, py1x.input_size, "conditional outputs vs channel inputs")
     batch = pxu.matrix[None]
     rows = _degraded_rows(batch, py1x.matrix, py2x.matrix, pzx.matrix)
     terms = _degraded_terms(pu.probs, batch, pzx.matrix, rows)
@@ -402,15 +399,11 @@ def general_rate_terms(
 ) -> dict[str, float]:
     """Unclamped i_v1_y1, i_v2_y2, i_v1_z, i_v2_z, i_v1v2_z, i_v1_v2 of one candidate."""
     _check_shared_input(py1x, py2x, pzx)
-    joint = np.asarray(joint_v1v2, dtype=np.float64)
-    xmap = np.asarray(x_given_pair, dtype=np.float64)
-    validate_pmf(joint.ravel())
-    if joint.ndim != 2 or xmap.shape != joint.shape + (py1x.input_size,):
-        raise DimensionMismatch(
-            f"x-map shape {xmap.shape} does not match joint {joint.shape} "
-            f"and input alphabet {py1x.input_size}"
-        )
-    _check_stochastic(xmap, 2, "x-map")
+    joint, xmap = _check_numbers(joint_v1v2, "joint"), _check_numbers(x_given_pair, "x-map")
+    expected = joint.shape + (py1x.input_size,)
+    _check_sizes(xmap.shape, expected, "x-map shape does not match joint and input alphabet")
+    joint = _check_stochastic(joint, 2, 0, "joint")
+    xmap = _check_stochastic(xmap, 3, 2, "x-map")
     terms = _general_terms(joint[None], xmap, py1x.matrix, py2x.matrix, pzx.matrix)
     return {key: float(value[0]) for key, value in terms.items()}
 

@@ -5,15 +5,21 @@ import pytest
 
 from bcc_secrecy import (
     BudgetExceeded,
+    CodeParams,
     DimensionMismatch,
     DiscreteChannel,
+    GaussianParams,
     InvalidDistribution,
     NegativeEntry,
     Pmf,
     SumNotOne,
+    build_double_binning,
+    capacity_fn,
     cascade,
     check_stochastic_degraded,
-    validate_pmf,
+    gaussian_region_point,
+    general_rate_terms,
+    upper_right_hull,
 )
 from bcc_secrecy.channels import _check_budget, _check_finite, _check_integer
 from bcc_secrecy.formats import parse_channel
@@ -36,24 +42,24 @@ def parse_tensor(joint):
 
 class TestValidatePmf:
     def test_uniform_binary_is_valid(self):
-        validate_pmf((0.5, 0.5))
+        Pmf((0.5, 0.5))
 
     def test_sum_above_one_rejected(self):
         with pytest.raises(SumNotOne, match="1.1"):
-            validate_pmf((0.5, 0.6))
+            Pmf((0.5, 0.6))
 
     def test_sign_check_dominates_sum_tolerance(self):
         # the sum 1 - 1e-12 is fine; the negative entry is not
         with pytest.raises(NegativeEntry, match="index 1"):
-            validate_pmf((1.0, -1e-12))
+            Pmf((1.0, -1e-12))
 
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidDistribution, match="non-finite"):
-            validate_pmf((0.5, float("nan")))
+            Pmf((0.5, float("nan")))
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(InvalidDistribution):
-            validate_pmf([[0.5, 0.5]])
+            Pmf([[0.5, 0.5]])
 
 
 class TestPmf:
@@ -149,6 +155,84 @@ class TestScalarChecks:
                 _check_budget(0, budget, "0 rows")
         with pytest.raises(InvalidDistribution, match="^budget must be nonnegative, got -1$"):
             _check_budget(0, -1, "0 rows")
+
+
+def _pair_map(rows):
+    return build_double_binning(CodeParams(4, 2, 2, 1, 1, 0), Pmf.uniform(2), Pmf.uniform(2), rows, 0.1)
+
+
+GAUSSIAN = GaussianParams(power=1.0, n1=0.25, n2=0.5, n3=1.0)
+CHAIN = (BSC(0.05), BSC(0.14), BSC(0.2336))
+ONE_HOT = np.stack([np.eye(2), np.eye(2)[::-1]])  # a (2, 2, 2) map whose rows are point masses
+
+# Argument name -> (a call that takes the argument, a 0/1 value it accepts as floats).
+ARRAY_ARGUMENTS = {
+    "pmf": (Pmf, [0, 1]),
+    "channel matrix": (DiscreteChannel, np.eye(2)),
+    "x_map": (_pair_map, ONE_HOT),
+    "joint": (lambda v: general_rate_terms(v, np.full((2, 2, 2), 0.5), *CHAIN), [[0, 1], [0, 0]]),
+    "x-map": (lambda v: general_rate_terms(np.full((2, 2), 0.25), v, *CHAIN), ONE_HOT),
+    "alpha": (lambda v: gaussian_region_point(GAUSSIAN, v), [0, 1]),
+    "snr": (capacity_fn, [0, 1]),
+    "rate points": (upper_right_hull, [[0, 1], [1, 0]]),
+}
+
+
+def _not_numbers(value):
+    """The value as a bool array, nested bools, nested strings, and ints with one True."""
+    ones = np.asarray(value, dtype=np.float64) > 0
+    mixed = ones.astype(int).astype(object)
+    mixed.flat[np.argmax(ones)] = True
+    return [ones, ones.tolist(), ones.astype(int).astype(str).tolist(), mixed.tolist()]
+
+
+class TestArrayChecks:
+    """The one rule that every array argument goes through: real numbers, never coerced."""
+
+    @pytest.mark.parametrize("name", sorted(ARRAY_ARGUMENTS))
+    def test_bools_and_strings_rejected_naming_the_argument(self, name):
+        # Each of these once converted with np.asarray, reading True and "1" as 1.0.
+        call, value = ARRAY_ARGUMENTS[name]
+        call(value)
+        for bad in _not_numbers(value) + [True, "1"]:
+            with pytest.raises(InvalidDistribution, match=f"^{name} must be an array of numbers, got"):
+                call(bad)
+
+    @pytest.mark.parametrize("name", sorted(ARRAY_ARGUMENTS))
+    def test_numpy_scalar_entries_accepted(self, name):
+        call, value = ARRAY_ARGUMENTS[name]
+        cells = np.asarray(value, dtype=object)
+        kinds = (np.float32, np.int64)
+        scalars = [kinds[i % 2](cell) for i, cell in enumerate(cells.flat)]
+        call(np.array(scalars, dtype=object).reshape(cells.shape).tolist())
+
+    @pytest.mark.parametrize(
+        "value",
+        [[1 + 0j, 0], [10**400, 0], [[0.5], [0.5, 0.0]], None, {"a": 1.0}, np.array([1.0], object)],
+    )
+    def test_other_non_numbers_rejected(self, value):
+        with pytest.raises(InvalidDistribution, match="^pmf must be an array of numbers, got"):
+            Pmf(value)
+
+    def test_values_equal_the_float_conversion(self):
+        assert Pmf([np.float32(0.25), np.int64(0), 0.75]).probs.tolist() == [0.25, 0.0, 0.75]
+        assert DiscreteChannel(np.eye(2, dtype=np.uint8)).matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+
+    def test_caller_array_stays_writeable_and_unchanged(self):
+        probs, matrix = np.array([0.25, 0.75]), np.eye(2)
+        pmf, channel = Pmf(probs), DiscreteChannel(matrix)
+        assert probs.flags.writeable and matrix.flags.writeable
+        probs[0], matrix[0, 0] = 0.5, 0.5
+        assert pmf.probs.tolist() == [0.25, 0.75]
+        assert channel.matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+        assert not pmf.probs.flags.writeable and not channel.matrix.flags.writeable
+
+    def test_dimension_mismatch_is_an_invalid_distribution(self):
+        assert issubclass(DimensionMismatch, InvalidDistribution)
+        assert issubclass(DimensionMismatch, ValueError)
+        message = r"^pmf must have 1 axes and be nonempty, got shape \(0,\)$"
+        with pytest.raises(DimensionMismatch, match=message):
+            Pmf([])
 
 
 class TestCascade:

@@ -150,6 +150,19 @@ class TestParseChannel:
         with pytest.raises(InvalidDistribution, match="unknown channel type"):
             parse_channel({"type": "mystery"})
 
+    @pytest.mark.parametrize("kind,field", [("marginals", "joint"), ("marginals", "x"), ("bcc", "pzx")])
+    def test_unknown_field_rejected(self, tmp_path, capsys, kind, field):
+        # A field of the other channel type was ignored, whatever it held.
+        data = bsc_marginals_dict(0.1, 0.2, 0.3)
+        if kind == "bcc":
+            joint = np.full(16, 0.125).tolist()
+            data = {"type": "bcc", "x": 2, "y1": 2, "y2": 2, "z": 2, "joint": joint}
+        data[field] = 2
+        path = tmp_path / "channel.json"
+        path.write_text(json.dumps(data))
+        assert run(["check", "degraded", "--file", str(path)]) == 3
+        assert capsys.readouterr().err == f"error: channel description has an unknown field {field!r}\n"
+
 
 class TestCsv:
     def test_roundtrip(self, tmp_path):
@@ -394,6 +407,21 @@ class TestCliRegionDiscrete:
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert run(["region", "degraded", "--file", str(path), "--out", str(tmp_path / "x.csv")]) == 3
+
+    @pytest.mark.parametrize("command", ["channel", "config", "frontier"])
+    def test_undecodable_file_exit_3_naming_it(self, tmp_path, capsys, command):
+        # A byte that is not UTF-8 once exited 3 with the codec's message alone.
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b'{"type": "bcc-marginals\xff"}')
+        argv = {
+            "channel": ["region", "degraded", "--file", str(path), "--out", str(tmp_path / "x.csv")],
+            "config": ["simulate", "--config", str(path), "--out", str(tmp_path / "o.json")],
+            "frontier": ["check", "frontier", "--file", str(path), "--power", "1",
+                         "--n1", "0.25", "--n2", "0.5", "--n3", "1"],
+        }[command]
+        assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: not UTF-8 text (") and "can't decode byte 0xff" in err
 
     def test_usage_error_exit_2(self):
         assert run(["region", "degraded", "--nonsense"]) == 2
@@ -769,6 +797,17 @@ class TestCliSimulate:
         out = tmp_path / "o.json"
         assert run(["simulate", "--config", str(superposition_config), "--out", str(out)]) == 3
         assert f"experiment config is missing the '{field}' field" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["trails", "l_1", "pzx"])
+    def test_unknown_experiment_field_exit_3(self, tmp_path, capsys, superposition_config, field):
+        # "trails": 10 ran the default 1,000 trials and "l_1": 4 gave l1 = 1, both exiting 0.
+        config = json.loads(superposition_config.read_text())
+        config[field] = 4
+        superposition_config.write_text(json.dumps(config))
+        out = tmp_path / "o.json"
+        assert run(["simulate", "--config", str(superposition_config), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: experiment config has an unknown field {field!r}\n"
         assert not out.exists()
 
     def test_missing_channel_field_still_names_the_channel(self, tmp_path, capsys, cascade_file):
