@@ -114,20 +114,52 @@ def _check_integer(value, name: str, low: int | None = None, high: int | None = 
     if isinstance(value, bool) or not isinstance(value, int):
         kind = f"a {sign} integer" if sign else "an integer"
         raise InvalidDistribution(f"{name} must be {kind}, got {value!r}")
-    if high is not None and not low <= value <= high:
-        raise InvalidDistribution(f"{name} must lie in [{low}, {high}], got {value!r}")
-    if low is not None and value < low:
-        raise InvalidDistribution(f"{name} must be {sign or f'at least {low}'}, got {value!r}")
+    if low is not None and not (low <= value and (high is None or value <= high)):
+        rule = f"lie in [{low}, {high}]" if high is not None else f"be {sign or f'at least {low}'}"
+        raise InvalidDistribution(f"{name} must {rule}, got {value!r}")
     return value
 
 
-def _check_finite(value, name: str) -> float:
-    """`value` as a float if it is a finite int or float, not a bool."""
+def _check_finite(value, name: str, low=None, high=None, strict: bool = False) -> float:
+    """`value` as a float if it is a finite int or float, not a bool, in range (_check_range)."""
     numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
     # The comparison is False for NaN, for infinities and for integers beyond the float range.
     if not (numeric and abs(value) <= sys.float_info.max):
         raise InvalidDistribution(f"{name} must be a finite number, got {value!r}")
+    if low is not None:
+        _check_range(np.array(float(value)), name, low, high, strict)
     return float(value)
+
+
+def _check_range(values, name: str, low, high=None, strict=False, finite=False) -> np.ndarray:
+    """`values` by _check_numbers, once all lie in [low, high], or (low, high] if `strict`.
+
+    No bound is set above when `high` is None.  NaN is always outside, and
+    infinities are too when `finite`.  One comparison runs per bound.
+    """
+    values = _check_numbers(values, name)
+    inside = values > low if strict else values >= low
+    if high is not None or finite:
+        inside &= values <= (sys.float_info.max if high is None else high)
+    if inside.all():
+        return values
+    bad = float(values.flat[inside.argmin()])
+    if finite and not np.isfinite(bad):
+        raise InvalidDistribution(f"non-finite {name}, got {bad!r}")
+    sign = f"{'above' if strict else 'at least'} {low}"
+    sign = {0: "positive" if strict else "nonnegative"}.get(low, sign)
+    rule = f"lie in {'(' if strict else '['}{low}, {high}]" if high is not None else f"be {sign}"
+    raise InvalidDistribution(f"{name} must {rule}, got {bad!r}")
+
+
+def _check_symbols(values, k: int, what: str, alphabet: str = "") -> np.ndarray:
+    """`values` as int64, once each is an integer in [0, k); never truncated."""
+    values = np.asarray(values)
+    if not np.issubdtype(values.dtype, np.integer):
+        raise InvalidDistribution(f"{what} must be integers, got dtype {values.dtype}")
+    if values.size and not (0 <= values.min() and values.max() < k):
+        raise InvalidDistribution(f"{what} outside {alphabet}[0, {k})")
+    return values.astype(np.int64, copy=False)
 
 
 def _check_budget(total: int, budget: int, what: str) -> None:
@@ -136,12 +168,19 @@ def _check_budget(total: int, budget: int, what: str) -> None:
         raise BudgetExceeded(f"{what} exceed budget {budget}")
 
 
+def _check_shared_input(*channels: DiscreteChannel) -> int:
+    """The input alphabet size that all `channels` share; DimensionMismatch if they differ."""
+    sizes = [ch.input_size for ch in channels]
+    _check_sizes(sizes, sizes[:1] * len(sizes), "channels disagree on the input alphabet")
+    return sizes[0]
+
+
 def _freeze(obj, name, arr):
     arr.flags.writeable = False
     object.__setattr__(obj, name, arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pmf:
     """Probability mass function over a finite alphabet."""
 
@@ -160,7 +199,7 @@ class Pmf:
         return cls(np.full(k, 1.0 / k))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DiscreteChannel:
     """Row-stochastic transition matrix P(output | input), indexed [input][output]."""
 
@@ -179,9 +218,7 @@ class DiscreteChannel:
 
     @classmethod
     def binary_symmetric(cls, crossover: float) -> "DiscreteChannel":
-        p = _check_finite(crossover, "crossover probability")
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"crossover probability {p!r} outside [0, 1]")
+        p = _check_finite(crossover, "crossover probability", 0, 1)
         return cls(np.array([[1.0 - p, p], [p, 1.0 - p]]))
 
 
@@ -219,7 +256,7 @@ def check_stochastic_degraded(
     """
     from scipy.optimize import linprog  # deferred: the import costs more than most commands
 
-    _check_sizes(weaker.input_size, stronger.input_size, "channels disagree on the input alphabet")
+    _check_shared_input(stronger, weaker)
     a = stronger.matrix
     b = weaker.matrix
     n_mid = stronger.output_size

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage error, 3 invalid input file (the violated
-invariant is named on stderr), 4 enumeration budget exceeded.
+Exit codes: 0 success, 2 usage error, 3 invalid input file or flag value
+(the violated invariant is named on stderr), 4 enumeration budget exceeded.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .channels import BudgetExceeded, InvalidDistribution, Pmf, _check_budget, check_stochastic_degraded
+from .channels import BudgetExceeded, InvalidDistribution, Pmf, _check_budget, _check_finite
+from .channels import _check_integer, _check_range, check_stochastic_degraded
 from .coding import (
     DEFAULT_Z_SEQUENCE_BUDGET,
     build_double_binning,
@@ -65,8 +66,7 @@ def region():
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def region_gaussian(power, n1, n2, n3, alphas, out):
     """Closed-form Gaussian region, one CSV row per alpha (pre-Pareto)."""
-    if alphas < 2:
-        raise click.UsageError("--alphas must be at least 2")
+    _check_integer(alphas, "--alphas", 2)
     _check_budget(alphas, DEFAULT_BUDGET, f"grid too large: {alphas} alphas")
     g = GaussianParams(power=power, n1=n1, n2=n2, n3=n3)
     grid = np.linspace(0.0, 1.0, alphas)
@@ -173,16 +173,12 @@ def check_degraded(path):
 @click.option("--tol", type=float, default=1e-12, show_default=True)
 def check_frontier(path, power, n1, n2, n3, tol):
     """Recompute a Gaussian sweep CSV; --tol bounds deviation beyond its rounding."""
-    if not 0.0 <= tol < np.inf:
-        raise click.UsageError(f"--tol must be a finite number >= 0, got {tol!r}")
+    _check_finite(tol, "--tol", 0)
     header, rows = read_frontier_csv(path)
     if header != ["alpha", "r1_bits", "r2_bits"]:
         raise InvalidDistribution(f"{path}: expected a Gaussian sweep CSV, got header {header}")
     g = GaussianParams(power=power, n1=n1, n2=n2, n3=n3)
-    alpha = rows[:, 0]
-    outside = alpha[(alpha < 0.0) | (alpha > 1.0)]
-    if outside.size:
-        raise InvalidDistribution(f"{path}: alpha must lie in [0, 1], got {float(outside[0])!r}")
+    alpha = _check_range(rows[:, 0], f"{path}: alpha", 0, 1)
     # format_sig keeps SIG_DIGITS significant digits: each column may be off
     # by half a unit in its last digit (0 for a 0 entry).  r1 rises and r2
     # falls with alpha, so a faithful rate lies between the rates at the two

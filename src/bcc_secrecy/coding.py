@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import DiscreteChannel, Pmf, cascade
-from .channels import _check_budget, _check_finite, _check_integer, _check_sizes, _check_stochastic
+from .channels import DiscreteChannel, Pmf, _check_budget, _check_finite, _check_integer, cascade
+from .channels import _check_sizes, _check_stochastic, _check_symbols
 
 DEFAULT_CODEBOOK_SYMBOL_BUDGET = 1 << 22
 DEFAULT_Z_SEQUENCE_BUDGET = 1 << 20
@@ -127,23 +127,14 @@ class CodeParams:
         return math.log2(self.l2) / self.n
 
 
-def _symbols(values: np.ndarray, k: int, what: str, alphabet: str = "") -> np.ndarray:
-    """values as int64, once each is checked to be an integer in [0, k); never truncated."""
-    if not np.issubdtype(values.dtype, np.integer):
-        raise ValueError(f"{what} must be integers, got dtype {values.dtype}")
-    if values.size and not (0 <= values.min() and values.max() < k):
-        raise ValueError(f"{what} outside {alphabet}[0, {k})")
-    return values.astype(np.int64, copy=False)
-
-
 def _check_messages(params: CodeParams, w1, w2) -> tuple[np.ndarray, np.ndarray]:
     """w1 and w2 as int64 arrays of one shape, each inside its message range."""
     w1, w2 = np.asarray(w1), np.asarray(w2)
     _check_sizes(w2.shape, w1.shape, "shape of messages w2 vs w1")
-    return _symbols(w1, params.m1, "messages w1"), _symbols(w2, params.m2, "messages w2")
+    return _check_symbols(w1, params.m1, "messages w1"), _check_symbols(w2, params.m2, "messages w2")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SuperpositionCodebook:
     """Two-layer codebook: u_words[w2, j2, :], x_words[w2, j2, w1, j1, :]."""
 
@@ -154,7 +145,7 @@ class SuperpositionCodebook:
     params: CodeParams
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BinningCodebook:
     """Independent binned codebooks: v1_words[w1, j1, :], v2_words[w2, j2, :]."""
 
@@ -280,7 +271,7 @@ def encode_superposition(cb: SuperpositionCodebook, w1, w2, rng: np.random.Gener
 
 def transmit(x: np.ndarray, ch: DiscreteChannel, rng: np.random.Generator) -> np.ndarray:
     """Send a sequence through a memoryless channel, one draw from rng per symbol."""
-    seq = _symbols(np.asarray(x), ch.input_size, "sequence symbols", "the channel input alphabet ")
+    seq = _check_symbols(x, ch.input_size, "sequence symbols", "the channel input alphabet ")
     return _sample_conditional(rng, ch.matrix, seq)
 
 
@@ -327,7 +318,7 @@ def _check_observation(y: np.ndarray, n: int, ch: DiscreteChannel) -> np.ndarray
     seq = np.asarray(y)
     expected = (n,) if seq.ndim < 2 else (len(seq), n)
     _check_sizes(seq.shape, expected, "observation shape, (n,) or (B, n)")
-    return _symbols(seq, ch.output_size, "observation symbols", "the channel output alphabet ")
+    return _check_symbols(seq, ch.output_size, "observation symbols", "the channel output alphabet ")
 
 
 def decode_rx2(cb: SuperpositionCodebook, y2: np.ndarray, ch_y2_given_u: DiscreteChannel):
@@ -472,9 +463,7 @@ def build_double_binning(
     epsilon: float,
 ) -> BinningCodebook:
     """Draw both binned codebooks; bit-identical for identical arguments."""
-    epsilon = _check_finite(epsilon, "epsilon")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    epsilon = _check_finite(epsilon, "epsilon", 0, strict=True)
     rows = _check_stochastic(x_map, 3, 2, "x_map")
     _check_sizes(rows.shape[:2], (pv1.alphabet_size, pv2.alphabet_size), "x_map (v1, v2) axes")
     n, m1, m2, l1, l2 = params.n, params.m1, params.m2, params.l1, params.l2

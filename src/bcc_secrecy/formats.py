@@ -31,8 +31,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .channels import DiscreteChannel, InvalidDistribution, Pmf
-from .channels import _check_finite, _check_integer, _check_numbers, _check_sizes, _check_stochastic
+from .channels import DiscreteChannel, InvalidDistribution, Pmf, _check_finite, _check_integer
+from .channels import _check_numbers, _check_shared_input, _check_sizes, _check_stochastic
 from .coding import CodeParams
 
 NEGATIVE_GRACE = 1e-12
@@ -108,8 +108,7 @@ def parse_channel(data: dict) -> MarginalTriple:
         axes = ((2, 3), (1, 3), (1, 2))  # summed out for y1, y2 and z
         return MarginalTriple(*(DiscreteChannel(tensor.sum(axis=a)) for a in axes))
     matrices = [DiscreteChannel(_array(data, k)) for k in ("py1x", "py2x", "pzx")]
-    sizes = [m.input_size for m in matrices]
-    _check_sizes(sizes, sizes[:1] * 3, "marginal matrices disagree on the input alphabet size")
+    _check_shared_input(*matrices)
     return MarginalTriple(*matrices)
 
 
@@ -117,7 +116,7 @@ def load_channel(path: str | Path) -> MarginalTriple:
     return parse_channel(read_json(path))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """Parsed simulation request (see the experiment JSON schema in README)."""
 

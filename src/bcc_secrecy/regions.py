@@ -43,8 +43,9 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import DiscreteChannel, Pmf, _check_budget, _check_finite, _check_integer
-from .channels import _check_numbers, _check_sizes, _check_stochastic
+from .channels import DiscreteChannel, InvalidDistribution, Pmf, _check_budget, _check_finite
+from .channels import _check_integer, _check_numbers, _check_range, _check_shared_input
+from .channels import _check_sizes, _check_stochastic
 from .information import entropy_last_axis
 
 DEFAULT_RESOLUTION = 0.05
@@ -89,15 +90,10 @@ class GaussianParams:
     n3: float
 
     def __post_init__(self):
-        for name in ("power", "n1", "n2", "n3"):
-            _check_finite(getattr(self, name), name)
-        if not self.power > 0:
-            raise ValueError(f"power must be positive, got {self.power!r}")
-        if not 0 < self.n1 <= self.n2 <= self.n3:
-            raise ValueError(
-                f"noise variances must satisfy 0 < n1 <= n2 <= n3, "
-                f"got ({self.n1!r}, {self.n2!r}, {self.n3!r})"
-            )
+        _check_finite(self.power, "power", 0, strict=True)
+        noise = tuple(_check_finite(getattr(self, name), name) for name in ("n1", "n2", "n3"))
+        if not 0 < noise[0] <= noise[1] <= noise[2]:
+            raise InvalidDistribution(f"noise variances must satisfy 0 < n1 <= n2 <= n3, got {noise}")
 
 
 def capacity_fn(snr: float | np.ndarray) -> float | np.ndarray:
@@ -105,10 +101,7 @@ def capacity_fn(snr: float | np.ndarray) -> float | np.ndarray:
 
     Logs are math.log2 per element; np.log2 can differ in the last ulp.
     """
-    values = _check_numbers(snr, "snr")
-    bad = ~(values >= 0)
-    if np.any(bad):
-        raise ValueError(f"snr must be nonnegative, got {float(values[bad][0])!r}")
+    values = _check_range(snr, "snr", 0)
     caps = np.fromiter((0.5 * math.log2(1.0 + s) for s in values.ravel().tolist()), np.float64)
     return float(caps[0]) if values.ndim == 0 else caps.reshape(values.shape)
 
@@ -124,10 +117,7 @@ def gaussian_region_point(g: GaussianParams, alpha: float | np.ndarray) -> RateP
     monotone in the noise ordering, so both coordinates are nonnegative in
     floating point without clamping.
     """
-    alpha = _check_numbers(alpha, "alpha")
-    outside = ~((alpha >= 0.0) & (alpha <= 1.0))
-    if np.any(outside):
-        raise ValueError(f"alpha must lie in [0, 1], got {float(alpha[outside][0])!r}")
+    alpha = _check_range(alpha, "alpha", 0, 1)
     p = g.power
     r1 = capacity_fn(alpha * p / g.n1) - capacity_fn(alpha * p / g.n3)
     r2 = capacity_fn((1.0 - alpha) * p / (alpha * p + g.n2)) - capacity_fn(
@@ -144,11 +134,7 @@ def _pareto(points) -> np.ndarray:
     equal r1, the last has the largest r2.  Only comparisons are made, so the
     staircase of a union is the staircase of its parts' staircases.
     """
-    arr = _check_numbers(points, "rate points").reshape(-1, 2)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("non-finite rate point")
-    if np.any(arr < 0.0):
-        raise ValueError("rate points must be nonnegative")
+    arr = _check_range(points, "rate points", 0, finite=True).reshape(-1, 2)
     desc = arr[np.argsort(arr[:, 0])[::-1]]
     prior_best = np.maximum.accumulate(np.concatenate(([-np.inf], desc[:, 1])))[:-1]
     kept = desc[desc[:, 1] > prior_best]
@@ -166,10 +152,9 @@ def upper_right_hull(points: Sequence[RatePoint] | np.ndarray) -> RegionFrontier
     it r1 descending, then the origin, which is dropped at the end.
     """
     if np.size(points) == 0:
-        raise ValueError("empty point set")
-    origin = [0.0, 0.0]
+        raise InvalidDistribution("empty point set")
     chain: list[list[float]] = []
-    for p in _pareto(points)[::-1].tolist() + [origin]:
+    for p in _pareto(points)[::-1].tolist() + [[0.0, 0.0]]:
         while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
             chain.pop()
         chain.append(p)
@@ -178,12 +163,11 @@ def upper_right_hull(points: Sequence[RatePoint] | np.ndarray) -> RegionFrontier
 
 def _grid_steps(resolution: float) -> int:
     """k for a resolution of 1/k, the step of every auxiliary grid."""
-    resolution = _check_finite(resolution, "resolution")
-    if not 0.0 < resolution <= 1.0:
-        raise ValueError(f"resolution must lie in (0, 1], got {resolution!r}")
-    steps = round(1.0 / resolution)
-    if steps < 1 or abs(1.0 / resolution - steps) > 1e-9:
-        raise ValueError(f"resolution must be 1/k for integer k, got {resolution!r}")
+    resolution = _check_finite(resolution, "resolution", 0, 1, strict=True)
+    inverse = 1.0 / resolution  # inf for the smallest subnormals
+    steps = round(inverse) if inverse < math.inf else 0
+    if abs(inverse - steps) > 1e-9:
+        raise InvalidDistribution(f"resolution must be 1/k for integer k, got {resolution!r}")
     return steps
 
 
@@ -256,12 +240,6 @@ def _row_product(rows: np.ndarray, n_inputs: int) -> np.ndarray:
     g = len(rows)
     idx = np.indices((g,) * n_inputs).reshape(n_inputs, -1).T
     return rows[idx]
-
-
-def _check_shared_input(*channels: DiscreteChannel) -> int:
-    sizes = [ch.input_size for ch in channels]
-    _check_sizes(sizes, sizes[:1] * len(sizes), "channels disagree on the input alphabet")
-    return sizes[0]
 
 
 def _mi_from_joint(joint: np.ndarray) -> np.ndarray:

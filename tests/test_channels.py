@@ -16,13 +16,18 @@ from bcc_secrecy import (
     build_double_binning,
     capacity_fn,
     cascade,
+    build_superposition,
     check_stochastic_degraded,
+    decode_rx2,
+    degraded_region_inner,
+    encode_superposition,
     gaussian_region_point,
     general_rate_terms,
+    transmit,
     upper_right_hull,
 )
-from bcc_secrecy.channels import _check_budget, _check_finite, _check_integer
-from bcc_secrecy.formats import parse_channel
+from bcc_secrecy.channels import _check_budget, _check_finite, _check_integer, _check_range
+from bcc_secrecy.formats import parse_channel, parse_experiment
 
 BSC = DiscreteChannel.binary_symmetric
 
@@ -233,6 +238,118 @@ class TestArrayChecks:
         message = r"^pmf must have 1 axes and be nonempty, got shape \(0,\)$"
         with pytest.raises(DimensionMismatch, match=message):
             Pmf([])
+
+
+def _superposition():
+    return build_superposition(CodeParams(3, 2, 2, 1, 1, 0), Pmf.uniform(2), BSC(0.1))
+
+
+# The library's value-range and symbol rules: (a call breaking one, the message it must raise).
+RANGE_AND_SYMBOL_RULES = {
+    "power": (lambda: GaussianParams(0.0, 0.25, 0.5, 1.0), "power must be positive, got 0.0"),
+    "noise chain": (
+        lambda: GaussianParams(1.0, 0.5, 0.25, 1.0),
+        "noise variances must satisfy 0 < n1 <= n2 <= n3, got (0.5, 0.25, 1.0)",
+    ),
+    "crossover": (lambda: BSC(1.5), "crossover probability must lie in [0, 1], got 1.5"),
+    "snr": (lambda: capacity_fn(-1.0), "snr must be nonnegative, got -1.0"),
+    "alpha": (lambda: gaussian_region_point(GAUSSIAN, 2.0), "alpha must lie in [0, 1], got 2.0"),
+    "resolution 1/k": (
+        lambda: degraded_region_inner(*CHAIN, resolution=0.3),
+        "resolution must be 1/k for integer k, got 0.3",
+    ),
+    "resolution range": (
+        lambda: degraded_region_inner(*CHAIN, resolution=0.0),
+        "resolution must lie in (0, 1], got 0.0",
+    ),
+    "empty points": (lambda: upper_right_hull([]), "empty point set"),
+    "negative point": (
+        lambda: upper_right_hull([[0.5, 0.25], [-0.125, 1.0]]),
+        "rate points must be nonnegative, got -0.125",
+    ),
+    "nan point": (lambda: upper_right_hull([[0.5, np.nan]]), "non-finite rate points, got nan"),
+    "epsilon": (
+        lambda: build_double_binning(
+            CodeParams(4, 2, 2, 1, 1, 0), Pmf.uniform(2), Pmf.uniform(2), ONE_HOT, -1.0
+        ),
+        "epsilon must be positive, got -1.0",
+    ),
+    "transmit symbol": (
+        lambda: transmit(np.array([0, 2]), BSC(0.1), np.random.default_rng(0)),
+        "sequence symbols outside the channel input alphabet [0, 2)",
+    ),
+    "message": (
+        lambda: encode_superposition(_superposition(), 2, 0, np.random.default_rng(0)),
+        "messages w1 outside [0, 2)",
+    ),
+    "observation symbol": (
+        lambda: decode_rx2(_superposition(), np.array([0, 1, 2]), BSC(0.1)),
+        "observation symbols outside the channel output alphabet [0, 2)",
+    ),
+}
+
+
+class TestRangeAndSymbolChecks:
+    """Value ranges and symbol arrays are judged in channels, so each rejection is an
+    InvalidDistribution naming the parameter."""
+
+    @pytest.mark.parametrize("rule", sorted(RANGE_AND_SYMBOL_RULES))
+    def test_rejection_is_an_invalid_distribution(self, rule):
+        call, message = RANGE_AND_SYMBOL_RULES[rule]
+        with pytest.raises(InvalidDistribution, match=f"^{re.escape(message)}$"):
+            call()
+
+    def test_range_messages(self):
+        cases = [
+            ((np.array([0.5, -1.0, 2.0]), "x", 0), "x must be nonnegative, got -1.0"),
+            (([0.5, 0.0], "x", 0, None, True), "x must be positive, got 0.0"),
+            (([2.0, 0.5], "x", 1), "x must be at least 1, got 0.5"),
+            (([2.0, 1.0], "x", 1, None, True), "x must be above 1, got 1.0"),
+            (([0.5, 1.5, -1.0], "x", 0, 1), r"x must lie in [0, 1], got 1.5"),
+            (([0.5, 0.0], "x", 0, 1, True), r"x must lie in (0, 1], got 0.0"),
+            (([0.5, np.nan], "x", 0, 1), r"x must lie in [0, 1], got nan"),
+            (([np.inf, -1.0], "x", 0, None, False, True), "non-finite x, got inf"),
+            (([1.0, -1.0, np.inf], "x", 0, None, False, True), "x must be nonnegative, got -1.0"),
+        ]
+        for args, message in cases:
+            with pytest.raises(InvalidDistribution, match=f"^{re.escape(message)}$"):
+                _check_range(*args)
+        assert _check_range([np.inf, 0.0], "x", 0).tolist() == [np.inf, 0.0]
+        assert _check_finite(0.5, "x", 0, 1, strict=True) == 0.5
+        with pytest.raises(InvalidDistribution, match=r"^x must lie in \(0, 1\], got 0\.0$"):
+            _check_finite(0, "x", 0, 1, strict=True)
+
+    def test_float64_array_is_not_copied(self):
+        values = np.array([[0.5, 0.25], [1.0, 0.0]])
+        assert _check_range(values, "rate points", 0, finite=True) is values
+
+
+# One instance of each frozen dataclass that holds an ndarray.
+ARRAY_HOLDERS = {
+    "Pmf": lambda: Pmf.uniform(2),
+    "DiscreteChannel": lambda: BSC(0.1),
+    "SuperpositionCodebook": _superposition,
+    "BinningCodebook": lambda: _pair_map(ONE_HOT),
+    "ExperimentConfig": lambda: parse_experiment(
+        {
+            "scheme": "superposition", "n": 2, "m1": 2, "m2": 2, "pu": [0.5, 0.5],
+            "pxu": [[1, 0], [0, 1]],
+            "channel": {"type": "bcc-marginals", "py1x": np.eye(2).tolist(),
+                        "py2x": np.eye(2).tolist(), "pzx": np.eye(2).tolist()},
+        }
+    ),
+}
+
+
+class TestArrayHolders:
+    @pytest.mark.parametrize("name", sorted(ARRAY_HOLDERS))
+    def test_compared_by_identity_and_hashable(self, name):
+        # The generated __eq__ compared arrays with ==, and raised on their truth value.
+        first, second = ARRAY_HOLDERS[name](), ARRAY_HOLDERS[name]()
+        assert type(first).__name__ == name
+        assert (first == second) is False and (first != second) is True
+        assert (first == first) is True
+        assert len({first, second, first}) == 2 and first in {first}
 
 
 class TestCascade:

@@ -342,14 +342,16 @@ class TestCliRegionGaussian:
         )
         assert code == 3
 
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-12"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1e-12", "-1"])
     def test_check_frontier_tol_must_be_finite_and_nonnegative(self, tmp_path, capsys, tol):
         # Under --tol nan no deviation compares greater, so this CSV passed.
         out = tmp_path / "region.csv"
         out.write_text("alpha,r1_bits,r2_bits\n0,5,7\n1,9,5\n")
         args = ["--power", "1", "--n1", "0.25", "--n2", "0.5", "--n3", "1"]
-        assert run(["check", "frontier", "--file", str(out), *args, "--tol", tol]) == 2
-        assert "--tol must be a finite number >= 0" in capsys.readouterr().err
+        assert run(["check", "frontier", "--file", str(out), *args, "--tol", tol]) == 3
+        # These were click usage errors (exit 2); every other bad value exits 3.
+        rule = "nonnegative" if tol in ("-1e-12", "-1") else "a finite number"
+        assert capsys.readouterr().err == f"error: --tol must be {rule}, got {float(tol)!r}\n"
         assert run(["check", "frontier", "--file", str(out), *args, "--tol", "1"]) == 3
 
 
@@ -438,6 +440,8 @@ class TestCliRegionDiscrete:
             (["region", "degraded", "--ucard", "0"], "u_card must lie in [1, 12], got 0"),
             (["region", "general", "--v1card", "13"], "v1_card must lie in [1, 12], got 13"),
             (["region", "general", "--v2card", "0"], "v2_card must lie in [1, 12], got 0"),
+            # 1 / 5e-324 overflows to inf, and round(inf) raised OverflowError: a traceback.
+            (["region", "degraded", "--grid", "5e-324"], "resolution must be 1/k for integer k, got 5e-324"),
         ],
     )
     def test_bad_grid_exit_3_before_budget(self, tmp_path, capsys, cascade_file, args, message):

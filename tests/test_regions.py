@@ -246,10 +246,13 @@ class TestGaussianRegionSweep:
             assert relaxed.r1 >= base.r1 - 1e-15
             assert relaxed.r2 >= base.r2 - 1e-15
 
-    def test_num_alphas_validated(self, tmp_path):
+    def test_num_alphas_validated(self, tmp_path, capsys):
         out = tmp_path / "g.csv"
         args = ["region", "gaussian", "--power", "1", "--n1", "0.25", "--n2", "0.5", "--n3", "1"]
-        assert run([*args, "--alphas", "1", "--out", str(out)]) == 2
+        assert run([*args, "--alphas", "1", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: --alphas must be at least 2, got 1\n"
+        assert not out.exists()
+        assert run([*args, "--alphas", "2.5", "--out", str(out)]) == 2  # click cannot parse it
         assert not out.exists()
         assert run([*args, "--alphas", "2", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 3

@@ -1,4 +1,5 @@
-"""Every public name has a user: library code, the benchmark tracer, or the README."""
+"""Every public name has a user (library code, the benchmark tracer, or the README), and
+every rejection of caller input goes through the checks in `channels`."""
 
 import ast
 import io
@@ -47,3 +48,46 @@ def test_every_public_name_has_a_user():
     unused = sorted(set(bcc_secrecy.__all__) - users)
     assert unused == [], f"exported but used by no module, bench tracer or README: {unused}"
 
+
+
+# Exceptions that only the checks in channels.py raise.
+CHANNEL_CHECK_ERRORS = {"DimensionMismatch", "NegativeEntry", "SumNotOne", "BudgetExceeded"}
+
+
+def rule_breaks(source: str, filename: str) -> list[str]:
+    """Lines that reject input outside the channels checks: any raise of ValueError,
+    any click.UsageError, or a channels-only exception raised from another module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("UsageError"):
+            found.append((node.lineno, ast.unparse(node.func)))
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = ast.unparse(exc)
+            if name == "ValueError" or (name in CHANNEL_CHECK_ERRORS and filename != "channels.py"):
+                found.append((node.lineno, f"raise {name}"))
+    return [f"{filename}:{line}: {what}" for line, what in sorted(found)]
+
+
+def test_rule_breaks_are_found():
+    source = (
+        "def f(x):\n"
+        "    if x:\n"
+        "        raise ValueError('x')\n"
+        "    raise click.UsageError('x')\n"
+        "    raise SumNotOne\n"
+        "    raise InvalidDistribution('x')\n"
+    )
+    assert rule_breaks(source, "regions.py") == [
+        "regions.py:3: raise ValueError",
+        "regions.py:4: click.UsageError",
+        "regions.py:5: raise SumNotOne",
+    ]
+    assert rule_breaks("raise BudgetExceeded('x')\n", "channels.py") == []
+
+
+def test_every_rejection_goes_through_the_channels_checks():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += rule_breaks(path.read_text(), path.name)
+    assert found == [], f"input rejected outside the channels checks: {found}"
