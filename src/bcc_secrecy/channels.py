@@ -9,6 +9,7 @@ here is a pure function of its inputs, so values can be shared freely.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 
@@ -162,10 +163,31 @@ def _check_symbols(values, k: int, what: str, alphabet: str = "") -> np.ndarray:
     return values.astype(np.int64, copy=False)
 
 
-def _check_budget(total: int, budget: int, what: str) -> None:
-    """Raise BudgetExceeded when `total` exceeds `budget`, before anything is allocated."""
+def _count_text(count: int) -> str:
+    """`count` in digits below 10**15, else as 2^k or its three leading digits and exponent.
+
+    Large counts are never converted whole or through float, so a count
+    of any size prints in a few characters.
+    """
+    if count < 10**15:
+        return str(count)
+    if count & (count - 1) == 0:
+        return f"2^{count.bit_length() - 1}"
+    exponent = int(math.log10(count))  # log10 of a huge int may be one off
+    exponent += (10 ** (exponent + 1) <= count) - (10**exponent > count)
+    lead = count // 10 ** (exponent - 2)
+    return f"{lead // 100}.{lead % 100:02d}e{exponent}"
+
+
+def _check_budget(total: int, budget: int, what: str, *counts: int) -> None:
+    """Raise BudgetExceeded when `total` exceeds `budget`, before anything is allocated.
+
+    The message is `what` with each `{}` filled by the next of `counts`,
+    then the budget, all in _count_text's short form.
+    """
     if total > _check_integer(budget, "budget", 0):
-        raise BudgetExceeded(f"{what} exceed budget {budget}")
+        described = what.format(*map(_count_text, counts))
+        raise BudgetExceeded(f"{described} exceed budget {_count_text(budget)}")
 
 
 def _check_shared_input(*channels: DiscreteChannel) -> int:

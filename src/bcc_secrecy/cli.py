@@ -47,6 +47,16 @@ from .regions import (
 )
 
 
+def _echo(message: str, err: bool = False) -> None:
+    """click.echo to the current sys.stdout, or sys.stderr if `err`.
+
+    click caches a wrapper per default stream, keyed weakly but holding the
+    stream itself, so each stream that run() was redirected to would stay
+    alive for the life of the process; naming the stream skips that cache.
+    """
+    click.echo(message, file=sys.stderr if err else sys.stdout)
+
+
 @click.group()
 def cli():
     """Secrecy rate regions and coding experiments for broadcast channels."""
@@ -67,12 +77,12 @@ def region():
 def region_gaussian(power, n1, n2, n3, alphas, out):
     """Closed-form Gaussian region, one CSV row per alpha (pre-Pareto)."""
     _check_integer(alphas, "--alphas", 2)
-    _check_budget(alphas, DEFAULT_BUDGET, f"grid too large: {alphas} alphas")
+    _check_budget(alphas, DEFAULT_BUDGET, "grid too large: {} alphas", alphas)
     g = GaussianParams(power=power, n1=n1, n2=n2, n3=n3)
     grid = np.linspace(0.0, 1.0, alphas)
     rows = np.column_stack([grid, *gaussian_region_point(g, grid)])
     write_csv(out, ["alpha", "r1_bits", "r2_bits"], rows)
-    click.echo(f"wrote {len(rows)} rows to {out}")
+    _echo(f"wrote {len(rows)} rows to {out}")
 
 
 def _write_frontier(out: str, frontier) -> None:
@@ -92,7 +102,7 @@ def region_degraded(path, grid, ucard, budget, out):
         m.py1x, m.py2x, m.pzx, resolution=grid, u_card=ucard, budget=budget
     )
     _write_frontier(out, frontier)
-    click.echo(f"wrote {len(frontier.points)} frontier points to {out}")
+    _echo(f"wrote {len(frontier.points)} frontier points to {out}")
 
 
 @region.command("general")
@@ -122,7 +132,7 @@ def region_general(path, grid, v1card, v2card, stochastic_x, budget, out):
         budget=budget,
     )
     _write_frontier(out, frontier)
-    click.echo(f"wrote {len(frontier.points)} frontier points to {out}")
+    _echo(f"wrote {len(frontier.points)} frontier points to {out}")
 
 
 @cli.command()
@@ -139,7 +149,7 @@ def wiretap(path, grid, budget):
     """Single-user secrecy capacity (main = y1 marginal, eavesdropper = z)."""
     m = load_channel(path)
     value = wiretap_secrecy_capacity(m.py1x, m.pzx, resolution=grid, budget=budget)
-    click.echo(f"secrecy_capacity_bits={format_sig(value)}")
+    _echo(f"secrecy_capacity_bits={format_sig(value)}")
 
 
 @cli.group()
@@ -155,13 +165,13 @@ def check_degraded(path):
     intermediates = {}
     for label, stronger, weaker in (("y1->y2", m.py1x, m.py2x), ("y2->z", m.py2x, m.pzx)):
         report = check_stochastic_degraded(stronger, weaker)
-        click.echo(
+        _echo(
             f"{label}: feasible={'true' if report.feasible else 'false'} "
             f"residual={report.residual:.6e}"
         )
         if report.intermediate is not None:
             intermediates[label] = report.intermediate.matrix.tolist()
-    click.echo(json.dumps(intermediates, sort_keys=True))
+    _echo(json.dumps(intermediates, sort_keys=True))
 
 
 @check.command("frontier")
@@ -193,7 +203,7 @@ def check_frontier(path, power, n1, n2, n3, tol):
         worst = max(worst, float(np.max(low - s - value)), float(np.max(value - high - s)))
     if worst > tol:
         raise InvalidDistribution(f"{path}: frontier deviates by {worst:.3e} > {tol:.3e}")
-    click.echo(f"frontier reproduced, max deviation {worst:.3e}")
+    _echo(f"frontier reproduced, max deviation {worst:.3e}")
 
 
 @cli.command()
@@ -252,7 +262,7 @@ def simulate(config_path, out, seed, trials, budget):
         },
     }
     write_json(out, payload)
-    click.echo(f"wrote results to {out}")
+    _echo(f"wrote results to {out}")
 
 
 def run(argv: list[str]) -> int:
@@ -268,10 +278,10 @@ def run(argv: list[str]) -> int:
         exc.show()
         return exc.exit_code
     except BudgetExceeded as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         return 4
     except (ValueError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
+        _echo(f"error: {exc}", err=True)
         return 3
     return 0
 

@@ -14,7 +14,9 @@ Two code constructions are implemented at small blocklength n:
 
 Both schemes share one trial path: one inverse-CDF sampler draws every
 codeword, x^n and channel output; one batched ML index (`_ml_index`)
-serves every receiver; and `run_error_experiment` picks the scheme's
+serves every receiver, scoring each word from the counts of its symbols
+that meet each distinct log-likelihood value, which one 0/1 matrix
+product gives exactly; and `run_error_experiment` picks the scheme's
 encoder and decoder once, then runs blocks of trials through one body.
 The encoders take message arrays and the decoders observation arrays with
 a leading batch axis, so a block makes one call of each.
@@ -56,7 +58,9 @@ _TILE = 1 << 16
 _TABLE_BYTES = 1 << 30
 # Trials that run_error_experiment draws, encodes, sends and decodes at once.
 _TRIAL_BLOCK = 256
-# Floats of log-likelihood terms that _ml_index gathers at a time (128 KiB).
+# Elements of each array _ml_index builds per block (one-hot words, class
+# indicator, counts, scores): 128 KiB of floats.  Of 1 << 13 to 1 << 17,
+# 1 << 14 scored 256 words of n = 12 against 256 observations fastest.
 _SCORE_FLOATS = 1 << 14
 # Terms of a binomial tail that _clopper_pearson sums at a time.
 _TAIL_TERMS = 1 << 12
@@ -247,7 +251,7 @@ def build_superposition(
     _check_sizes(pxu.input_size, pu.alphabet_size, "conditional inputs vs cloud alphabet")
     n, m1, m2, l1, l2 = params.n, params.m1, params.m2, params.l1, params.l2
     total = m2 * l2 * n + m2 * l2 * m1 * l1 * n
-    _check_budget(total, DEFAULT_CODEBOOK_SYMBOL_BUDGET, f"the codebook's {total} symbols")
+    _check_budget(total, DEFAULT_CODEBOOK_SYMBOL_BUDGET, "the codebook's {} symbols", total)
     u_words = _sample_conditional(
         _rng(params.seed, _TAG_CLOUD), pu.probs[None], np.zeros((m2, l2, n), np.int64)
     )
@@ -282,31 +286,46 @@ def _log_matrix(matrix: np.ndarray) -> np.ndarray:
 def _ml_index(words: np.ndarray, ys: np.ndarray, log_matrix: np.ndarray) -> np.ndarray:
     """Flat row-major index into words[..., n] of the likeliest word for each row of ys (B, n).
 
-    A word's score sums its per-symbol terms along the contiguous last axis
-    after sorting them, so that words whose likelihoods agree in exact
-    arithmetic (same multiset of factors) get bit-identical scores, and the
-    lowest index wins a tie.  The terms are gathered as flat cells of
-    log_matrix, at most _SCORE_FLOATS of them (and as many cell indices) at
-    a time, but at least one word's n: observations in blocks, and words in
-    tiles whose winners only a strictly higher score in a later tile
-    displaces, so the tiling moves no decision.
+    A memoryless likelihood depends only on how many of a word's symbols
+    meet each distinct value of log_matrix (its V classes, ascending, -inf
+    first if present).  Those counts come exactly, as integers in float64,
+    from one product of the words' one-hot rows (W, n*|X|) with a block's
+    class indicator (V, n*|X|, B).  A score adds values[v] * counts[v] over
+    the finite classes in ascending order and is -inf where a -inf class is
+    met, so words whose likelihoods have the same multiset of factors get
+    bit-identical scores, and the lowest index wins a tie.  Every array a
+    block builds holds at most _SCORE_FLOATS elements, but at least one
+    word's n*|X| per class: words in tiles, whose winners only a strictly
+    higher score in a later tile displaces, so the tiling moves no decision.
     """
     n = words.shape[-1]
-    rows = words.reshape(-1, n) * log_matrix.shape[1]
-    cells = log_matrix.ravel()
+    values, classes = np.unique(log_matrix, return_inverse=True)
+    classes = classes.reshape(log_matrix.shape).T
+    finite = np.flatnonzero(np.isfinite(values))
+    levels = np.arange(len(values))[:, None, None]
+    width = n * log_matrix.shape[0]
+    offsets = np.arange(n) * log_matrix.shape[0]
+    rows = words.reshape(-1, n)
     best = np.full(len(ys), -np.inf)
     index = np.zeros(len(ys), np.int64)
-    tile = max(_SCORE_FLOATS // n, 1)
+    tile = max(min(_SCORE_FLOATS // width, _SCORE_FLOATS // len(values)), 1)
     for w0 in range(0, len(rows), tile):
         part = rows[w0 : w0 + tile]
-        step = max(_SCORE_FLOATS // part.size, 1)
+        onehot = np.zeros((len(part), width))
+        np.put_along_axis(onehot, part + offsets, 1.0, axis=1)
+        step = max(_SCORE_FLOATS // (len(values) * max(len(part), width)), 1)
         for y0 in range(0, len(ys), step):
             block = slice(y0, y0 + step)
-            terms = cells[part + ys[block, None, :]]
-            terms.sort(axis=-1)
-            scores = terms.sum(axis=-1)
-            top = scores.argmax(axis=-1)
-            top_scores = scores.max(axis=-1)
+            # indicator[v, i * |X| + x, b]: log_matrix[x, ys[b, i]] is in class v.
+            cells = classes[ys[block].T].transpose(0, 2, 1).reshape(width, -1)
+            counts = onehot @ (cells == levels).astype(np.float64)
+            scores = values[finite[0]] * counts[finite[0]]
+            for v in finite[1:]:
+                scores += values[v] * counts[v]
+            if len(finite) < len(values):
+                scores[counts[0] > 0.0] = -np.inf
+            top = scores.argmax(axis=0)
+            top_scores = scores[top, np.arange(scores.shape[1])]
             better = top_scores > best[block]
             best[block][better] = top_scores[better]
             index[block][better] = top[better] + w0
@@ -398,16 +417,16 @@ def exact_equivocation(
     matrix = pzx.matrix if superposition else cb.x_map.reshape(-1, x_size) @ pzx.matrix
     nz = pzx.output_size
     count = nz**n
-    _check_budget(count, z_budget, f"|Z|^n = {count} observation sequences")
+    _check_budget(count, z_budget, "|Z|^n = {} observation sequences", count)
     combos = m1 * m2 * l1 * l2
-    _check_budget(combos, DEFAULT_COMBO_BUDGET, f"{combos} message/randomization combinations")
+    _check_budget(combos, DEFAULT_COMBO_BUDGET, "{} message/randomization combinations", combos)
     head = n // 2
     width = nz ** (n - head)
     rows = max(_TILE // width, 1)
     tables = m1 + m2 + 2 + (l1 * l2 > rows)
     nbytes = 8 * tables * count
-    what = f"{nbytes} bytes in {tables} tables of |Z|^n = {count} floats"
-    _check_budget(nbytes, _TABLE_BYTES, what)
+    what = "{} bytes in {} tables of |Z|^n = {} floats"
+    _check_budget(nbytes, _TABLE_BYTES, what, nbytes, tables, count)
 
     inv_messages = 1.0 / (m1 * m2)
     pz = np.zeros(count)
@@ -469,7 +488,7 @@ def build_double_binning(
     n, m1, m2, l1, l2 = params.n, params.m1, params.m2, params.l1, params.l2
     # The words, then one typical-pair entry per (w1, w2, j1, j2).
     total = (m1 * l1 + m2 * l2) * n + m1 * m2 * l1 * l2
-    _check_budget(total, DEFAULT_CODEBOOK_SYMBOL_BUDGET, f"the codebook's {total} symbols")
+    _check_budget(total, DEFAULT_CODEBOOK_SYMBOL_BUDGET, "the codebook's {} symbols", total)
     v1_words = _sample_conditional(
         _rng(params.seed, _TAG_V1), pv1.probs[None], np.zeros((m1, l1, n), np.int64)
     )

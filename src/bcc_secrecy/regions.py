@@ -180,7 +180,7 @@ def _search(n_outer: int, n_inner: int, budget: int, chunks: Iterator) -> Region
     depend on how the grid is chunked.
     """
     total = n_outer * n_inner
-    _check_budget(total, budget, f"grid too large: {n_outer} x {n_inner} = {total} candidates")
+    _check_budget(total, budget, "grid too large: {} x {} = {} candidates", n_outer, n_inner, total)
     return upper_right_hull(np.vstack([_pareto(points) for points in chunks]))
 
 
@@ -484,8 +484,8 @@ def wiretap_secrecy_capacity(
     steps = _grid_steps(resolution)
     nx = _check_shared_input(main, eve)
     n_points = _simplex_count(nx, steps * steps)
-    what = f"grid too large: {n_points} points P(x) on the 1/{steps * steps} grid"
-    _check_budget(n_points, budget, what)
+    what = "grid too large: {} points P(x) on the 1/{} grid"
+    _check_budget(n_points, budget, what, n_points, steps * steps)
     if nx == 1:
         return 0.0
     rows = simplex_grid(nx, steps)

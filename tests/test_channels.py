@@ -161,6 +161,34 @@ class TestScalarChecks:
         with pytest.raises(InvalidDistribution, match="^budget must be nonnegative, got -1$"):
             _check_budget(0, -1, "0 rows")
 
+    def test_budget_message_counts(self):
+        with pytest.raises(BudgetExceeded, match=r"^3 x 4 = 12 cells exceed budget 10$"):
+            _check_budget(12, 10, "{} x {} = {} cells", 3, 4, 12)
+        # Exact below 10**15; above, 2^k for a power of two, else three leading
+        # digits (truncated) and the exponent, for counts of any size.
+        cases = [
+            (10**15 - 1, "999999999999999"),
+            (10**15, "1.00e15"),
+            (2**50, "2^50"),
+            (123456789 * 10**20, "1.23e28"),
+            (999999 * 10**100 - 1, "9.99e105"),
+            (10**400, "1.00e400"),
+            (10**400 - 1, "9.99e399"),
+            (3**20000, "2.66e9542"),
+            (2**20000, "2^20000"),
+        ]
+        for count, text in cases:
+            with pytest.raises(BudgetExceeded, match=rf"^{re.escape(text)} rows exceed budget 0$"):
+                _check_budget(count, 0, "{} rows", count)
+        with pytest.raises(BudgetExceeded, match=r"^2\^20000 rows exceed budget 1.00e300$"):
+            _check_budget(2**20000, 10**300, "{} rows", 2**20000)
+        rng = np.random.default_rng(5)
+        for digits in rng.integers(16, 60, size=50):
+            count = int("".join(map(str, rng.integers(1, 10, size=int(digits)))))
+            want = f"{str(count)[0]}.{str(count)[1:3]}e{len(str(count)) - 1}"
+            with pytest.raises(BudgetExceeded, match=rf"^{re.escape(want)} rows"):
+                _check_budget(count, 0, "{} rows", count)
+
 
 def _pair_map(rows):
     return build_double_binning(CodeParams(4, 2, 2, 1, 1, 0), Pmf.uniform(2), Pmf.uniform(2), rows, 0.1)

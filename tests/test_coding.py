@@ -486,6 +486,56 @@ class TestBatchedScorer:
         self.assert_matches_per_sequence(words, all_outputs(3, 5), _log_matrix(matrix))
 
 
+class TestCountScorer:
+    """_ml_index on channels that are symmetric in exact arithmetic but not in floats."""
+
+    @staticmethod
+    def seed0_v2_composite():
+        # The double-binning benchmark's V2 -> Y2 channel at seed 0, built as
+        # run_error_experiment builds it: uniform pv1, P(x=1 | v1, v2) from
+        # ((0.05, 0.35), (0.65, 0.95)), and Y2 = BSC(0.14).
+        x_map = np.array([[[1.0 - q, q] for q in row] for row in ((0.05, 0.35), (0.65, 0.95))])
+        return np.einsum("v,vwx,xy->wy", np.full(2, 0.5), x_map, BSC(0.14).matrix)
+
+    def test_decisions_are_ml_within_rounding(self):
+        composite = self.seed0_v2_composite()
+        log_matrix = _log_matrix(composite)
+        # The two crossover entries differ in the last ulp: three classes, not two.
+        assert len(np.unique(log_matrix)) == 3
+        rng = np.random.default_rng(2208)
+        ties = 0
+        for n in (4, 6, 8):
+            for _ in range(3):
+                words = rng.integers(2, size=(4, 8, n))
+                flat = words.reshape(-1, n)
+                ys = all_outputs(2, n)
+                for y, index in zip(ys, _ml_index(words, ys, log_matrix), strict=True):
+                    terms = log_matrix[flat, y]
+                    exact = posterior_argmax_exact(flat, y, composite)
+                    assert abs(math.fsum(terms[index]) - math.fsum(terms[exact])) <= 1e-12
+                    # No lower index has the chosen word's multiset of factors.
+                    factors = np.sort(terms, axis=1)
+                    same = (factors == factors[index]).all(axis=1)
+                    assert index == int(np.argmax(same))
+                    ties += int(same.sum() > 1)
+        assert ties > 0
+
+    @pytest.mark.parametrize("n_words, n, n_obs", [(1, 20, 10_000), (8192, 12, 1)])
+    def test_peak_memory_is_bounded(self, n_words, n, n_obs):
+        rng = np.random.default_rng(n_words)
+        words = rng.integers(2, size=(n_words, n))
+        ys = rng.integers(2, size=(n_obs, n))
+        log_matrix = _log_matrix(BSC(0.1).matrix)
+        tracemalloc.start()
+        try:
+            _ml_index(words, ys, log_matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A few arrays of _SCORE_FLOATS floats, plus the (B,) indices and best scores.
+        assert peak <= 4 * coding._SCORE_FLOATS * 8 + 16 * n_obs, peak
+
+
 class TestExactEquivocation:
     def test_uninformative_eavesdropper_perfect_secrecy(self):
         cb = build_superposition(small_params(), Pmf.uniform(2), BSC(0.1))

@@ -1,9 +1,14 @@
+import contextlib
+import gc
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -258,6 +263,23 @@ class TestCliRegionGaussian:
         assert text[0] == "alpha,r1_bits,r2_bits"
         assert len(text) == 102
 
+    def test_run_keeps_no_redirected_stream_alive(self, tmp_path):
+        # In-process callers redirect stdout and stderr per run(); neither a
+        # message nor an error may pin the redirected streams afterwards.
+        out = str(tmp_path / "region.csv")
+        args = ["region", "gaussian", "--power", "1", "--n1", "0.25", "--n2", "0.5", "--n3", "1"]
+        streams = []
+        for alphas in ("3", "1"):
+            for _ in range(5):
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    run([*args, "--alphas", alphas, "--out", out])
+                assert stdout.getvalue() or stderr.getvalue()
+                streams += [weakref.ref(stdout), weakref.ref(stderr)]
+                del stdout, stderr
+        gc.collect()
+        assert [ref() for ref in streams] == [None] * len(streams)
+
     def test_idempotent_bytes(self, tmp_path):
         out = tmp_path / "region.csv"
         argv = [
@@ -386,6 +408,17 @@ class TestCliRegionDiscrete:
             ]
         )
         assert code == 4
+
+    @pytest.mark.parametrize("command", [["region", "degraded"], ["region", "general"], ["wiretap"]])
+    def test_huge_grid_budget_message_is_short(self, tmp_path, capsys, cascade_file, command):
+        # 1/1e-300 steps: the counts have hundreds of digits and print in short form.
+        out = tmp_path / "x.csv"
+        argv = [*command, "--file", cascade_file, "--grid", "1e-300"]
+        assert run(argv + (["--out", str(out)] if command[0] == "region" else [])) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid too large: ") and len(err) < 200, err
+        assert re.search(r"\de[5-9]\d\d ", err) and not re.search(r"\d{16}", err), err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [["region", "degraded"], ["region", "general"], ["wiretap"]])
     def test_negative_budget_exit_3(self, tmp_path, capsys, cascade_file, command):
@@ -840,6 +873,17 @@ class TestCliSimulate:
             ]
         )
         assert code == 4
+
+    def test_huge_blocklength_exit_4_with_a_short_message(self, tmp_path, capsys, superposition_config):
+        # |Z|^n = 2^20000 has 6,021 digits, past Python's integer-to-string limit.
+        config = json.loads(superposition_config.read_text())
+        config.update(n=20000, m1=1, m2=1, l1=1, l2=1)
+        superposition_config.write_text(json.dumps(config))
+        out = tmp_path / "o.json"
+        assert run(["simulate", "--config", str(superposition_config), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err == "error: |Z|^n = 2^20000 observation sequences exceed budget 1048576\n"
+        assert not out.exists()
 
     def test_negative_z_budget_exit_3(self, tmp_path, capsys, superposition_config):
         out = tmp_path / "o.json"
