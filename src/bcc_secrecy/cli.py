@@ -48,13 +48,14 @@ from .regions import (
 
 
 def _echo(message: str, err: bool = False) -> None:
-    """click.echo to the current sys.stdout, or sys.stderr if `err`.
+    """click.echo to the current stdout, or stderr if `err`.
 
-    click caches a wrapper per default stream, keyed weakly but holding the
-    stream itself, so each stream that run() was redirected to would stay
-    alive for the life of the process; naming the stream skips that cache.
+    click.echo's default stream comes from a cache keyed weakly by stream
+    but holding it, so every stream that run() was redirected to would stay
+    alive for the life of the process; get_text_stream fixes up the stream
+    (an ASCII stdout still prints non-ASCII paths) without that cache.
     """
-    click.echo(message, file=sys.stderr if err else sys.stdout)
+    click.echo(message, file=click.get_text_stream("stderr" if err else "stdout", errors=None))
 
 
 @click.group()

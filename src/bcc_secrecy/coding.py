@@ -16,8 +16,10 @@ Both schemes share one trial path: one inverse-CDF sampler draws every
 codeword, x^n and channel output; one batched ML index (`_ml_index`)
 serves every receiver, scoring each word from the counts of its symbols
 that meet each distinct log-likelihood value, which one 0/1 matrix
-product gives exactly; and `run_error_experiment` picks the scheme's
-encoder and decoder once, then runs blocks of trials through one body.
+product gives exactly (or from its sorted terms, where a channel has too
+many distinct values for the counts to pay); and `run_error_experiment`
+picks the scheme's encoder and decoder once, then runs blocks of trials
+through one body.
 The encoders take message arrays and the decoders observation arrays with
 a leading batch axis, so a block makes one call of each.
 
@@ -59,9 +61,15 @@ _TABLE_BYTES = 1 << 30
 # Trials that run_error_experiment draws, encodes, sends and decodes at once.
 _TRIAL_BLOCK = 256
 # Elements of each array _ml_index builds per block (one-hot words, class
-# indicator, counts, scores): 128 KiB of floats.  Of 1 << 13 to 1 << 17,
-# 1 << 14 scored 256 words of n = 12 against 256 observations fastest.
+# indicator, counts, scores; or gathered terms): 128 KiB of floats.  Of
+# 1 << 13 to 1 << 17, 1 << 14 scored 256 words of n = 12 against 256
+# observations fastest.
 _SCORE_FLOATS = 1 << 14
+# Largest V*|X| (distinct log values times input symbols) that _ml_index
+# scores by class counts, at V*n*|X| multiply-adds per (observation, word)
+# pair: 256 words of n = 12 against 256 observations took 2.3 ms at 64 and
+# 5.7 ms at 125, where the sorted sum takes 3.6 ms at any size.
+_COUNT_CELLS = 64
 # Terms of a binomial tail that _clopper_pearson sums at a time.
 _TAIL_TERMS = 1 << 12
 
@@ -293,15 +301,19 @@ def _ml_index(words: np.ndarray, ys: np.ndarray, log_matrix: np.ndarray) -> np.n
     class indicator (V, n*|X|, B).  A score adds values[v] * counts[v] over
     the finite classes in ascending order and is -inf where a -inf class is
     met, so words whose likelihoods have the same multiset of factors get
-    bit-identical scores, and the lowest index wins a tie.  Every array a
-    block builds holds at most _SCORE_FLOATS elements, but at least one
-    word's n*|X| per class: words in tiles, whose winners only a strictly
-    higher score in a later tile displaces, so the tiling moves no decision.
+    bit-identical scores, and the lowest index wins a tie.  Channels with
+    V*|X| above _COUNT_CELLS are scored by _sorted_ml_index instead.  Every
+    array a block builds holds at most _SCORE_FLOATS elements, but at least
+    one word's n*|X| per class: words in tiles, whose winners only a
+    strictly higher score in a later tile displaces, so the tiling moves no
+    decision.
     """
     n = words.shape[-1]
     values, classes = np.unique(log_matrix, return_inverse=True)
+    if len(values) * log_matrix.shape[0] > _COUNT_CELLS:
+        return _sorted_ml_index(words, ys, log_matrix)
     classes = classes.reshape(log_matrix.shape).T
-    finite = np.flatnonzero(np.isfinite(values))
+    first = int(np.isneginf(values[0]))
     levels = np.arange(len(values))[:, None, None]
     width = n * log_matrix.shape[0]
     offsets = np.arange(n) * log_matrix.shape[0]
@@ -319,13 +331,44 @@ def _ml_index(words: np.ndarray, ys: np.ndarray, log_matrix: np.ndarray) -> np.n
             # indicator[v, i * |X| + x, b]: log_matrix[x, ys[b, i]] is in class v.
             cells = classes[ys[block].T].transpose(0, 2, 1).reshape(width, -1)
             counts = onehot @ (cells == levels).astype(np.float64)
-            scores = values[finite[0]] * counts[finite[0]]
-            for v in finite[1:]:
-                scores += values[v] * counts[v]
-            if len(finite) < len(values):
+            # Summed over the class axis one class at a time, in ascending order.
+            scores = (values[first:, None, None] * counts[first:]).sum(axis=0)
+            if first:
                 scores[counts[0] > 0.0] = -np.inf
             top = scores.argmax(axis=0)
             top_scores = scores[top, np.arange(scores.shape[1])]
+            better = top_scores > best[block]
+            best[block][better] = top_scores[better]
+            index[block][better] = top[better] + w0
+    return index
+
+
+def _sorted_ml_index(words: np.ndarray, ys: np.ndarray, log_matrix: np.ndarray) -> np.ndarray:
+    """_ml_index by sorted sums, for channels with many distinct log values.
+
+    A word's score sums its per-symbol terms along the contiguous last axis
+    after sorting them, so that words with the same multiset of factors get
+    bit-identical scores, and the lowest index wins a tie.  The terms are
+    gathered as flat cells of log_matrix, at most _SCORE_FLOATS of them (and
+    as many cell indices) at a time, but at least one word's n, with words
+    tiled as in _ml_index.
+    """
+    n = words.shape[-1]
+    rows = words.reshape(-1, n) * log_matrix.shape[1]
+    cells = log_matrix.ravel()
+    best = np.full(len(ys), -np.inf)
+    index = np.zeros(len(ys), np.int64)
+    tile = max(_SCORE_FLOATS // n, 1)
+    for w0 in range(0, len(rows), tile):
+        part = rows[w0 : w0 + tile]
+        step = max(_SCORE_FLOATS // part.size, 1)
+        for y0 in range(0, len(ys), step):
+            block = slice(y0, y0 + step)
+            terms = cells[part + ys[block, None, :]]
+            terms.sort(axis=-1)
+            scores = terms.sum(axis=-1)
+            top = scores.argmax(axis=-1)
+            top_scores = scores.max(axis=-1)
             better = top_scores > best[block]
             best[block][better] = top_scores[better]
             index[block][better] = top[better] + w0

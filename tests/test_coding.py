@@ -487,7 +487,7 @@ class TestBatchedScorer:
 
 
 class TestCountScorer:
-    """_ml_index on channels that are symmetric in exact arithmetic but not in floats."""
+    """_ml_index on ulp-asymmetric channels, wide alphabets, and its memory bound."""
 
     @staticmethod
     def seed0_v2_composite():
@@ -520,12 +520,36 @@ class TestCountScorer:
                     ties += int(same.sum() > 1)
         assert ties > 0
 
-    @pytest.mark.parametrize("n_words, n, n_obs", [(1, 20, 10_000), (8192, 12, 1)])
-    def test_peak_memory_is_bounded(self, n_words, n, n_obs):
+    @pytest.mark.parametrize("cells", [None, 1 << 30])
+    def test_wide_channels(self, monkeypatch, cells):
+        # |X| = |Y| = 9 with distinct entries: V * |X| is far above _COUNT_CELLS,
+        # so the scorer is the sorted sum, bit for bit; raising the limit takes
+        # the counts (V = 78) through one-observation blocks instead.
+        if cells is not None:
+            monkeypatch.setattr(coding, "_COUNT_CELLS", cells)
+        rng = np.random.default_rng(2209)
+        matrix = random_channel(rng, 9, 9).matrix.copy()
+        matrix[0, :4] = 0.0
+        log_matrix = _log_matrix(matrix)
+        assert len(np.unique(log_matrix)) * 9 > 64
+        base = rng.integers(9, size=(40, 5))
+        # A word and its reversal tie on a constant observation.
+        words = np.concatenate([base, base[:, ::-1]])
+        constant = np.repeat(np.arange(9), 5).reshape(9, 5)
+        ys = np.concatenate([rng.integers(9, size=(300, 5)), constant])
+        got = _ml_index(words, ys, log_matrix)
+        assert got.tolist() == [ml_index_per_sequence(words, y, log_matrix) for y in ys]
+        assert (got[-9:] < 40).all()
+
+    @pytest.mark.parametrize(
+        "n_words, n, n_obs, size", [(1, 20, 10_000, 2), (8192, 12, 1, 2), (256, 12, 256, 9)]
+    )
+    def test_peak_memory_is_bounded(self, n_words, n, n_obs, size):
         rng = np.random.default_rng(n_words)
-        words = rng.integers(2, size=(n_words, n))
-        ys = rng.integers(2, size=(n_obs, n))
-        log_matrix = _log_matrix(BSC(0.1).matrix)
+        words = rng.integers(size, size=(n_words, n))
+        ys = rng.integers(size, size=(n_obs, n))
+        channel = BSC(0.1) if size == 2 else random_channel(rng, size, size)
+        log_matrix = _log_matrix(channel.matrix)
         tracemalloc.start()
         try:
             _ml_index(words, ys, log_matrix)

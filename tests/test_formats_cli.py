@@ -280,6 +280,20 @@ class TestCliRegionGaussian:
         gc.collect()
         assert [ref() for ref in streams] == [None] * len(streams)
 
+    def test_ascii_stdout_prints_non_ascii_path(self, tmp_path):
+        # click re-wraps an ASCII stdout so a non-ASCII path still prints.
+        out = tmp_path / "région.csv"
+        argv = ["region", "gaussian", "--power", "1", "--n1", "0.25", "--n2", "0.5", "--n3", "1",
+                "--alphas", "3", "--out", str(out)]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONIOENCODING": "ascii",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        done = subprocess.run(
+            [sys.executable, "-m", "bcc_secrecy.cli", *argv], env=env, capture_output=True
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert done.stdout.startswith(b"wrote 3 rows to ") and out.exists()
+
     def test_idempotent_bytes(self, tmp_path):
         out = tmp_path / "region.csv"
         argv = [
