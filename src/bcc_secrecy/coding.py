@@ -14,12 +14,12 @@ Two code constructions are implemented at small blocklength n:
 
 Both schemes share one trial path: one inverse-CDF sampler draws every
 codeword, x^n and channel output; one batched ML index (`_ml_index`)
-serves every receiver, scoring each word from the counts of its symbols
-that meet each distinct log-likelihood value, which one 0/1 matrix
-product gives exactly (or from its sorted terms, where a channel has too
-many distinct values for the counts to pay); and `run_error_experiment`
-picks the scheme's encoder and decoder once, then runs blocks of trials
-through one body.
+serves every receiver, one loop over word tiles and observation blocks
+whose block score counts each word's symbols that meet each distinct
+log-likelihood value, which one 0/1 matrix product gives exactly (or
+sums its sorted terms, where a channel has too many distinct values for
+the counts to pay); and `run_error_experiment` picks the scheme's
+encoder and decoder once, then runs blocks of trials through one body.
 The encoders take message arrays and the decoders observation arrays with
 a leading batch axis, so a block makes one call of each.
 
@@ -61,13 +61,14 @@ _TABLE_BYTES = 1 << 30
 # Trials that run_error_experiment draws, encodes, sends and decodes at once.
 _TRIAL_BLOCK = 256
 # Elements of each array _ml_index builds per block (one-hot words, class
-# indicator, counts, scores; or gathered terms): 128 KiB of floats.  Of
+# indicator, counts, scores; or cell offsets, gathered terms): 128 KiB.  Of
 # 1 << 13 to 1 << 17, 1 << 14 scored 256 words of n = 12 against 256
 # observations fastest.
 _SCORE_FLOATS = 1 << 14
 # Largest V*|X| (distinct log values times input symbols) that _ml_index
 # scores by class counts, at V*n*|X| multiply-adds per (observation, word)
-# pair: 256 words of n = 12 against 256 observations took 2.3 ms at 64 and
+# pair; wider channels get the sorted sum as block score in the same loop.
+# 256 words of n = 12 against 256 observations took 2.3 ms at 64 and
 # 5.7 ms at 125, where the sorted sum takes 3.6 ms at any size.
 _COUNT_CELLS = 64
 # Terms of a binomial tail that _clopper_pearson sums at a time.
@@ -296,79 +297,66 @@ def _ml_index(words: np.ndarray, ys: np.ndarray, log_matrix: np.ndarray) -> np.n
 
     A memoryless likelihood depends only on how many of a word's symbols
     meet each distinct value of log_matrix (its V classes, ascending, -inf
-    first if present).  Those counts come exactly, as integers in float64,
-    from one product of the words' one-hot rows (W, n*|X|) with a block's
-    class indicator (V, n*|X|, B).  A score adds values[v] * counts[v] over
-    the finite classes in ascending order and is -inf where a -inf class is
-    met, so words whose likelihoods have the same multiset of factors get
-    bit-identical scores, and the lowest index wins a tie.  Channels with
-    V*|X| above _COUNT_CELLS are scored by _sorted_ml_index instead.  Every
-    array a block builds holds at most _SCORE_FLOATS elements, but at least
-    one word's n*|X| per class: words in tiles, whose winners only a
-    strictly higher score in a later tile displaces, so the tiling moves no
-    decision.
+    first if present).  Where V*|X| is at most _COUNT_CELLS, a block score
+    gets those counts exactly, as integers in float64, from one product of
+    a tile's one-hot rows (T, n*|X|) with the block's class indicator
+    (V, n*|X|, B), adds values[v] * counts[v] over the finite classes in
+    ascending order, and is -inf where a -inf class is met; wider channels
+    sum each word's gathered terms after sorting them.  Either way words
+    with the same multiset of factors get bit-identical scores.  One loop
+    runs both: words in tiles, observations in blocks, every array a block
+    builds at most _SCORE_FLOATS elements (but one word's and one
+    observation's at least), and the lowest index wins a tie, since only a
+    strictly higher score in a later tile displaces a winner.
     """
-    n = words.shape[-1]
-    values, classes = np.unique(log_matrix, return_inverse=True)
-    if len(values) * log_matrix.shape[0] > _COUNT_CELLS:
-        return _sorted_ml_index(words, ys, log_matrix)
-    classes = classes.reshape(log_matrix.shape).T
-    first = int(np.isneginf(values[0]))
-    levels = np.arange(len(values))[:, None, None]
-    width = n * log_matrix.shape[0]
-    offsets = np.arange(n) * log_matrix.shape[0]
+    n, size = words.shape[-1], log_matrix.shape[0]
     rows = words.reshape(-1, n)
-    best = np.full(len(ys), -np.inf)
-    index = np.zeros(len(ys), np.int64)
-    tile = max(min(_SCORE_FLOATS // width, _SCORE_FLOATS // len(values)), 1)
-    for w0 in range(0, len(rows), tile):
-        part = rows[w0 : w0 + tile]
-        onehot = np.zeros((len(part), width))
-        np.put_along_axis(onehot, part + offsets, 1.0, axis=1)
-        step = max(_SCORE_FLOATS // (len(values) * max(len(part), width)), 1)
-        for y0 in range(0, len(ys), step):
-            block = slice(y0, y0 + step)
-            # indicator[v, i * |X| + x, b]: log_matrix[x, ys[b, i]] is in class v.
-            cells = classes[ys[block].T].transpose(0, 2, 1).reshape(width, -1)
+    values, classes = np.unique(log_matrix, return_inverse=True)
+    if len(values) * size <= _COUNT_CELLS:
+        classes = classes.reshape(log_matrix.shape).T
+        first = int(np.isneginf(values[0]))
+        levels = np.arange(len(values))[:, None, None]
+        width = n * size
+        per_word, per_pair, per_obs = width, len(values), len(values) * width
+
+        def prepare(part):
+            # onehot[w, i * |X| + x]: word w has symbol x at position i.
+            return (part[:, :, None] == np.arange(size)).reshape(len(part), width).astype(np.float64)
+
+        def score(onehot, obs):
+            # indicator[v, i * |X| + x, b]: log_matrix[x, obs[b, i]] is in class v.
+            cells = classes[obs.T].transpose(0, 2, 1).reshape(width, -1)
             counts = onehot @ (cells == levels).astype(np.float64)
             # Summed over the class axis one class at a time, in ascending order.
             scores = (values[first:, None, None] * counts[first:]).sum(axis=0)
             if first:
                 scores[counts[0] > 0.0] = -np.inf
-            top = scores.argmax(axis=0)
-            top_scores = scores[top, np.arange(scores.shape[1])]
-            better = top_scores > best[block]
-            best[block][better] = top_scores[better]
-            index[block][better] = top[better] + w0
-    return index
+            return scores
 
+    else:
+        flat = log_matrix.ravel()
+        per_word = per_pair = per_obs = n
 
-def _sorted_ml_index(words: np.ndarray, ys: np.ndarray, log_matrix: np.ndarray) -> np.ndarray:
-    """_ml_index by sorted sums, for channels with many distinct log values.
+        def prepare(part):
+            return part * log_matrix.shape[1]
 
-    A word's score sums its per-symbol terms along the contiguous last axis
-    after sorting them, so that words with the same multiset of factors get
-    bit-identical scores, and the lowest index wins a tie.  The terms are
-    gathered as flat cells of log_matrix, at most _SCORE_FLOATS of them (and
-    as many cell indices) at a time, but at least one word's n, with words
-    tiled as in _ml_index.
-    """
-    n = words.shape[-1]
-    rows = words.reshape(-1, n) * log_matrix.shape[1]
-    cells = log_matrix.ravel()
+        def score(offsets, obs):
+            terms = flat[offsets[:, None, :] + obs]
+            terms.sort(axis=-1)
+            return terms.sum(axis=-1)
+
     best = np.full(len(ys), -np.inf)
     index = np.zeros(len(ys), np.int64)
-    tile = max(_SCORE_FLOATS // n, 1)
+    tile = max(_SCORE_FLOATS // max(per_word, per_pair), 1)
     for w0 in range(0, len(rows), tile):
         part = rows[w0 : w0 + tile]
-        step = max(_SCORE_FLOATS // part.size, 1)
+        prepared = prepare(part)
+        step = max(_SCORE_FLOATS // max(per_pair * len(part), per_obs), 1)
         for y0 in range(0, len(ys), step):
             block = slice(y0, y0 + step)
-            terms = cells[part + ys[block, None, :]]
-            terms.sort(axis=-1)
-            scores = terms.sum(axis=-1)
-            top = scores.argmax(axis=-1)
-            top_scores = scores.max(axis=-1)
+            scores = score(prepared, ys[block])
+            top = scores.argmax(axis=0)
+            top_scores = scores[top, np.arange(scores.shape[1])]
             better = top_scores > best[block]
             best[block][better] = top_scores[better]
             index[block][better] = top[better] + w0

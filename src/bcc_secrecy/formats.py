@@ -12,8 +12,9 @@ P(y1|x), P(y2|x) and P(z|x), so a "bcc" tensor is summed down.
 
 Entries in [-1e-12, 0) are clamped to zero at load time to absorb
 decimal round-off in hand-written files; anything below that floor, a
-field that the description's type does not define, or any other
-invariant violation is rejected with the violated invariant named.
+field that the description's type (or the config's scheme) does not
+define, or any other invariant violation is rejected with the violated
+invariant named.
 Output files are written to a temporary file and renamed into place, so
 a failed run never leaves a partial artifact.
 """
@@ -38,12 +39,16 @@ from .coding import CodeParams
 NEGATIVE_GRACE = 1e-12
 SIG_DIGITS = 12
 CSV_BLOCK_ROWS = 4096
-# The fields of each channel type, and of an experiment config (either scheme).
+# The fields of each channel type, and of each scheme's experiment config.
 CHANNEL_FIELDS = {
     "bcc": ("type", "x", "y1", "y2", "z", "joint"),
     "bcc-marginals": ("type", "py1x", "py2x", "pzx"),
 }
-EXPERIMENT_FIELDS = "scheme channel n m1 m2 l1 l2 seed trials epsilon pu pxu pv1 pv2 pxv".split()
+_SHARED_FIELDS = ("scheme", "channel", "n", "m1", "m2", "l1", "l2", "seed", "trials")
+EXPERIMENT_FIELDS = {
+    "superposition": (*_SHARED_FIELDS, "pu", "pxu"),
+    "double-binning": (*_SHARED_FIELDS, "pv1", "pv2", "pxv", "epsilon"),
+}
 
 
 @dataclass(frozen=True)
@@ -136,10 +141,10 @@ def parse_experiment(data: dict, base_dir: Path | None = None) -> ExperimentConf
     if not isinstance(data, dict):
         raise InvalidDistribution(f"experiment config must be an object, got {type(data).__name__}")
     document = "experiment config"
-    _reject_unknown(data, EXPERIMENT_FIELDS, document)
     scheme = _require(data, "scheme", document)
-    if scheme not in ("superposition", "double-binning"):
+    if not isinstance(scheme, str) or scheme not in EXPERIMENT_FIELDS:
         raise InvalidDistribution(f"unknown scheme {scheme!r}")
+    _reject_unknown(data, EXPERIMENT_FIELDS[scheme], document)
     channel = _require(data, "channel", document)
     if isinstance(channel, str):
         path = Path(channel)

@@ -94,6 +94,8 @@ class GaussianParams:
         noise = tuple(_check_finite(getattr(self, name), name) for name in ("n1", "n2", "n3"))
         if not 0 < noise[0] <= noise[1] <= noise[2]:
             raise InvalidDistribution(f"noise variances must satisfy 0 < n1 <= n2 <= n3, got {noise}")
+        # Every SNR of the closed form is at most power / n1.
+        _check_finite(self.power / noise[0], "largest SNR power / n1")
 
 
 def capacity_fn(snr: float | np.ndarray) -> float | np.ndarray:

@@ -279,6 +279,15 @@ RANGE_AND_SYMBOL_RULES = {
         lambda: GaussianParams(1.0, 0.5, 0.25, 1.0),
         "noise variances must satisfy 0 < n1 <= n2 <= n3, got (0.5, 0.25, 1.0)",
     ),
+    # Finite fields whose largest SNR overflows once gave inf (first) or nan (second) rates.
+    "largest snr": (
+        lambda: GaussianParams(1.0, 5e-324, 1.0, 2.0),
+        "largest SNR power / n1 must be a finite number, got inf",
+    ),
+    "largest snr, equal noises": (
+        lambda: GaussianParams(1e300, 1e-10, 1e-10, 1e-10),
+        "largest SNR power / n1 must be a finite number, got inf",
+    ),
     "crossover": (lambda: BSC(1.5), "crossover probability must lie in [0, 1], got 1.5"),
     "snr": (lambda: capacity_fn(-1.0), "snr must be nonnegative, got -1.0"),
     "alpha": (lambda: gaussian_region_point(GAUSSIAN, 2.0), "alpha must lie in [0, 1], got 2.0"),

@@ -437,6 +437,14 @@ def assert_matches(report, expected):
 class TestBatchedScorer:
     """_ml_index against the per-sequence scorer, compared with ==."""
 
+    # _COUNT_CELLS for every case; None keeps the library's, so small channels take counts.
+    count_cells = None
+
+    @pytest.fixture(autouse=True)
+    def scorer(self, monkeypatch):
+        if self.count_cells is not None:
+            monkeypatch.setattr(coding, "_COUNT_CELLS", self.count_cells)
+
     @staticmethod
     def assert_matches_per_sequence(words, ys, log_matrix):
         got = _ml_index(words, ys, log_matrix)
@@ -484,6 +492,12 @@ class TestBatchedScorer:
         matrix = random_channel(rng, 3, 3).matrix.copy()
         matrix[0, 1] = 0.0
         self.assert_matches_per_sequence(words, all_outputs(3, 5), _log_matrix(matrix))
+
+
+class TestSortedScorer(TestBatchedScorer):
+    """Every TestBatchedScorer case with _COUNT_CELLS = 0, so every channel takes the sorted sum."""
+
+    count_cells = 0
 
 
 class TestCountScorer:
@@ -542,7 +556,14 @@ class TestCountScorer:
         assert (got[-9:] < 40).all()
 
     @pytest.mark.parametrize(
-        "n_words, n, n_obs, size", [(1, 20, 10_000, 2), (8192, 12, 1, 2), (256, 12, 256, 9)]
+        "n_words, n, n_obs, size",
+        [
+            (1, 20, 10_000, 2),
+            (8192, 12, 1, 2),
+            (256, 12, 256, 9),
+            (8192, 12, 1, 9),
+            (65536, 16, 4, 9),
+        ],
     )
     def test_peak_memory_is_bounded(self, n_words, n, n_obs, size):
         rng = np.random.default_rng(n_words)

@@ -151,6 +151,17 @@ class TestParseChannel:
         err = capsys.readouterr().err
         assert err.count(f"{field} must be a finite number, got {float(value)!r}") == 2
 
+    @pytest.mark.parametrize(
+        "flags", [("1", "5e-324", "1", "2"), ("1e300", "1e-10", "1e-10", "1e-10")], ids=["inf", "nan"]
+    )
+    def test_overflowing_gaussian_snr_exit_3(self, tmp_path, capsys, flags):
+        # Each once wrote inf or nan rates with exit 0, which check frontier then refused.
+        args = [arg for key, flag in zip(("power", "n1", "n2", "n3"), flags) for arg in (f"--{key}", flag)]
+        out = tmp_path / "g.csv"
+        assert run(["region", "gaussian", *args, "--alphas", "3", "--out", str(out)]) == 3
+        assert "largest SNR power / n1 must be a finite number, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_type(self):
         with pytest.raises(InvalidDistribution, match="unknown channel type"):
             parse_channel({"type": "mystery"})
@@ -559,6 +570,7 @@ class TestCliWiretapAndCheck:
 
     def test_simulate_loads_no_scipy(self, tmp_path, superposition_config):
         binning = json.loads(superposition_config.read_text())
+        del binning["pu"], binning["pxu"]
         binning.update(scheme="double-binning", pv1=[0.5, 0.5], pv2=[0.5, 0.5], epsilon=0.4,
                        pxv=[[[0.9, 0.1], [0.1, 0.9]], [[0.1, 0.9], [0.9, 0.1]]])
         binning_config = tmp_path / "bin.json"
@@ -605,6 +617,18 @@ class TestCliWiretapAndCheck:
         path.write_text(json.dumps(bsc_marginals_dict(0.2, 0.05, 0.3)))
         assert run(["check", "degraded", "--file", str(path)]) == 0
         assert "y1->y2: feasible=false" in capsys.readouterr().out
+
+
+# Valid values of each scheme's own config fields, and which fields each scheme owns.
+SCHEME_FIELDS = {
+    "pu": [0.5, 0.5],
+    "pxu": [[0.9, 0.1], [0.1, 0.9]],
+    "pv1": [0.5, 0.5],
+    "pv2": [0.5, 0.5],
+    "pxv": [[[0.9, 0.1], [0.1, 0.9]], [[0.1, 0.9], [0.9, 0.1]]],
+    "epsilon": 0.4,
+}
+OWN_FIELDS = {"superposition": ("pu", "pxu"), "double-binning": ("pv1", "pv2", "pxv", "epsilon")}
 
 
 @pytest.fixture()
@@ -811,9 +835,7 @@ class TestCliSimulate:
         monkeypatch.setattr(cli, "build_double_binning", no_codebook)
         config = {
             "scheme": scheme, "n": 4, "m1": 2, "m2": 2, "channel": cascade_file,
-            "pu": [0.5, 0.5], "pxu": [[0.9, 0.1], [0.1, 0.9]],
-            "pv1": [0.5, 0.5], "pv2": [0.5, 0.5],
-            "pxv": [[[0.9, 0.1], [0.1, 0.9]], [[0.1, 0.9], [0.9, 0.1]]],
+            **{key: SCHEME_FIELDS[key] for key in OWN_FIELDS[scheme]},
         }
         # None: a valid file, with --trials 0 on the command line.
         config["trials"] = 10 if trials is None else trials
@@ -859,6 +881,27 @@ class TestCliSimulate:
         out = tmp_path / "o.json"
         assert run(["simulate", "--config", str(superposition_config), "--out", str(out)]) == 3
         assert capsys.readouterr().err == f"error: experiment config has an unknown field {field!r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "scheme, field",
+        [("superposition", key) for key in OWN_FIELDS["double-binning"]]
+        + [("double-binning", key) for key in OWN_FIELDS["superposition"]],
+    )
+    def test_other_schemes_field_exit_3(self, tmp_path, capsys, cascade_file, scheme, field):
+        # A superposition config holding "pv1": "not even a pmf" once exited 0.
+        config = {
+            "scheme": scheme, "n": 3, "m1": 2, "m2": 2, "trials": 10, "channel": cascade_file,
+            **{key: SCHEME_FIELDS[key] for key in OWN_FIELDS[scheme]},
+        }
+        path = tmp_path / "sim.json"
+        path.write_text(json.dumps(config))
+        assert run(["simulate", "--config", str(path), "--out", str(tmp_path / "ok.json")]) == 0
+        config[field] = SCHEME_FIELDS[field]
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o.json"
+        assert run(["simulate", "--config", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err.endswith(f"error: experiment config has an unknown field {field!r}\n")
         assert not out.exists()
 
     def test_missing_channel_field_still_names_the_channel(self, tmp_path, capsys, cascade_file):
@@ -1034,14 +1077,20 @@ channels = (
 @st.composite
 def experiments(draw):
     nx, nu, a1, a2 = draw(st.tuples(small, small, small, small))
+    scheme = draw(st.sampled_from(["superposition", "double-binning"]))
+    own = {
+        "superposition": {"pu": stochastic(nu), "pxu": stochastic(nu, nx)},
+        "double-binning": {
+            "epsilon": st.floats(0.01, 1.0),
+            "pv1": stochastic(a1), "pv2": stochastic(a2), "pxv": stochastic(a1, a2, nx),
+        },
+    }[scheme]
     return draw(with_fault({
-        "scheme": st.sampled_from(["superposition", "double-binning"]),
+        "scheme": st.just(scheme),
         "channel": channels_with_input(nx) | st.just("channel.json"),
         "n": st.integers(1, 4), "m1": small, "m2": small, "l1": small, "l2": small,
         "seed": st.integers(0, 2**70), "trials": st.integers(1, 4),
-        "epsilon": st.floats(0.01, 1.0),
-        "pu": stochastic(nu), "pxu": stochastic(nu, nx),
-        "pv1": stochastic(a1), "pv2": stochastic(a2), "pxv": stochastic(a1, a2, nx),
+        **own,
     }))
 
 
