@@ -7,7 +7,10 @@ Four computations are provided, all in bits per channel use:
   Each auxiliary candidate yields a pentagon {r1 <= A, r2 <= B,
   r1 + r2 <= S}; its two dominant corners are collected and hulled.
 * ``degraded_region_inner``: the layered (cloud/satellite) region for
-  degraded channels, driven by a single auxiliary U.
+  degraded channels, driven by a single auxiliary U.  Its rates split per
+  letter (Csiszar-Korner), so per-row tables bound every candidate, and
+  only candidates that can reach the Pareto staircase are evaluated: the
+  frontier is the full grid search's, bit for bit.
 * ``gaussian_region_point``: the closed-form power-split region for the
   additive-Gaussian family, parameterized by the fraction ``alpha`` of
   power spent on the first receiver's layer.
@@ -29,7 +32,9 @@ neither on evaluation order nor on how the grid is split into steps.
 
 Each region kernel computes the per-letter terms of a batch of
 candidates (one candidate's, unclamped: ``degraded_rate_terms`` and
-``general_rate_terms``), then combines them into rates.  Negative values
+``general_rate_terms``), then combines them into rates.  Each
+candidate's rates are computed row by row, whatever else its batch holds,
+which lets the degraded search evaluate its survivors alone.  Negative values
 of the rate formulas are clamped to zero pointwise: a negative bound just
 means that candidate contributes nothing in that coordinate.
 """
@@ -59,6 +64,20 @@ MAX_AUX_CARD = 12
 LOWER_FACET_TOL = 1e-9
 # float64 cells of one (points x facets) block of the envelope: 1 MiB.
 ENVELOPE_BLOCK_CELLS = 1 << 17
+# A degraded candidate's rates, bounded from per-row tables, differ from
+# the kernel's by round-off, about 1e-15.  A candidate is skipped only when
+# a kernel point exceeds its bound by this margin in both coordinates (or
+# another bound of its step by twice it), so it is strictly dominated and
+# can hold no point of the exact Pareto staircase.
+PRUNE_MARGIN = 1e-9
+# r1 buckets of the dominance test: a bound is tested only against points
+# in higher buckets, so finer buckets send fewer candidates to the kernel
+# and build a longer table per P(u) step.
+PRUNE_BUCKETS = 4096
+# Candidates bounded and scored at a time, in slices of a P(u) step's
+# first row, so that a large step (|U| = 1 has one, of every grid row)
+# holds a few MiB of arrays at once.
+DEGRADED_BLOCK = 1 << 15
 
 
 class RatePoint(NamedTuple):
@@ -94,8 +113,10 @@ class GaussianParams:
         noise = tuple(_check_finite(getattr(self, name), name) for name in ("n1", "n2", "n3"))
         if not 0 < noise[0] <= noise[1] <= noise[2]:
             raise InvalidDistribution(f"noise variances must satisfy 0 < n1 <= n2 <= n3, got {noise}")
-        # Every SNR of the closed form is at most power / n1.
+        # Every SNR of the closed form is at most power / n1, and every sum
+        # alpha * power + n2 or alpha * power + n3 at most power + n3.
         _check_finite(self.power / noise[0], "largest SNR power / n1")
+        _check_finite(self.power + noise[2], "power + n3")
 
 
 def capacity_fn(snr: float | np.ndarray) -> float | np.ndarray:
@@ -237,13 +258,6 @@ def _simplex_count(dim: int, steps: int) -> int:
     return math.comb(steps + dim - 1, dim - 1)
 
 
-def _row_product(rows: np.ndarray, n_inputs: int) -> np.ndarray:
-    """Every conditional P(out | in) whose rows are drawn from `rows`."""
-    g = len(rows)
-    idx = np.indices((g,) * n_inputs).reshape(n_inputs, -1).T
-    return rows[idx]
-
-
 def _mi_from_joint(joint: np.ndarray) -> np.ndarray:
     """I(A;B) = H(A) + H(B) - H(A,B) for batched 2-d joints (..., a, b)."""
     ha = entropy_last_axis(joint.sum(axis=-1))
@@ -312,6 +326,118 @@ def degraded_rate_pair(
     return RatePoint(*_degraded_rates(degraded_rate_terms(pu, pxu, py1x, py2x, pzx))[0].tolist())
 
 
+def _comb_plus(x, m: int):
+    """C(x + m, m), exact, elementwise for integer arrays."""
+    c = 1
+    for j in range(1, m + 1):
+        c = c * (x + j) // j
+    return c
+
+
+def _lex_rank(parts, total: int) -> np.ndarray:
+    """Rank of each composition of `total` in _compositions order.
+
+    `parts` holds all parts but the last, as integer arrays.  The splits
+    before one whose first part is n number sum_{j<n} C(total - j + m - 1,
+    m - 1) = C(total + m, m) - C(total - n + m, m), m the parts after the
+    first; the rest ranks the same way.
+    """
+    rank, rest = 0, total
+    for position, part in enumerate(parts):
+        after = len(parts) - position
+        rank = rank + _comb_plus(rest, after) - _comb_plus(rest - part, after)
+        rest = rest - part
+    return rank
+
+
+def _dominated(t1: np.ndarray, t2: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Mask of the targets (t1, t2) that some row of `points` reaches in r1 and exceeds in r2.
+
+    Targets are finite or -inf, t1 nonnegative if finite.  r1 above 0 is cut
+    into PRUNE_BUCKETS buckets, and a point counts only for targets in
+    lower buckets than its own (t1 = -inf lies below them all).  Rounding a
+    product by a positive scale is monotone, so a lower bucket means a
+    smaller r1: the test is exact where it says yes and only misses targets
+    that share a point's bucket.
+    """
+    top = points[:, 0].max(initial=0.0)
+    scale = PRUNE_BUCKETS / top if top > 0.0 else 0.0
+    own = np.minimum((np.maximum(points[:, 0], 0.0) * scale).astype(np.intp), PRUNE_BUCKETS)
+    bucket = np.minimum((np.maximum(t1, 0.0) * scale).astype(np.intp), PRUNE_BUCKETS)
+    bucket[t1 < 0.0] = -1
+    # Buckets in descending order after a -inf slot: the running maximum at
+    # PRUNE_BUCKETS - j is the largest r2 among points above bucket j.
+    best = np.full(PRUNE_BUCKETS + 2, -np.inf)
+    np.maximum.at(best, PRUNE_BUCKETS + 1 - own, points[:, 1])
+    return np.maximum.accumulate(best)[PRUNE_BUCKETS - bucket] > t2
+
+
+def _degraded_tables(steps: int, fine: int, u_card: int, my1, my2, mz):
+    """Grid rows, the kernel's row terms and the rate-bound tables of the degraded search.
+
+    A row's kernel terms come from its own values at its own position, so
+    one batch with every row at every position gives them for every
+    candidate; they are indexed by row * u_card + position.  The tables
+    are psi1 and phi2 on the rows and phi2 on the grid of P(x) of step
+    1/fine, with the integer rows `counts`.
+    """
+    counts = _compositions(len(my1), steps)
+    batch = (counts / steps)[:, None].repeat(u_card, axis=1)
+    rows = batch[:, 0]
+    row_terms = _degraded_rows(batch, my1, my2, mz)
+    _, h_uy2, h_uz, i_xy1_rows = (terms[:, 0] for terms in row_terms)
+    phi2 = h_uy2 - h_uz
+    psi1 = i_xy1_rows - h_uz + rows @ entropy_last_axis(mz)
+    phi2_px = phi2 if fine == steps else _wiretap_phi(_compositions(len(my1), fine) / fine, my2, mz)
+    flat = [terms.reshape(len(rows) * u_card, *terms.shape[2:]) for terms in row_terms]
+    return rows, flat, (steps, fine, counts, psi1, phi2, phi2_px)
+
+
+def _degraded_bounds(weights, axes, tables) -> tuple[np.ndarray, np.ndarray]:
+    """Unclamped (r1, r2) bounds of the candidates of P(u) = weights / steps.
+
+    The candidates put row axes[u][i] at position u, for every index tuple
+    in C order.  r1 = sum_u P(u) psi1(q_u); r2 = phi2(p) - sum_u P(u)
+    phi2(q_u), where p = P(x) has numerators sum_u weights[u] counts[q_u]
+    over steps^2, or counts[q_0] over steps for one row: the rank of
+    those numerators indexes the table of phi2 on the P(x) grid.
+    """
+    steps, fine, counts, psi1, phi2, phi2_px = tables
+    pu = weights / steps
+
+    def outer(coefficients, table):
+        """sum_u coefficients[u] * table[row_u] for every candidate, flat."""
+        total = 0
+        for c, axis in zip(coefficients, axes):
+            total = np.add.outer(total, c * table[axis])
+        return total.ravel()
+
+    mix = weights * fine // (steps * steps)
+    numerators = [outer(mix, counts[:, t]) for t in range(counts.shape[1] - 1)]
+    return outer(pu, psi1), phi2_px[_lex_rank(numerators, fine)] - outer(pu, phi2)
+
+
+def _degraded_survivors(weights, axes, tables, staircase) -> np.ndarray:
+    """Row indices (S, U) of the candidates that can reach the exact staircase.
+
+    A candidate is dropped when a point of `staircase` beats its bound by
+    PRUNE_MARGIN in both coordinates, or the bound with the largest
+    r1 + r2 among the candidates (which is kept) beats it by twice that.
+    A coordinate bounded below -PRUNE_MARGIN is exactly 0 in the kernel,
+    which every point reaches.
+    """
+    r1, r2 = _degraded_bounds(weights, axes, tables)
+    b1, b2 = np.maximum(r1, 0.0), np.maximum(r2, 0.0)
+    lead = np.argmax(b1 + b2)
+    known = np.vstack([staircase - PRUNE_MARGIN, np.array([b1[lead], b2[lead]]) - 2 * PRUNE_MARGIN])
+    t1 = np.where(r1 < -PRUNE_MARGIN, -np.inf, b1)
+    t2 = np.where(r2 < -PRUNE_MARGIN, -np.inf, b2)
+    dropped = _dominated(t1, t2, known)
+    dropped[lead] = False
+    kept = np.unravel_index(np.flatnonzero(~dropped), [len(axis) for axis in axes])
+    return np.stack([axis[i] for axis, i in zip(axes, kept)], axis=1)
+
+
 def degraded_region_inner(
     py1x: DiscreteChannel,
     py2x: DiscreteChannel,
@@ -321,16 +447,45 @@ def degraded_region_inner(
     u_card: int | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> RegionFrontier:
-    """Layered-scheme region: hull over gridded (P(u), P(x|u)) candidates."""
+    """Layered-scheme region: hull over gridded (P(u), P(x|u)) candidates.
+
+    The rates split per letter (Csiszar-Korner): with q_u = P(x|u) and
+    p = P(x), r1 = sum_u P(u) psi1(q_u) with psi1(q) = I_q(X;Y1) - I_q(X;Z),
+    and r2 = phi2(p) - sum_u P(u) phi2(q_u) with phi2(q) = H(qW_Y2) - H(qW_Z),
+    each clamped at 0.  Tables of psi1 and phi2 on the grid rows, and of
+    phi2 on the grid of P(x) that holds every mixture (step 1/k^2, or 1/k
+    for one row), bound every candidate's rates to a few ulps.  Per P(u)
+    step, only the candidates that no known point beats by PRUNE_MARGIN go
+    through the kernel; the others cannot reach the exact Pareto staircase,
+    so the frontier is the full search's, bit for bit.  A row whose weight
+    is 0 adds +0.0 whatever it is, so it is fixed to grid row 0.  The
+    budget counts every candidate, then the points of the P(x) table,
+    before anything is built.
+    """
     steps = _grid_steps(resolution)
     nx = _check_shared_input(py1x, py2x, pzx)
     u_card = nx if u_card is None else _check_integer(u_card, "u_card", 1, MAX_AUX_CARD)
+    my1, my2, mz = py1x.matrix, py2x.matrix, pzx.matrix
 
     def chunks():
-        pxu_batch = _row_product(simplex_grid(nx, steps), u_card)
-        rows = _degraded_rows(pxu_batch, py1x.matrix, py2x.matrix, pzx.matrix)
-        for pu in simplex_grid(u_card, steps):
-            yield _degraded_rates(_degraded_terms(pu, pxu_batch, pzx.matrix, rows))
+        fine = steps if u_card == 1 else steps * steps
+        n_points = _simplex_count(nx, fine)
+        what = "grid too large: {} points P(x) on the 1/{} grid"
+        _check_budget(n_points, budget, what, n_points, fine)
+        rows, row_terms, tables = _degraded_tables(steps, fine, u_card, my1, my2, mz)
+        staircase = np.empty((0, 2))
+        for weights in _compositions(u_card, steps):
+            axes = [np.arange(len(rows) if w else 1) for w in weights]
+            per_block = max(1, DEGRADED_BLOCK // math.prod(len(axis) for axis in axes[1:]))
+            for start in range(0, len(axes[0]), per_block):
+                block = [axes[0][start : start + per_block], *axes[1:]]
+                picks = _degraded_survivors(weights, block, tables, staircase)
+                at = picks * u_card + np.arange(u_card)
+                picked = [np.take(values, at, axis=0) for values in row_terms]
+                terms = _degraded_terms(weights / steps, np.take(rows, picks, axis=0), mz, picked)
+                rates = _pareto(_degraded_rates(terms))
+                staircase = _pareto(np.vstack([staircase, rates]))
+                yield rates
 
     n_cond = _simplex_count(nx, steps) ** u_card
     return _search(_simplex_count(u_card, steps), n_cond, budget, chunks())

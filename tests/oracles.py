@@ -2,7 +2,10 @@
 
 Everything here is deliberately written the dumb way: explicit loops,
 definition-level sums, exact rational arithmetic where ties matter.  None
-of it shares code with the library's vectorized paths.
+of it shares code with the library's vectorized paths, except
+`degraded_terms_full` and `degraded_region_full`: they are the reference
+for the pruned degraded search's bits, so they run its kernel on every
+candidate.
 """
 
 from __future__ import annotations
@@ -92,6 +95,33 @@ def degraded_rates_direct(pu, pxu, my1, my2, mz) -> tuple[float, float]:
     r1 = max(i_xy1_u + i_uz - i_xz, 0.0)
     r2 = max(i_uy2 - i_uz, 0.0)
     return r1, r2
+
+
+def degraded_terms_full(py1x, py2x, pzx, steps: int, u_card: int):
+    """The former degraded search's kernel terms, one dict per P(u) step.
+
+    Every conditional whose rows lie on the 1/steps grid, in C order of
+    its row indices (the deleted `_row_product`), goes through the
+    library's `_degraded_rows` once and `_degraded_terms` at every P(u).
+    Yields (P(u) numerators, unclamped terms).
+    """
+    from bcc_secrecy import regions
+
+    rows = regions.simplex_grid(py1x.input_size, steps)
+    idx = np.indices((len(rows),) * u_card).reshape(u_card, -1).T
+    pxu_batch = rows[idx]
+    mats = (py1x.matrix, py2x.matrix, pzx.matrix)
+    row_terms = regions._degraded_rows(pxu_batch, *mats)
+    for weights in regions._compositions(u_card, steps):
+        yield weights, regions._degraded_terms(weights / steps, pxu_batch, pzx.matrix, row_terms)
+
+
+def degraded_region_full(py1x, py2x, pzx, steps: int, u_card: int) -> np.ndarray:
+    """Clamped rate pairs of every candidate of the former degraded search, step by step."""
+    from bcc_secrecy import regions
+
+    steps_terms = degraded_terms_full(py1x, py2x, pzx, steps, u_card)
+    return np.vstack([regions._degraded_rates(terms) for _, terms in steps_terms])
 
 
 def marton_corners_direct(joint, xmap, my1, my2) -> list[tuple[float, float]]:

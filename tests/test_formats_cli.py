@@ -162,6 +162,15 @@ class TestParseChannel:
         assert "largest SNR power / n1 must be a finite number, got inf" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_overflowing_gaussian_sum_exit_3(self, tmp_path, capsys):
+        # power / n1 is finite here, but power + n3 is not: the alpha = 0.5
+        # row was written with r2 = 0.2075 (closed form 0.0466) and exit 0.
+        flags = ["--power", "1e308", "--n1", "1", "--n2", "1e308", "--n3", "1.5e308"]
+        out = tmp_path / "g.csv"
+        assert run(["region", "gaussian", *flags, "--alphas", "3", "--out", str(out)]) == 3
+        assert "power + n3 must be a finite number, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_type(self):
         with pytest.raises(InvalidDistribution, match="unknown channel type"):
             parse_channel({"type": "mystery"})

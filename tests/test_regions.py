@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import re
 import tracemalloc
@@ -13,6 +15,7 @@ from bcc_secrecy import (
     DimensionMismatch,
     DiscreteChannel,
     GaussianParams,
+    InvalidDistribution,
     NegativeEntry,
     Pmf,
     RatePoint,
@@ -20,6 +23,7 @@ from bcc_secrecy import (
     capacity_fn,
     cascade,
     degraded_rate_pair,
+    degraded_rate_terms,
     degraded_region_inner,
     gaussian_region_point,
     general_inner_bound,
@@ -35,6 +39,8 @@ from bcc_secrecy.cli import run
 from bcc_secrecy.regions import (
     _composition_blocks,
     _compositions,
+    _degraded_bounds,
+    _degraded_tables,
     _lower_facets,
     _pareto,
     _wiretap_phi,
@@ -43,6 +49,8 @@ from oracles import (
     binary_entropy,
     cmi_direct,
     degraded_rates_direct,
+    degraded_region_full,
+    degraded_terms_full,
     frontier_deviation,
     gaussian_point_scalar,
     hull_two_chain,
@@ -136,6 +144,20 @@ class TestGaussianParams:
         name = ("power", "n1", "n2", "n3")[index]
         with pytest.raises(ValueError, match=f"{name} must be a finite number"):
             GaussianParams(*fields)
+
+    def test_overflowing_sum_refused(self):
+        # power / n1 = 1e308 is finite, but alpha * power + n3 overflowed to inf
+        # at alpha = 0.5, and r2 read 0.2075 where the closed form gives 0.0466.
+        expected = r"^power \+ n3 must be a finite number, got inf$"
+        with pytest.raises(InvalidDistribution, match=expected):
+            GaussianParams(1e308, 1.0, 1e308, 1.5e308)
+
+    def test_largest_finite_sum_matches_closed_form(self):
+        g = GaussianParams(1e308, 1.0, 1e307, 7e307)  # power + n3 = 1.7e308
+        point = gaussian_region_point(g, 0.5)
+        expected = gaussian_point_scalar(1e308, 1.0, 1e307, 7e307, 0.5)
+        assert point.r1 == pytest.approx(expected[0], abs=1e-12)
+        assert point.r2 == pytest.approx(expected[1], abs=1e-12)
 
 
 class TestGaussianRegionPoint:
@@ -597,6 +619,192 @@ class TestDegradedRegion:
         assert all(a.r1 < b.r1 and a.r2 > b.r2 for a, b in zip(pts, pts[1:]))
 
 
+def stochastic(rng, rows, cols, zeros=False):
+    """A random row-stochastic matrix; with `zeros`, about a third of its entries are 0."""
+    m = rng.random((rows, cols)) + 0.02
+    if zeros:
+        m[rng.random((rows, cols)) < 0.35] = 0.0
+        m[np.arange(rows), rng.integers(0, cols, rows)] += 0.5  # no empty row
+    return m / m.sum(axis=1, keepdims=True)
+
+
+def pruning_cases():
+    """(name, (py1x, py2x, pzx), steps, u_card): chains the pruned search must match bit for bit."""
+    rng = np.random.default_rng(2008)
+    readme = [ch.matrix for ch in DEGRADED]
+    collapsed = [BSC(p).matrix for p in (0.1, 0.18, 0.1)]  # criterion 6's chain, not degraded
+    weak_y1 = [BSC(p).matrix for p in (0.2, 0.05, 0.1)]
+    cases = [
+        ("readme", readme, 10, 3),
+        ("readme", readme, 20, 2),
+        ("readme", readme, 50, 1),
+        ("collapsed", collapsed, 20, 2),
+        ("collapsed", collapsed, 6, 3),
+        ("weak-y1", weak_y1, 10, 2),
+        ("weak-y1", weak_y1, 6, 3),
+    ]
+    for trial in range(4):
+        mats = [stochastic(rng, 2, int(rng.integers(2, 4)), zeros=trial % 2 == 1) for _ in range(3)]
+        for steps, u_card in ((30, 1), (12, 2), (6, 3)):
+            cases.append((f"binary-{trial}", mats, steps, u_card))
+    for trial in range(3):
+        py1x = stochastic(rng, 3, 3, zeros=trial == 1)
+        if trial == 2:  # physically degraded: Y1 -> Y2 -> Z
+            py2x = py1x @ stochastic(rng, 3, 3)
+            mats = [py1x, py2x, py2x @ stochastic(rng, 3, 2)]
+        else:
+            zeros = trial == 1
+            mats = [py1x, stochastic(rng, 3, 2, zeros=zeros), stochastic(rng, 3, 4, zeros=zeros)]
+        for steps, u_card in ((8, 1), (5, 2), (3, 3)):
+            cases.append((f"ternary-{trial}", mats, steps, u_card))
+    return [(name, [DiscreteChannel(m) for m in mats], steps, u) for name, mats, steps, u in cases]
+
+
+PRUNING_CASES = pruning_cases()
+PRUNING_IDS = [f"{name}-1/{steps}-u{u_card}" for name, _, steps, u_card in PRUNING_CASES]
+
+
+class TestPrunedDegradedSearch:
+    """Only candidates that can reach the Pareto staircase go through the kernel."""
+
+    @pytest.mark.parametrize("name,chain,steps,u_card", PRUNING_CASES, ids=PRUNING_IDS)
+    def test_frontier_bits_equal_full_search(self, name, chain, steps, u_card):
+        frontier = degraded_region_inner(*chain, resolution=1 / steps, u_card=u_card)
+        full = upper_right_hull(degraded_region_full(*chain, steps, u_card))
+        assert bits(frontier.points) == bits(full.points)
+
+    @pytest.mark.parametrize("name,chain,steps,u_card", PRUNING_CASES, ids=PRUNING_IDS)
+    def test_bounds_match_kernel(self, name, chain, steps, u_card):
+        # Every candidate's bound, zero-weight rows included, lies within
+        # 1e-12 of the kernel's unclamped rates: far inside the pruning margin.
+        fine = steps if u_card == 1 else steps * steps
+        mats = [ch.matrix for ch in chain]
+        rows, _, tables = _degraded_tables(steps, fine, u_card, *mats)
+        axes = [np.arange(len(rows))] * u_card
+        for weights, terms in degraded_terms_full(*chain, steps, u_card):
+            r1, r2 = _degraded_bounds(weights, axes, tables)
+            kernel_r1 = terms["i_x_y1_given_u"] + terms["i_u_z"] - terms["i_x_z"]
+            kernel_r2 = terms["i_u_y2"] - terms["i_u_z"]
+            assert np.max(np.abs(r1 - kernel_r1)) <= 1e-12
+            assert np.max(np.abs(r2 - kernel_r2)) <= 1e-12
+
+    def test_most_candidates_skip_the_kernel(self, monkeypatch):
+        scored = []
+        real = regions._degraded_terms
+
+        def count(pu, pxu_batch, mz, rows):
+            scored.append(len(pxu_batch))
+            return real(pu, pxu_batch, mz, rows)
+
+        monkeypatch.setattr(regions, "_degraded_terms", count)
+        frontier = degraded_region_inner(*DEGRADED, resolution=0.05, u_card=3)
+        assert len(frontier.points) == 13
+        assert sum(scored) < 0.05 * 231 * 21**3
+
+    def test_zero_weight_rows_are_grid_row_0(self, monkeypatch):
+        # A row of weight 0 adds +0.0 to every kernel sum, so one choice of it
+        # stands for all: the kernel sees grid row 0, P(x|u) = (0, 1), there,
+        # and any other row gives the same bits.
+        calls = []
+        real = regions._degraded_terms
+
+        def keep(pu, pxu_batch, mz, rows):
+            calls.append((pu, pxu_batch))
+            return real(pu, pxu_batch, mz, rows)
+
+        monkeypatch.setattr(regions, "_degraded_terms", keep)
+        degraded_region_inner(*DEGRADED, resolution=0.1, u_card=3)
+        mats = [ch.matrix for ch in DEGRADED]
+        rng = np.random.default_rng(7)
+        zero_steps = 0
+        for pu, pxu_batch in calls:
+            idle = pu == 0
+            zero_steps += bool(idle.any())
+            assert np.all(pxu_batch[:, idle] == (0.0, 1.0))
+            moved = pxu_batch.copy()
+            moved[:, idle] = simplex_grid(2, 10)[rng.integers(1, 11, (len(moved), idle.sum()))]
+            want, got = (
+                regions._degraded_rates(real(pu, b, mats[2], regions._degraded_rows(b, *mats)))
+                for b in (pxu_batch, moved)
+            )
+            assert got.tobytes() == want.tobytes()
+        assert zero_steps == 3 + 3 * 9  # P(u) steps with one or two zero weights
+
+    def test_one_cloud_row_uses_the_row_grid_for_p_x(self):
+        # With |U| = 1, P(x) is a grid row: its table has 3,001 points, where
+        # the 1/k^2 grid would hold 9,000,001 and exceed the default budget.
+        frontier = degraded_region_inner(*DEGRADED, resolution=1 / 3000, u_card=1)
+        assert len(frontier.points) == 1
+
+    def test_p_x_table_over_budget_refused_before_building(self):
+        # 30 inputs at k = 3: 4 x 4,960^2 = 98,406,400 candidates fit the
+        # budget, but the 1/9 grid of P(x) has 163,011,640 points.
+        flat = DiscreteChannel(np.full((30, 2), 0.5))
+        tracemalloc.start()
+        try:
+            expected = r"^grid too large: 163011640 points P\(x\) on the 1/9 grid"
+            with pytest.raises(BudgetExceeded, match=expected):
+                degraded_region_inner(flat, flat, flat, resolution=1 / 3, u_card=2, budget=10**8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
+
+
+@st.composite
+def layered_candidates(draw):
+    """A cloud pmf, a conditional P(x|u) and three channels, entries often 0."""
+    n_u, n_x = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+
+    def matrix(rows, cols):
+        cells = st.lists(st.integers(0, 6), min_size=cols, max_size=cols).filter(any)
+        m = np.array(draw(st.lists(cells, min_size=rows, max_size=rows)), dtype=float)
+        return m / m.sum(axis=1, keepdims=True)
+
+    pu = matrix(1, n_u)[0]
+    channels = [matrix(n_x, draw(st.integers(1, 4))) for _ in range(3)]
+    return pu, matrix(n_u, n_x), channels
+
+
+class TestPerLetterSplit:
+    @given(layered_candidates())
+    @settings(max_examples=300, deadline=None)
+    def test_rates_split_per_letter(self, candidate):
+        # r1 = sum_u P(u) psi1(q_u) and r2 = phi2(p) - sum_u P(u) phi2(q_u), unclamped.
+        pu, pxu, (my1, my2, mz) = candidate
+        channels = [DiscreteChannel(m) for m in (pxu, my1, my2, mz)]
+        terms = degraded_rate_terms(Pmf(pu), *channels)
+        h = lambda m: -np.sum(np.where(m > 0, m * np.log2(np.where(m > 0, m, 1.0)), 0.0), axis=1)
+        psi1 = _wiretap_phi(pxu, my1, mz) - pxu @ (h(my1) - h(mz))
+        phi2 = _wiretap_phi(pxu, my2, mz)
+        phi2_p = _wiretap_phi((pu @ pxu)[None], my2, mz)[0]
+        r1 = terms["i_x_y1_given_u"] + terms["i_u_z"] - terms["i_x_z"]
+        r2 = terms["i_u_y2"] - terms["i_u_z"]
+        assert abs(r1 - pu @ psi1) <= 1e-12
+        assert abs(r2 - (phi2_p - pu @ phi2)) <= 1e-12
+
+
+class TestDegradedGoldenBytes:
+    """The README chain's `region degraded` CSVs, recorded before the pruned search."""
+
+    @pytest.mark.parametrize(
+        "ucard,digest",
+        [
+            ("3", "737b59b4260f6bde0d48391a099d7d35b159876c456e28a24835e6fe7d6ca116"),
+            ("2", "a2e9bd1da89ebccf4183561582d1e08bb89e402b568beffedd0c5868dfecb207"),
+        ],
+    )
+    def test_readme_chain_csv(self, tmp_path, ucard, digest):
+        crossovers = {"py1x": 0.05, "py2x": 0.14, "pzx": 0.2336}
+        chain = {key: BSC(p).matrix.tolist() for key, p in crossovers.items()}
+        channel = tmp_path / "channel.json"
+        channel.write_text(json.dumps({"type": "bcc-marginals", **chain}))
+        out = tmp_path / "frontier.csv"
+        args = ["region", "degraded", "--file", str(channel), "--grid", "0.05", "--ucard", ucard]
+        assert run([*args, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 class TestRegionSearch:
     def one_shot(self, monkeypatch, search, *args, **grid):
         """Run a search while keeping every chunk its candidate generator yields."""
@@ -616,12 +824,14 @@ class TestRegionSearch:
         return frontier, np.vstack(chunks)
 
     def test_degraded_streaming_equals_one_shot_hull(self, monkeypatch):
-        frontier, cloud = self.one_shot(
+        frontier, survivors = self.one_shot(
             monkeypatch, degraded_region_inner, *DEGRADED, resolution=0.1, u_card=2
         )
+        cloud = degraded_region_full(*DEGRADED, 10, 2)
         assert len(cloud) == 11 * 11**2
         assert bits(frontier.points) == bits(hull_two_chain(cloud))
         assert bits(frontier.points) == bits(upper_right_hull(cloud).points)
+        assert bits(frontier.points) == bits(upper_right_hull(survivors).points)
 
     def test_general_streaming_equals_one_shot_hull(self, monkeypatch):
         ternary = [
