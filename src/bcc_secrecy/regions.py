@@ -483,7 +483,7 @@ def degraded_region_inner(
                 at = picks * u_card + np.arange(u_card)
                 picked = [np.take(values, at, axis=0) for values in row_terms]
                 terms = _degraded_terms(weights / steps, np.take(rows, picks, axis=0), mz, picked)
-                rates = _pareto(_degraded_rates(terms))
+                rates = _degraded_rates(terms)
                 staircase = _pareto(np.vstack([staircase, rates]))
                 yield rates
 
