@@ -29,7 +29,10 @@ measured error rate lower-bounds any typicality decoder's.  Eavesdropper
 uncertainty is not sampled at all; for both schemes `exact_equivocation`
 enumerates every possible eavesdropper observation and computes the
 conditional entropies of the messages in closed form, which is what makes
-small-n secrecy accounting exact.
+small-n secrecy accounting exact.  It builds every codeword role's head
+and tail likelihoods once, then walks z^n in cache-sized tiles, each
+accumulating every message pair's joint, the marginals and their p*log p
+terms, so no array grows with |Z|^n.
 
 All randomness comes from numpy's PCG64 seeded through SeedSequence with a
 (seed, purpose-tag) pair: one tag per codebook, and one for the Generator
@@ -52,11 +55,15 @@ DEFAULT_CODEBOOK_SYMBOL_BUDGET = 1 << 22
 DEFAULT_Z_SEQUENCE_BUDGET = 1 << 20
 DEFAULT_COMBO_BUDGET = 1 << 16
 
-# Floats in one block of exact_equivocation's tail likelihoods (512 KiB):
-# it caps the bin members taken into one matrix product.
-_TILE = 1 << 16
-# Bytes of exact_equivocation's |Z|^n tables (pz, the pair's sum and block
-# product, the m1 + m2 message rows): 1 GiB, over 20 times a benchmark job's.
+# Floats in one z^n tile of exact_equivocation, counted over its m1 + m2 + 3
+# rows (pz, the message rows, a pair's joint and its p*log p terms): 1 MiB,
+# so a tile stays in cache.  Of 1 << 16 to 1 << 19, 1 << 17 ran the
+# benchmark's 2^16- and 2^20-sequence jobs fastest.  It also caps the
+# members whose likelihoods are built at once.
+_TILE = 1 << 17
+# Bytes that exact_equivocation holds across its tiles: every role's head
+# and tail likelihoods plus the tile's rows.  1 GiB, checked before any of
+# them is allocated.
 _TABLE_BYTES = 1 << 30
 # Trials that run_error_experiment draws, encodes, sends and decodes at once.
 _TRIAL_BLOCK = 256
@@ -427,18 +434,23 @@ def exact_equivocation(
     symbols v1*|V2| + v2 over x_map @ P(z|x).  A pair with none sends an
     erasure symbol, of mass 1/(m1*m2), that no z^n equals.  H(W1|Z^n),
     H(W2|Z^n) and H(W1,W2|Z^n) follow from the exact joint, divided by n.
-    Before anything is allocated, |Z|^n is capped at z_budget, the
-    m1*m2*l1*l2 codeword roles at DEFAULT_COMBO_BUDGET, and the |Z|^n
-    tables (m1 + m2 + 2 rows of floats, one more when a pair spans several
-    blocks) at 1 GiB.
 
-    z^n splits into a head of n // 2 positions and a tail, so a pair's sum
-    over its members is one matrix product A.T @ B of their head
-    likelihoods A (R, |Z|^head) and tail likelihoods B (R, |Z|^tail).
-    Members are taken max(_TILE // |Z|^tail, 1) at a time and the block
-    products are added in place: the working set stays within a few blocks
-    plus the |Z|^n tables, whatever l1*l2 is.  The shapes fix BLAS's
-    summation order, so the sums repeat bit for bit.
+    z^n splits into a head of n // 2 positions and a tail, so a pair's
+    joint over a set of heads is one matrix product A.T @ B of its
+    members' head likelihoods A (R, |Z|^head) and tail likelihoods B
+    (R, |Z|^tail), both computed once for every member.  The z^n are then
+    visited in tiles of whole head rows, sized so that the tile's
+    m1 + m2 + 3 rows (pz, the m1 + m2 message rows, the pair's joint and
+    its p*log p terms) hold at most _TILE floats.  In each tile every
+    pair, in (w2, w1) order, adds its joint into the tile's pz and message
+    rows and its p*log p into H(W1,W2,Z^n); then the tile's rows add their
+    p*log p into the other three entropies.  No array grows with |Z|^n.
+    The shapes fix BLAS's summation order, so the sums repeat bit for bit.
+
+    Before anything is allocated, |Z|^n is capped at z_budget, the
+    m1*m2*l1*l2 codeword roles at DEFAULT_COMBO_BUDGET, and the bytes held
+    across tiles, 8 * (roles * (|Z|^head + |Z|^tail) + (m1 + m2 + 3) * tile),
+    at _TABLE_BYTES.
     """
     params = cb.params
     n, m1, m2, l1, l2 = params.n, params.m1, params.m2, params.l1, params.l2
@@ -452,46 +464,66 @@ def exact_equivocation(
     combos = m1 * m2 * l1 * l2
     _check_budget(combos, DEFAULT_COMBO_BUDGET, "{} message/randomization combinations", combos)
     head = n // 2
-    width = nz ** (n - head)
-    rows = max(_TILE // width, 1)
-    tables = m1 + m2 + 2 + (l1 * l2 > rows)
-    nbytes = 8 * tables * count
-    what = "{} bytes in {} tables of |Z|^n = {} floats"
-    _check_budget(nbytes, _TABLE_BYTES, what, nbytes, tables, count)
+    heads, width = nz**head, nz ** (n - head)
+    rows = min(max(_TILE // ((m1 + m2 + 3) * width), 1), heads)
+    tile = rows * width
+    nbytes = 8 * (combos * (heads + width) + (m1 + m2 + 3) * tile)
+    what = "{} bytes for {} roles' likelihoods and {} tile rows of {} floats"
+    _check_budget(nbytes, _TABLE_BYTES, what, nbytes, combos, m1 + m2 + 3, tile)
+
+    members = [
+        cb.x_words[w2, :, w1].reshape(-1, n) if superposition else _typical_rows(cb, w1, w2)
+        for w2, w1 in np.ndindex(m2, m1)
+    ]
+    words = np.concatenate(members)
+    # Rows offsets[k]:offsets[k + 1] of a and b are pair k = w2 * m1 + w1's members.
+    offsets = np.cumsum([0, *map(len, members)]).tolist()
+    a = np.empty((len(words), heads))
+    b = np.empty((len(words), width))
+    step = max(_TILE // (heads + width), 1)
+    for start in range(0, len(words), step):
+        factors = matrix[words[start : start + step]]
+        a[start : start + step] = _likelihoods(factors[:, :head])
+        b[start : start + step] = _likelihoods(factors[:, head:])
 
     inv_messages = 1.0 / (m1 * m2)
-    pz = np.zeros(count)
-    pw1z = np.zeros((m1, count))
-    pw2z = np.zeros((m2, count))
     erased = np.zeros((m1, m2))  # P(w1, w2, erasure)
-    joint_plogp = 0.0
-    for w2 in range(m2):
-        for w1 in range(m1):
-            if superposition:
-                words = cb.x_words[w2, :, w1].reshape(-1, n)
-            else:
-                words = _typical_rows(cb, w1, w2)
-            if len(words) == 0:
-                erased[w1, w2] = inv_messages
-                continue
-            blocks = (matrix[words[start : start + rows]] for start in range(0, len(words), rows))
-            products = (_likelihoods(f[:, :head]).T @ _likelihoods(f[:, head:]) for f in blocks)
-            joint = next(products)
-            for product in products:
-                joint += product
-            joint = joint.ravel()
-            joint /= len(words)
+    pairs = []
+    for (w2, w1), lo, hi in zip(np.ndindex(m2, m1), offsets, offsets[1:]):
+        if lo == hi:
+            erased[w1, w2] = inv_messages
+        else:
+            pairs.append((w1, w2, lo, hi))
+    # One buffer serves every tile, so no tile's rows are allocated while
+    # the last tile's are still alive.
+    sums_buf = np.empty((m1 + m2 + 1) * tile)
+    joint_buf = np.empty(tile)
+    h_z = h_w1z = h_w2z = h_wz = 0.0
+    for start in range(0, heads, rows):
+        a_tile = a[:, start : start + rows]
+        span = a_tile.shape[1] * width
+        sums = sums_buf[: (m1 + m2 + 1) * span].reshape(m1 + m2 + 1, span)
+        sums.fill(0.0)
+        pz, pw1z, pw2z = sums[0], sums[1 : 1 + m1], sums[1 + m1 :]
+        joint = joint_buf[:span]
+        for w1, w2, lo, hi in pairs:
+            np.matmul(a_tile[lo:hi].T, b[lo:hi], out=joint.reshape(-1, width))
+            joint /= hi - lo
             joint *= inv_messages
             pz += joint
             pw1z[w1] += joint
             pw2z[w2] += joint
-            joint_plogp += _plogp_sum(joint)
+            h_wz -= _plogp_sum(joint)
+        # Row by row, so the p*log p terms take one row, as counted.
+        h_z -= _plogp_sum(pz)
+        h_w1z -= sum(map(_plogp_sum, pw1z))
+        h_w2z -= sum(map(_plogp_sum, pw2z))
 
-    # With no erasure each added term is -0.0, so the sums keep their bits.
-    h_z = -_plogp_sum(pz) - _plogp_sum(erased.sum(keepdims=True))
-    h_w1z = -_plogp_sum(pw1z.ravel()) - _plogp_sum(erased.sum(axis=1))
-    h_w2z = -_plogp_sum(pw2z.ravel()) - _plogp_sum(erased.sum(axis=0))
-    h_wz = -joint_plogp - _plogp_sum(erased)
+    # With no erasure each subtracted term is 0.0, so the sums keep their bits.
+    h_z -= _plogp_sum(erased.sum(keepdims=True))
+    h_w1z -= _plogp_sum(erased.sum(axis=1))
+    h_w2z -= _plogp_sum(erased.sum(axis=0))
+    h_wz -= _plogp_sum(erased)
     re1 = max((h_w1z - h_z) / n, 0.0)
     re2 = max((h_w2z - h_z) / n, 0.0)
     re12 = max((h_wz - h_z) / n, 0.0)

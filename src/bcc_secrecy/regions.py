@@ -123,9 +123,11 @@ def capacity_fn(snr: float | np.ndarray) -> float | np.ndarray:
     """Gaussian capacity 0.5 * log2(1 + snr), bits per use, elementwise on an array.
 
     Logs are math.log2 per element; np.log2 can differ in the last ulp.
+    Halving is exact, so it is done after, in place.
     """
     values = _check_range(snr, "snr", 0)
-    caps = np.fromiter((0.5 * math.log2(1.0 + s) for s in values.ravel().tolist()), np.float64)
+    caps = np.fromiter(map(math.log2, (1.0 + values).ravel().tolist()), np.float64)
+    caps *= 0.5
     return float(caps[0]) if values.ndim == 0 else caps.reshape(values.shape)
 
 

@@ -723,9 +723,10 @@ class TestExactEquivocation:
                 cb.x_words, pzx.matrix, params.m1, params.m2, params.l1, params.l2, params.n
             )
             count = nz**params.n
-            # Small caps split a pair's members into several blocks; z_budget
-            # caps only |Z|^n, down to exactly |Z|^n.
-            for cap in (2, 8, 64, 1 << 16):
+            # Small caps give one head row per tile and build the likelihoods
+            # a member or a few at a time; z_budget caps only |Z|^n, down to
+            # exactly |Z|^n.
+            for cap in (2, 8, 64, 1 << 17):
                 monkeypatch.setattr(coding, "_TILE", cap)
                 for z_budget in (1 << 20, 3 * count, count):
                     assert_matches(exact_equivocation(cb, pzx, z_budget=z_budget), expected)
@@ -734,21 +735,113 @@ class TestExactEquivocation:
         cb = build_superposition(params, Pmf.uniform(2), random_channel(rng, 2, 2))
         pzx = random_channel(rng, 2, 2)
         expected = equivocation_digit_table(cb.x_words, pzx.matrix, 4, 4, 4, 4, 16)
-        for cap in (1 << 12, 1 << 16):
+        for cap in (1 << 12, 1 << 17):
             monkeypatch.setattr(coding, "_TILE", cap)
             assert_matches(exact_equivocation(cb, pzx), expected)
 
-    def test_two_block_pair_counts_the_block_product(self, monkeypatch):
-        # n=3: a tail of 2 positions, 4 floats wide; a cap of 8 floats takes
-        # the 4 bin members 2 at a time, so each pair sums two products.
+    @staticmethod
+    def held_bytes(roles, heads, width, message_rows, tile):
+        """exact_equivocation's cap: every role's likelihoods plus the tile's rows."""
+        return 8 * (roles * (heads + width) + (message_rows + 3) * tile)
+
+    def test_cap_counts_likelihoods_and_tile_rows(self, monkeypatch):
+        # n=3, m1=m2=l1=l2=2: 16 roles with a head of 2 and a tail of 4 floats
+        # each; one tile of both head rows, 8 floats, in each of 7 rows.
+        cb = build_superposition(small_params(), Pmf.uniform(2), BSC(0.1))
+        pzx = random_channel(np.random.default_rng(3), 2, 2)
+        expected = equivocation_digit_table(cb.x_words, pzx.matrix, 2, 2, 2, 2, 3)
+        held = self.held_bytes(16, 2, 4, 4, 8)
+        assert held == 1216
+        monkeypatch.setattr(coding, "_TABLE_BYTES", held)
+        assert_matches(exact_equivocation(cb, pzx), expected)
+        monkeypatch.setattr(coding, "_TABLE_BYTES", held - 1)
+        what = r"1216 bytes for 16 roles' likelihoods and 7 tile rows of 8 floats exceed budget 1215"
+        with pytest.raises(BudgetExceeded, match=f"^{what}$"):
+            exact_equivocation(cb, pzx)
+
+    def test_one_row_tiles_count_in_the_cap(self, monkeypatch):
+        # A tile of 8 floats over 7 rows holds no whole head row, so each tile
+        # is one head row of 4 floats, and the cap counts that tile.
         cb = build_superposition(small_params(), Pmf.uniform(2), BSC(0.1))
         pzx = random_channel(np.random.default_rng(3), 2, 2)
         expected = equivocation_digit_table(cb.x_words, pzx.matrix, 2, 2, 2, 2, 3)
         monkeypatch.setattr(coding, "_TILE", 8)
+        held = self.held_bytes(16, 2, 4, 4, 4)
+        assert held == 992
+        monkeypatch.setattr(coding, "_TABLE_BYTES", held)
         assert_matches(exact_equivocation(cb, pzx), expected)
-        monkeypatch.setattr(coding, "_TABLE_BYTES", 7 * 8 * 8 - 1)
-        with pytest.raises(BudgetExceeded, match=r"448 bytes in 7 tables of \|Z\|\^n = 8 floats exceed budget 447"):
+        monkeypatch.setattr(coding, "_TABLE_BYTES", held - 1)
+        what = r"992 bytes for 16 roles' likelihoods and 7 tile rows of 4 floats exceed budget 991"
+        with pytest.raises(BudgetExceeded, match=f"^{what}$"):
             exact_equivocation(cb, pzx)
+
+    def test_likelihoods_are_built_a_tile_of_members_at_a_time(self):
+        # 1024 members over 2^16 sequences: their likelihoods take 4 MiB and
+        # the tile's 5 rows of 26,112 floats 1 MiB.  Gathered and multiplied
+        # out for all members at once they would add about 3 MiB more.
+        params = CodeParams(n=16, m1=1, m2=1, l1=16, l2=64, seed=4)
+        cb = build_superposition(params, Pmf.uniform(2), BSC(0.1))
+        tracemalloc.start()
+        try:
+            exact_equivocation(cb, BSC(0.2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < self.held_bytes(1024, 256, 256, 2, 26112) + 2**19
+
+    def test_likelihoods_capped_before_allocation(self):
+        # Within the symbol, combination and |Z|^n budgets, but the 2^16
+        # roles' likelihoods alone take 2^16 x (1024 + 1024) floats (1 GiB),
+        # and 4115 rows of one 1024-float head row go on top.
+        params = CodeParams(n=20, m1=4096, m2=16, l1=1, l2=1, seed=0)
+        cb = build_superposition(params, Pmf.uniform(2), BSC(0.1))
+        assert self.held_bytes(2**16, 1024, 1024, 4112, 1024) == 1107451904
+        what = (
+            "1107451904 bytes for 65536 roles' likelihoods and 4115 tile rows of 1024 floats"
+            " exceed budget 1073741824"
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceeded, match=f"^{what}$"):
+                exact_equivocation(cb, BSC(0.2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("n, m1, m2", [(6, 2, 2), (7, 3, 1), (8, 1, 4)])
+    def test_tiles_leave_the_report(self, monkeypatch, n, m1, m2):
+        # One head row per tile, a ragged last tile (3 + 3 + 2 of 8 head rows
+        # when n=6 or 7, 3 + 3 + 3 + 3 + 3 + 1 of 16 when n=8), and one tile.
+        rng = np.random.default_rng(40 + n)
+        params = CodeParams(n=n, m1=m1, m2=m2, l1=3, l2=2, seed=n)
+        cb = build_superposition(params, Pmf.uniform(2), random_channel(rng, 2, 3))
+        pzx = random_channel(rng, 3, 2)
+        expected = equivocation_digit_table(cb.x_words, pzx.matrix, m1, m2, 3, 2, n)
+        width = 2 ** (n - n // 2)
+        reports = []
+        for cap in (1, 3 * (m1 + m2 + 3) * width, 1 << 30):
+            monkeypatch.setattr(coding, "_TILE", cap)
+            report = exact_equivocation(cb, pzx)
+            assert_matches(report, expected)
+            reports.append((report.re1, report.re2, report.re12, *report.gaps))
+        for other in reports[1:]:
+            assert other == pytest.approx(reports[0], abs=1e-15, rel=0)
+
+    def test_long_benchmark_shape_stays_in_tiles(self):
+        # 16 roles over 2^20 sequences: each |Z|^n table would be 8 MiB; the
+        # likelihoods take 256 KiB and the tile's 7 rows 18 head rows each.
+        params = CodeParams(n=20, m1=2, m2=2, l1=2, l2=2, seed=4)
+        cb = build_superposition(params, Pmf.uniform(2), BSC(0.1))
+        tracemalloc.start()
+        try:
+            exact_equivocation(cb, BSC(0.2))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        # Little beyond what the cap counts: one tile's rows are alive at a time.
+        assert peak < self.held_bytes(16, 1024, 1024, 4, 18 * 1024) + 2**18
 
     def test_plogp_sum_matches_masked_expression(self):
         rng = np.random.default_rng(8)
@@ -768,8 +861,8 @@ class TestExactEquivocation:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # The tile (_TILE floats) bounds the working set; all 256 bin members
-        # at once would need 2 x 8 MiB.
+        # The 256 members' likelihoods take 256 KiB and one tile of all 2^12
+        # sequences 5 rows; a |Z|^n table per member would need 8 MiB.
         assert peak < 2 * 2**20
 
     def test_likelihood_tiles_bound_the_working_set_at_the_default_budget(self):
@@ -781,31 +874,9 @@ class TestExactEquivocation:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # 16 bin members at a time over 2^16 sequences would take 8 MiB a block
+        # The 256 members' likelihoods take 1 MiB and the tile's 5 rows 1 MiB;
+        # a |Z|^n table per member would take 128 MiB.
         assert peak < 6 * 2**20
-
-    def test_message_tables_capped_before_allocation(self):
-        # Within the symbol, combination and |Z|^n budgets, but pw1z alone
-        # would take 4096 x 2^20 floats (32 GiB).
-        params = CodeParams(n=20, m1=4096, m2=16, l1=1, l2=1, seed=0)
-        cb = build_superposition(params, Pmf.uniform(2), BSC(0.1))
-        tracemalloc.start()
-        try:
-            with pytest.raises(BudgetExceeded, match="4114 tables of"):
-                exact_equivocation(cb, BSC(0.2))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20
-
-    def test_table_cap_counts_every_table(self, monkeypatch):
-        # n=3, m1=m2=2: pz, the pair's sum and four message rows of 8 floats.
-        cb = build_superposition(small_params(), Pmf.uniform(2), BSC(0.1))
-        monkeypatch.setattr(coding, "_TABLE_BYTES", 6 * 8 * 8)
-        exact_equivocation(cb, BSC(0.2))
-        monkeypatch.setattr(coding, "_TABLE_BYTES", 6 * 8 * 8 - 1)
-        with pytest.raises(BudgetExceeded, match=r"384 bytes in 6 tables of \|Z\|\^n = 8 floats exceed budget 383"):
-            exact_equivocation(cb, BSC(0.2))
 
     def test_budgets_enforced(self, monkeypatch):
         params = CodeParams(n=24, m1=2, m2=2, l1=1, l2=1, seed=0)
