@@ -25,10 +25,10 @@ before its budget: ``resolution`` (1/k) and its auxiliary cardinalities
 (default |X|).  The search is exhaustive and reproducible; its accuracy is
 grid-limited and candidate counts are capped by an explicit budget rather
 than silently truncated.  Both region searches share one search loop:
-the budget is checked before any grid is built, each outer-grid step's
-candidates are reduced to their Pareto staircase, and one hull runs on
-the union of those.  Candidates are independent, so the result depends
-neither on evaluation order nor on how the grid is split into steps.
+the budget is checked before any grid is built, the loop folds each
+chunk of candidates into one running Pareto staircase, and one hull runs
+on the final staircase.  Candidates are independent, so the result
+depends neither on evaluation order nor on how the grid is split.
 
 Each region kernel computes the per-letter terms of a batch of
 candidates (one candidate's, unclamped: ``degraded_rate_terms`` and
@@ -44,7 +44,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,9 +66,9 @@ LOWER_FACET_TOL = 1e-9
 ENVELOPE_BLOCK_CELLS = 1 << 17
 # A degraded candidate's rates, bounded from per-row tables, differ from
 # the kernel's by round-off, about 1e-15.  A candidate is skipped only when
-# a kernel point exceeds its bound by this margin in both coordinates (or
-# another bound of its step by twice it), so it is strictly dominated and
-# can hold no point of the exact Pareto staircase.
+# a kernel point exceeds its bound by this margin in both coordinates, so
+# it is strictly dominated and can hold no point of the exact Pareto
+# staircase.
 PRUNE_MARGIN = 1e-9
 # r1 buckets of the dominance test: a bound is tested only against points
 # in higher buckets, so finer buckets send fewer candidates to the kernel
@@ -196,17 +196,24 @@ def _grid_steps(resolution: float) -> int:
     return steps
 
 
-def _search(n_outer: int, n_inner: int, budget: int, chunks: Iterator) -> RegionFrontier:
-    """Hull over the rate pairs that `chunks` yields, after one budget check.
+def _search(n_outer: int, n_inner: int, budget: int, fill: Callable) -> RegionFrontier:
+    """Hull over the rate pairs that `fill(add)` hands to `add`, after one budget check.
 
-    `chunks` is a generator, so its grids are built only after the check
-    passes.  Each chunk is reduced to its Pareto staircase as it arrives,
-    and one hull runs on the union of those, so the frontier does not
-    depend on how the grid is chunked.
+    `fill` builds its grids only after the check passes.  `add` folds a
+    chunk into the one running Pareto staircase and returns it, so the
+    hull of the final staircase does not depend on how the grid is chunked.
     """
     total = n_outer * n_inner
     _check_budget(total, budget, "grid too large: {} x {} = {} candidates", n_outer, n_inner, total)
-    return upper_right_hull(np.vstack([_pareto(points) for points in chunks]))
+    staircase = np.empty((0, 2))
+
+    def add(points) -> np.ndarray:
+        nonlocal staircase
+        staircase = _pareto(np.vstack([staircase, points]))
+        return staircase
+
+    fill(add)
+    return upper_right_hull(staircase)
 
 
 def simplex_grid(dim: int, steps: int) -> np.ndarray:
@@ -422,20 +429,15 @@ def _degraded_bounds(weights, axes, tables) -> tuple[np.ndarray, np.ndarray]:
 def _degraded_survivors(weights, axes, tables, staircase) -> np.ndarray:
     """Row indices (S, U) of the candidates that can reach the exact staircase.
 
-    A candidate is dropped when a point of `staircase` beats its bound by
-    PRUNE_MARGIN in both coordinates, or the bound with the largest
-    r1 + r2 among the candidates (which is kept) beats it by twice that.
-    A coordinate bounded below -PRUNE_MARGIN is exactly 0 in the kernel,
-    which every point reaches.
+    A candidate is dropped when a point of `staircase`, the search's
+    kernel points so far, beats its bound by PRUNE_MARGIN in both
+    coordinates.  A coordinate bounded below -PRUNE_MARGIN is exactly 0 in
+    the kernel, which every point reaches.
     """
     r1, r2 = _degraded_bounds(weights, axes, tables)
-    b1, b2 = np.maximum(r1, 0.0), np.maximum(r2, 0.0)
-    lead = np.argmax(b1 + b2)
-    known = np.vstack([staircase - PRUNE_MARGIN, np.array([b1[lead], b2[lead]]) - 2 * PRUNE_MARGIN])
-    t1 = np.where(r1 < -PRUNE_MARGIN, -np.inf, b1)
-    t2 = np.where(r2 < -PRUNE_MARGIN, -np.inf, b2)
-    dropped = _dominated(t1, t2, known)
-    dropped[lead] = False
+    t1 = np.where(r1 < -PRUNE_MARGIN, -np.inf, np.maximum(r1, 0.0))
+    t2 = np.where(r2 < -PRUNE_MARGIN, -np.inf, np.maximum(r2, 0.0))
+    dropped = _dominated(t1, t2, staircase - PRUNE_MARGIN)
     kept = np.unravel_index(np.flatnonzero(~dropped), [len(axis) for axis in axes])
     return np.stack([axis[i] for axis, i in zip(axes, kept)], axis=1)
 
@@ -457,7 +459,7 @@ def degraded_region_inner(
     each clamped at 0.  Tables of psi1 and phi2 on the grid rows, and of
     phi2 on the grid of P(x) that holds every mixture (step 1/k^2, or 1/k
     for one row), bound every candidate's rates to a few ulps.  Per P(u)
-    step, only the candidates that no known point beats by PRUNE_MARGIN go
+    step, only the candidates that no kernel point so far beats by PRUNE_MARGIN go
     through the kernel; the others cannot reach the exact Pareto staircase,
     so the frontier is the full search's, bit for bit.  A row whose weight
     is 0 adds +0.0 whatever it is, so it is fixed to grid row 0.  The
@@ -469,7 +471,7 @@ def degraded_region_inner(
     u_card = nx if u_card is None else _check_integer(u_card, "u_card", 1, MAX_AUX_CARD)
     my1, my2, mz = py1x.matrix, py2x.matrix, pzx.matrix
 
-    def chunks():
+    def fill(add):
         fine = steps if u_card == 1 else steps * steps
         n_points = _simplex_count(nx, fine)
         what = "grid too large: {} points P(x) on the 1/{} grid"
@@ -485,12 +487,10 @@ def degraded_region_inner(
                 at = picks * u_card + np.arange(u_card)
                 picked = [np.take(values, at, axis=0) for values in row_terms]
                 terms = _degraded_terms(weights / steps, np.take(rows, picks, axis=0), mz, picked)
-                rates = _degraded_rates(terms)
-                staircase = _pareto(np.vstack([staircase, rates]))
-                yield rates
+                staircase = add(_degraded_rates(terms))
 
     n_cond = _simplex_count(nx, steps) ** u_card
-    return _search(_simplex_count(u_card, steps), n_cond, budget, chunks())
+    return _search(_simplex_count(u_card, steps), n_cond, budget, fill)
 
 
 def _general_terms(joint_batch, xmap, my1, my2, mz) -> dict[str, np.ndarray]:
@@ -583,15 +583,15 @@ def general_inner_bound(
     # A deterministic map picks a one-hot row for every (v1, v2) pair.
     n_rows = nx if deterministic_x else _simplex_count(nx, steps)
 
-    def chunks():
+    def fill(add):
         joint_batch = simplex_grid(v1 * v2, steps).reshape(-1, v1, v2)
         x_rows = np.eye(nx) if deterministic_x else simplex_grid(nx, steps)
         for pick in itertools.product(range(n_rows), repeat=v1 * v2):
             xmap = x_rows[list(pick)].reshape(v1, v2, nx)
             terms = _general_terms(joint_batch, xmap, py1x.matrix, py2x.matrix, pzx.matrix)
-            yield _general_corners(terms)
+            add(_general_corners(terms))
 
-    return _search(_simplex_count(v1 * v2, steps), n_rows ** (v1 * v2), budget, chunks())
+    return _search(_simplex_count(v1 * v2, steps), n_rows ** (v1 * v2), budget, fill)
 
 
 def _wiretap_phi(q: np.ndarray, main: np.ndarray, eve: np.ndarray) -> np.ndarray:

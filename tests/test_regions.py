@@ -805,19 +805,31 @@ class TestDegradedGoldenBytes:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+TERNARY = [
+    DiscreteChannel(m)
+    for m in (
+        [[0.7, 0.09, 0.21], [0.12, 0.83, 0.05], [0.43, 0.1, 0.47]],
+        [[0.14, 0.44, 0.42], [0.05, 0.92, 0.03], [0.84, 0.03, 0.13]],
+        [[0.02, 0.52, 0.46], [0.1, 0.74, 0.16], [0.4, 0.54, 0.06]],
+    )
+]
+
+
 class TestRegionSearch:
     def one_shot(self, monkeypatch, search, *args, **grid):
-        """Run a search while keeping every chunk its candidate generator yields."""
+        """Run a search while keeping every chunk its fill hands to the search's add."""
         chunks = []
         real = regions._search
 
-        def keep_chunks(n_outer, n_inner, budget, gen):
-            def tee():
-                for chunk in gen:
+        def keep_chunks(n_outer, n_inner, budget, fill):
+            def tee(add):
+                def keep(chunk):
                     chunks.append(chunk)
-                    yield chunk
+                    return add(chunk)
 
-            return real(n_outer, n_inner, budget, tee())
+                fill(keep)
+
+            return real(n_outer, n_inner, budget, tee)
 
         monkeypatch.setattr(regions, "_search", keep_chunks)
         frontier = search(*args, **grid)
@@ -834,21 +846,37 @@ class TestRegionSearch:
         assert bits(frontier.points) == bits(upper_right_hull(survivors).points)
 
     def test_general_streaming_equals_one_shot_hull(self, monkeypatch):
-        ternary = [
-            DiscreteChannel(m)
-            for m in (
-                [[0.7, 0.09, 0.21], [0.12, 0.83, 0.05], [0.43, 0.1, 0.47]],
-                [[0.14, 0.44, 0.42], [0.05, 0.92, 0.03], [0.84, 0.03, 0.13]],
-                [[0.02, 0.52, 0.46], [0.1, 0.74, 0.16], [0.4, 0.54, 0.06]],
-            )
-        ]
         for grid in (
             dict(resolution=0.2, v1_card=2, v2_card=2),
             dict(resolution=0.5, v1_card=2, v2_card=2, deterministic_x=False),
         ):
-            frontier, cloud = self.one_shot(monkeypatch, general_inner_bound, *ternary, **grid)
+            frontier, cloud = self.one_shot(monkeypatch, general_inner_bound, *TERNARY, **grid)
             assert len(frontier.points) >= 2
             assert bits(frontier.points) == bits(hull_two_chain(cloud))
+
+    @pytest.mark.parametrize(
+        "search,chain,grid",
+        [
+            (degraded_region_inner, DEGRADED, dict(resolution=0.01, u_card=2)),
+            (degraded_region_inner, DEGRADED, dict(resolution=0.05, u_card=3)),
+            (general_inner_bound, TERNARY, dict(resolution=0.2, v1_card=2, v2_card=2)),
+        ],
+        ids=["degraded-u2", "degraded-u3", "general-ternary"],
+    )
+    def test_hull_gets_one_staircase(self, monkeypatch, search, chain, grid):
+        # The search folds every chunk into one running staircase, so the
+        # hull runs once, on an input that is its own staircase.
+        hulled = []
+        real = regions.upper_right_hull
+
+        def keep(points):
+            hulled.append(points)
+            return real(points)
+
+        monkeypatch.setattr(regions, "upper_right_hull", keep)
+        search(*chain, **grid)
+        (points,) = hulled
+        assert same_array(_pareto(points), points)
 
     def test_frontier_does_not_depend_on_the_chunking(self, monkeypatch):
         _, cloud = self.one_shot(
@@ -862,7 +890,10 @@ class TestRegionSearch:
             np.array_split(cloud[::-1], 300),
             np.split(cloud, random_cuts),
         ]
-        results = [regions._search(1, len(cloud), len(cloud), iter(c)) for c in chunkings]
+        results = [
+            regions._search(1, len(cloud), len(cloud), lambda add, c=c: [add(x) for x in c])
+            for c in chunkings
+        ]
         assert all(bits(r.points) == bits(results[0].points) for r in results)
         assert bits(results[0].points) == bits(hull_two_chain(cloud))
 

@@ -1,10 +1,9 @@
-"""Every public name has a user (library code, the benchmark tracer, or the README), and
-every rejection of caller input goes through the checks in `channels`."""
+"""Every public name has a user (library code, the benchmark tracer, or the README), the
+package holds no dead imports or private names, and every rejection of caller input goes
+through the checks in `channels`."""
 
 import ast
-import io
 import re
-import tokenize
 from pathlib import Path
 
 import bcc_secrecy
@@ -13,18 +12,29 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "bcc_secrecy"
 
 
+def names_read(tree: ast.AST) -> set[str]:
+    """Names the code reads: loaded identifiers and attribute names, f-strings included,
+    but not docstrings, comments, or the names that defs, classes and assignments bind."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+def src_modules() -> dict[str, ast.Module]:
+    """The package's parsed modules by file name."""
+    return {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def names_used_in_src() -> set[str]:
-    """Identifiers in the package's code (not its docstrings or comments),
-    skipping `__init__.py` and the name that each def or class line defines."""
+    """Names read by the package's code, skipping `__init__.py`."""
     used = set()
-    for path in PACKAGE.glob("*.py"):
-        if path.name == "__init__.py":
-            continue
-        previous = None
-        for token in tokenize.generate_tokens(io.StringIO(path.read_text()).readline):
-            if token.type == tokenize.NAME and previous not in ("def", "class"):
-                used.add(token.string)
-            previous = token.string if token.type == tokenize.NAME else None
+    for name, tree in src_modules().items():
+        if name != "__init__.py":
+            used |= names_read(tree)
     return used
 
 
@@ -47,6 +57,62 @@ def test_every_public_name_has_a_user():
     users = names_used_in_src() | names_traced_by_bench() | names_in_readme_code()
     unused = sorted(set(bcc_secrecy.__all__) - users)
     assert unused == [], f"exported but used by no module, bench tracer or README: {unused}"
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports (`__future__` features aside) but never reads."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            imported += [(alias.asname or alias.name).split(".")[0] for alias in node.names]
+    read = names_read(tree)
+    return [name for name in imported if name not in read]
+
+
+def private_names(tree: ast.Module) -> list[str]:
+    """Module-level `_x` names (dunders aside) that a def, class or assignment binds."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound += [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+    return [name for name in bound if name.startswith("_") and not name.startswith("__")]
+
+
+def test_dead_code_is_found():
+    tree = ast.parse(
+        "from __future__ import annotations\n"
+        "import numpy as np, os.path\n"
+        "from typing import Sequence, Iterator\n"
+        "_LIMIT = 3\n"
+        "def _used(x: Sequence): return f'{np.pi}'\n"
+        "def _dead(): return _used(0)\n"
+    )
+    assert unused_imports(tree) == ["os", "Iterator"]
+    assert private_names(tree) == ["_LIMIT", "_used", "_dead"]
+    assert [n for n in private_names(tree) if n not in names_read(tree)] == ["_LIMIT", "_dead"]
+
+
+def test_no_dead_imports_or_private_names_in_src():
+    modules = src_modules()
+    read = set().union(*map(names_read, modules.values()))
+    dead = [
+        f"{name}: import {imported}"
+        for name, tree in modules.items()
+        if name != "__init__.py"
+        for imported in unused_imports(tree)
+    ]
+    dead += [
+        f"{name}: {private}"
+        for name, tree in modules.items()
+        for private in private_names(tree)
+        if private not in read
+    ]
+    assert dead == [], f"code with no caller: {dead}"
 
 
 
