@@ -80,6 +80,10 @@ _SCORE_FLOATS = 1 << 14
 _COUNT_CELLS = 64
 # Terms of a binomial tail that _clopper_pearson sums at a time.
 _TAIL_TERMS = 1 << 12
+# Blocks of log-binomial coefficients, with the block's i and n - i, that one
+# _clopper_pearson root keeps across its bisection steps: 16 x 96 KiB =
+# 1.5 MiB.  Blocks past these are rebuilt at every step.
+_TAIL_BLOCKS_KEPT = 16
 
 # Purpose tags for substream derivation.
 _TAG_CLOUD = 1
@@ -230,25 +234,32 @@ def _clopper_pearson(k: int, n: int) -> tuple[float, float]:
     X ~ Binomial(n, p), each by bisection on p until the midpoint is an
     end (lo = 0 at k = 0, hi = 1 at k = n): Clopper & Pearson (1934).
     A tail is summed _TAIL_TERMS terms at a time, each block's log
-    binomial coefficients running on from lgamma at its first index, so
-    the memory used does not grow with n.
+    binomial coefficients running on from lgamma at its first index.  A
+    root builds the coefficients of its first _TAIL_BLOCKS_KEPT blocks once
+    and rebuilds any later block at every step, so the memory used does not
+    grow with n.
     """
     log_n_factorial = math.lgamma(n + 1)
 
-    def upper_tail(p: float, j: int) -> float:
-        log_p, log_q = math.log(p), math.log1p(-p)
-        total = 0.0
-        for start in range(j, n + 1, _TAIL_TERMS):
-            i = np.arange(start, min(start + _TAIL_TERMS, n + 1))
-            log_comb = np.concatenate(([0.0], np.cumsum(np.log((n - i[:-1]) / (i[:-1] + 1)))))
-            log_comb += log_n_factorial - math.lgamma(start + 1) - math.lgamma(n - start + 1)
-            total += float(np.exp(log_comb + i * log_p + (n - i) * log_q).sum())
-        return total
+    def block(start: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """i, n - i (as floats) and log C(n, i) for the block from `start`."""
+        i = np.arange(start, min(start + _TAIL_TERMS, n + 1), dtype=np.float64)
+        log_comb = np.concatenate(([0.0], np.cumsum(np.log((n - i[:-1]) / (i[:-1] + 1)))))
+        log_comb += log_n_factorial - math.lgamma(start + 1) - math.lgamma(n - start + 1)
+        return i, n - i, log_comb
 
     def root(j: int, tail: float) -> float:
+        """The p at which P(X >= j) crosses `tail`."""
+        starts = range(j, n + 1, _TAIL_TERMS)
+        kept = [block(start) for start in starts[:_TAIL_BLOCKS_KEPT]]
         lo, hi = 0.0, 1.0
         while lo < (p := 0.5 * (lo + hi)) < hi:
-            lo, hi = (lo, p) if upper_tail(p, j) > tail else (p, hi)
+            log_p, log_q = math.log(p), math.log1p(-p)
+            total = 0.0
+            for b, start in enumerate(starts):
+                i, rest, log_comb = kept[b] if b < len(kept) else block(start)
+                total += float(np.exp(log_comb + i * log_p + rest * log_q).sum())
+            lo, hi = (lo, p) if total > tail else (p, hi)
         return p
 
     return (0.0 if k == 0 else root(k, 0.025)), (1.0 if k == n else root(k + 1, 0.975))

@@ -218,16 +218,23 @@ def write_json(path: str | Path, payload) -> None:
 
 
 def read_frontier_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
+    """The header and the rows of a CSV, one finite float per header field.
+
+    The rows' values go through one flat split and `float`; a row with
+    another number of fields is told by its comma count.
+    """
     lines = [line.strip() for line in _read_text(path).split("\n") if line.strip()]
     if not lines:
         raise InvalidDistribution(f"{path}: empty CSV")
-    header = lines[0].split(",")
+    header, body = lines[0].split(","), lines[1:]
+    values = ",".join(body).split(",") if body else []
     try:
-        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        rows = np.fromiter(map(float, values), np.float64, count=len(values))
     except ValueError as exc:
         raise InvalidDistribution(f"{path}: malformed CSV row ({exc})") from exc
-    if rows.ndim != 2 or rows.shape[1] != len(header):
+    if {line.count(",") for line in body} != {len(header) - 1}:
         raise InvalidDistribution(f"{path}: rows do not match header {header}")
+    rows = rows.reshape(len(body), len(header))
     if not np.all(np.isfinite(rows)):
         raise InvalidDistribution(f"{path}: non-finite value in a CSV row")
     return header, rows

@@ -8,9 +8,11 @@ Four computations are provided, all in bits per channel use:
   r1 + r2 <= S}; its two dominant corners are collected and hulled.
 * ``degraded_region_inner``: the layered (cloud/satellite) region for
   degraded channels, driven by a single auxiliary U.  Its rates split per
-  letter (Csiszar-Korner), so per-row tables bound every candidate, and
-  only candidates that can reach the Pareto staircase are evaluated: the
-  frontier is the full grid search's, bit for bit.
+  letter (Csiszar-Korner), so per-row tables bound the candidates of
+  each non-increasing P(u), one per relabelling orbit of U, and only
+  those that can reach the Pareto staircase are evaluated, in every step
+  their relabellings reach: the frontier is the full grid search's, bit
+  for bit.
 * ``gaussian_region_point``: the closed-form power-split region for the
   additive-Gaussian family, parameterized by the fraction ``alpha`` of
   power spent on the first receiver's layer.
@@ -442,6 +444,22 @@ def _degraded_survivors(weights, axes, tables, staircase) -> np.ndarray:
     return np.stack([axis[i] for axis, i in zip(axes, kept)], axis=1)
 
 
+def _relabellings(u_card: int, steps: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Each non-increasing P(u) step, with every other step that relabels it.
+
+    Yields (weights, targets, perms) for each non-increasing composition of
+    `steps` into `u_card` parts, in _compositions order: the rows of
+    `targets` are the other compositions with the same entries, and
+    weights[perms[j]] == targets[j], one fixed permutation per target.
+    """
+    grid = _compositions(u_card, steps)
+    order = np.argsort(-grid, axis=1, kind="stable")
+    reps, orbit = np.unique(np.take_along_axis(grid, order, axis=1), axis=0, return_inverse=True)
+    for r, weights in enumerate(reps):
+        others = (orbit.ravel() == r) & (grid != weights).any(axis=1)
+        yield weights, grid[others], np.argsort(order[others], axis=1)
+
+
 def degraded_region_inner(
     py1x: DiscreteChannel,
     py2x: DiscreteChannel,
@@ -458,13 +476,21 @@ def degraded_region_inner(
     and r2 = phi2(p) - sum_u P(u) phi2(q_u) with phi2(q) = H(qW_Y2) - H(qW_Z),
     each clamped at 0.  Tables of psi1 and phi2 on the grid rows, and of
     phi2 on the grid of P(x) that holds every mixture (step 1/k^2, or 1/k
-    for one row), bound every candidate's rates to a few ulps.  Per P(u)
-    step, only the candidates that no kernel point so far beats by PRUNE_MARGIN go
-    through the kernel; the others cannot reach the exact Pareto staircase,
-    so the frontier is the full search's, bit for bit.  A row whose weight
-    is 0 adds +0.0 whatever it is, so it is fixed to grid row 0.  The
-    budget counts every candidate, then the points of the P(x) table,
-    before anything is built.
+    for one row), bound every candidate's rates to a few ulps.
+
+    Relabelling U moves a candidate to another P(u) step with the same
+    rates up to round-off, so only the non-increasing steps are bounded.
+    There the candidates that no kernel point so far beats by PRUNE_MARGIN
+    go through the kernel; of those, the ones whose kernel point the
+    updated staircase does not beat by PRUNE_MARGIN go through it again in
+    every other step of their orbit, in that step's own row order.  A
+    candidate on the exact Pareto staircase has a representative whose
+    bound and kernel point lie within round-off of its rates, so it passes
+    both tests, and the candidate itself is evaluated in its own step: the
+    frontier is the full search's, bit for bit.  A row whose weight is 0
+    adds +0.0 whatever it is, so it is fixed to grid row 0; a sorted P(u)
+    puts it last.  The budget counts every candidate, then the points of
+    the P(x) table, before anything is built.
     """
     steps = _grid_steps(resolution)
     nx = _check_shared_input(py1x, py2x, pzx)
@@ -478,16 +504,26 @@ def degraded_region_inner(
         _check_budget(n_points, budget, what, n_points, fine)
         rows, row_terms, tables = _degraded_tables(steps, fine, u_card, my1, my2, mz)
         staircase = np.empty((0, 2))
-        for weights in _compositions(u_card, steps):
+
+        def kernel(weights, picks):
+            """Clamped rates of the candidates with row picks[:, u] at position u."""
+            at = picks * u_card + np.arange(u_card)
+            picked = [np.take(values, at, axis=0) for values in row_terms]
+            terms = _degraded_terms(weights / steps, np.take(rows, picks, axis=0), mz, picked)
+            return _degraded_rates(terms)
+
+        for weights, targets, perms in _relabellings(u_card, steps):
             axes = [np.arange(len(rows) if w else 1) for w in weights]
             per_block = max(1, DEGRADED_BLOCK // math.prod(len(axis) for axis in axes[1:]))
             for start in range(0, len(axes[0]), per_block):
                 block = [axes[0][start : start + per_block], *axes[1:]]
                 picks = _degraded_survivors(weights, block, tables, staircase)
-                at = picks * u_card + np.arange(u_card)
-                picked = [np.take(values, at, axis=0) for values in row_terms]
-                terms = _degraded_terms(weights / steps, np.take(rows, picks, axis=0), mz, picked)
-                staircase = add(_degraded_rates(terms))
+                points = kernel(weights, picks)
+                staircase = add(points)
+                if len(targets):
+                    picks = picks[~_dominated(points[:, 0], points[:, 1], staircase - PRUNE_MARGIN)]
+                    moved = [kernel(t, picks[:, perm]) for t, perm in zip(targets, perms)]
+                    staircase = add(np.vstack(moved))
 
     n_cond = _simplex_count(nx, steps) ** u_card
     return _search(_simplex_count(u_card, steps), n_cond, budget, fill)

@@ -1481,6 +1481,32 @@ class TestClopperPearson:
             assert hi == pytest.approx(beta.ppf(0.975, k + 1, n - k) if k < n else 1.0, abs=1e-9)
             assert lo <= k / n <= hi
 
+    @pytest.mark.parametrize("k,n", [(17, 20000), (2942, 5000), (0, 9000), (9000, 9000)])
+    def test_kept_blocks_do_not_change_the_bits(self, monkeypatch, k, n):
+        # Kept and rebuilt blocks hold the same floats, so any split gives one interval.
+        want = _clopper_pearson(k, n)
+        for kept in (0, 1, 2):
+            monkeypatch.setattr(coding, "_TAIL_BLOCKS_KEPT", kept)
+            assert _clopper_pearson(k, n) == want
+
+    def test_kept_blocks_bound_the_memory(self, monkeypatch):
+        # A root keeps at most _TAIL_BLOCKS_KEPT blocks of three float arrays.
+        # At 256 terms a block, n = 40,000 spans about 100 blocks past k, all
+        # of which together would take 600 KiB.
+        terms = 1 << 8
+        monkeypatch.setattr(coding, "_TAIL_TERMS", terms)
+        peaks = []
+        for n in (8_000, 40_000):
+            tracemalloc.start()
+            try:
+                _clopper_pearson(n // 3, n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        kept_bytes = coding._TAIL_BLOCKS_KEPT * 3 * 8 * terms
+        assert max(peaks) < kept_bytes + 64 * 1024
+        assert peaks[1] < peaks[0] + 16 * 1024
+
 
 class TestRandomizationHelpsSecrecy:
     def test_more_dithering_raises_mean_equivocation(self):

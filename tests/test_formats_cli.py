@@ -260,6 +260,30 @@ class TestCsv:
         with pytest.raises(InvalidDistribution):
             read_frontier_csv(path)
 
+    @pytest.mark.parametrize(
+        "body", ["1,2\n3\n", "1,2,3\n4,5,6\n", "1,2\n3,4,5\n6\n", ""],
+        ids=["short", "long", "ragged-sum-matches", "header-only"],
+    )
+    def test_rows_that_do_not_match_the_header_rejected(self, tmp_path, capsys, body):
+        # One flat split parses every value, so a row's field count comes
+        # from its commas: the third case holds 2 x 3 values in 3 rows.
+        path = tmp_path / "bad.csv"
+        path.write_text(f"a,b\n{body}")
+        with pytest.raises(InvalidDistribution, match=r"rows do not match header \['a', 'b'\]$"):
+            read_frontier_csv(path)
+        args = ["--power", "1", "--n1", "0.25", "--n2", "0.5", "--n3", "1"]
+        assert run(["check", "frontier", "--file", str(path), *args]) == 3
+        assert capsys.readouterr().err == f"error: {path}: rows do not match header ['a', 'b']\n"
+
+    def test_csv_values_parse_as_float_does(self, tmp_path):
+        # Surrounding blanks, blank lines, CRLF endings and Python float
+        # spellings are accepted, as float() accepts them.
+        path = tmp_path / "ok.csv"
+        path.write_bytes(b"a,b\r\n\r\n 1.5 , 2e-3\r\n-0,1_000\r\n\n")
+        header, rows = read_frontier_csv(path)
+        assert header == ["a", "b"]
+        assert rows.tobytes() == np.array([[1.5, 2e-3], [-0.0, 1000.0]]).tobytes()
+
     @pytest.mark.parametrize("row", ["1.0,inf", "nan,1.0"])
     def test_non_finite_csv_value_rejected(self, tmp_path, row):
         # the check's rounding slack for inf is inf, and max() skips nan

@@ -43,6 +43,7 @@ from bcc_secrecy.regions import (
     _degraded_tables,
     _lower_facets,
     _pareto,
+    _relabellings,
     _wiretap_phi,
 )
 from oracles import (
@@ -749,6 +750,91 @@ class TestPrunedDegradedSearch:
         finally:
             tracemalloc.stop()
         assert peak < 256 * 1024
+
+
+def orbit_cases():
+    """(name, chain, steps, u_card): cases where relabelled survivors carry vertices."""
+    rng = np.random.default_rng(29)
+    readme = [ch.matrix for ch in DEGRADED]
+    cases = [
+        ("binary-u4", [stochastic(rng, 2, 2) for _ in range(3)], 6, 4),  # u_card > |X|
+        ("readme-u4", readme, 6, 4),
+        ("zeros", [stochastic(rng, 2, 3, zeros=True) for _ in range(3)], 10, 3),
+        ("ternary-zeros", [stochastic(rng, 3, 3, zeros=True) for _ in range(3)], 4, 3),
+        ("readme-tied", readme, 12, 3),  # vertices at (5, 5, 2)/12 and (1, 6, 5)/12
+    ]
+    return [(name, [DiscreteChannel(m) for m in mats], steps, u) for name, mats, steps, u in cases]
+
+
+ORBIT_CASES = orbit_cases()
+
+
+class TestOrbitSearch:
+    """Bounds for one P(u) per relabelling orbit; the kernel for every step of the grid."""
+
+    @pytest.mark.parametrize("u_card,steps", [(1, 7), (2, 9), (3, 12), (4, 6), (5, 3)])
+    def test_relabellings_cover_the_grid_once(self, u_card, steps):
+        seen = []
+        for weights, targets, perms in _relabellings(u_card, steps):
+            assert np.all(weights[:-1] >= weights[1:])
+            assert len({w.tobytes() for w in targets}) == len(targets)
+            for target, perm in zip(targets, perms):
+                assert sorted(perm) == list(range(u_card))
+                assert np.array_equal(weights[perm], target)
+            seen += [tuple(weights), *map(tuple, targets)]
+        assert sorted(seen) == sorted(map(tuple, _compositions(u_card, steps)))
+
+    def test_bound_pass_sees_only_non_increasing_p_u(self, monkeypatch):
+        # At 1/20 and u_card 3, 44 of the 231 steps are non-increasing, and
+        # their candidates number 310,044 of 1,608,831 (zero weights on row 0).
+        bounded = {}
+        real = regions._degraded_survivors
+
+        def keep(weights, axes, tables, staircase):
+            key = tuple(weights.tolist())
+            bounded[key] = bounded.get(key, 0) + math.prod(len(axis) for axis in axes)
+            return real(weights, axes, tables, staircase)
+
+        monkeypatch.setattr(regions, "_degraded_survivors", keep)
+        frontier = degraded_region_inner(*DEGRADED, resolution=0.05, u_card=3)
+        assert len(frontier.points) == 13
+        assert all(list(w) == sorted(w, reverse=True) for w in bounded)
+        assert len(bounded) == 44
+        assert sum(bounded.values()) == 310_044
+
+    def test_kernel_sees_every_step_once(self, monkeypatch):
+        steps_seen = []
+        real = regions._degraded_terms
+
+        def keep(pu, pxu_batch, mz, rows):
+            steps_seen.append(tuple(np.rint(pu * 20).astype(int).tolist()))
+            return real(pu, pxu_batch, mz, rows)
+
+        monkeypatch.setattr(regions, "_degraded_terms", keep)
+        degraded_region_inner(*DEGRADED, resolution=0.05, u_card=3)
+        assert sorted(steps_seen) == sorted(map(tuple, _compositions(3, 20).tolist()))
+
+    @pytest.mark.parametrize(
+        "name,chain,steps,u_card", ORBIT_CASES, ids=[case[0] for case in ORBIT_CASES]
+    )
+    def test_frontier_bits_equal_full_search(self, name, chain, steps, u_card):
+        frontier = degraded_region_inner(*chain, resolution=1 / steps, u_card=u_card)
+        full = upper_right_hull(degraded_region_full(*chain, steps, u_card))
+        assert bits(frontier.points) == bits(full.points)
+
+    def test_tied_p_u_vertices_keep_their_bits(self):
+        # The README chain is symmetric, so at u_card 2 most of its vertices
+        # come, bit for bit, only from P(u) = (1/2, 1/2): a step whose
+        # relabelling is itself, with both row orders bounded there.
+        frontier = degraded_region_inner(*DEGRADED, resolution=0.05, u_card=2)
+        found = {}
+        for weights, terms in degraded_terms_full(*DEGRADED, 20, 2):
+            for point in bits(regions._degraded_rates(terms)):
+                found.setdefault(point, set()).add(tuple(weights.tolist()))
+        only_tied = [p for p in bits(frontier.points) if found[p] == {(10, 10)}]
+        assert len(only_tied) == 10
+        full = upper_right_hull(degraded_region_full(*DEGRADED, 20, 2))
+        assert bits(frontier.points) == bits(full.points)
 
 
 @st.composite
