@@ -6,6 +6,10 @@ Four computations are provided, all in bits per channel use:
   discrete channels, driven by a pair of auxiliary variables (V1, V2).
   Each auxiliary candidate yields a pentagon {r1 <= A, r2 <= B,
   r1 + r2 <= S}; its two dominant corners are collected and hulled.
+  Every joint is evaluated under one x-map per relabelling orbit of
+  (V1, V2), and under the other maps of the orbit only where its corners
+  can reach the Pareto staircase: the frontier is the full grid search's,
+  bit for bit.
 * ``degraded_region_inner``: the layered (cloud/satellite) region for
   degraded channels, driven by a single auxiliary U.  Its rates split per
   letter (Csiszar-Korner), so per-row tables bound the candidates of
@@ -36,7 +40,8 @@ Each region kernel computes the per-letter terms of a batch of
 candidates (one candidate's, unclamped: ``degraded_rate_terms`` and
 ``general_rate_terms``), then combines them into rates.  Each
 candidate's rates are computed row by row, whatever else its batch holds,
-which lets the degraded search evaluate its survivors alone.  Negative values
+which lets both searches evaluate their survivors alone; the general
+kernel takes one x-map per row.  Negative values
 of the rate formulas are clamped to zero pointwise: a negative bound just
 means that candidate contributes nothing in that coordinate.
 """
@@ -64,7 +69,8 @@ MAX_AUX_CARD = 12
 # component lies far below -1e-9; the vertical faces over the simplex's
 # edges (|X| >= 3) come out of Qhull as +-1e-17 and must not count.
 LOWER_FACET_TOL = 1e-9
-# float64 cells of one (points x facets) block of the envelope: 1 MiB.
+# float64 cells of one (points x facets) block of the envelope, or of the
+# x-maps and channel rows of one general kernel call: 1 MiB.
 ENVELOPE_BLOCK_CELLS = 1 << 17
 # A degraded candidate's rates, bounded from per-row tables, differ from
 # the kernel's by round-off, about 1e-15.  A candidate is skipped only when
@@ -529,38 +535,64 @@ def degraded_region_inner(
     return _search(_simplex_count(u_card, steps), n_cond, budget, fill)
 
 
-def _general_terms(joint_batch, xmap, my1, my2, mz) -> dict[str, np.ndarray]:
-    """The bound's terms (C,) for (C, V1, V2) joints under one (V1, V2, X) x-map."""
-    t_y1 = np.einsum("vwx,xy->vwy", xmap, my1)
-    t_y2 = np.einsum("vwx,xy->vwy", xmap, my2)
-    t_z = np.einsum("vwx,xz->vwz", xmap, mz)
-    p_v1y1 = np.einsum("cvw,vwy->cvy", joint_batch, t_y1)
-    p_v2y2 = np.einsum("cvw,vwy->cwy", joint_batch, t_y2)
-    p_vvz = np.einsum("cvw,vwz->cvwz", joint_batch, t_z)
+def _general_terms(joint_batch, xmaps, my1, my2, mz) -> dict[str, np.ndarray]:
+    """The bound's channel terms (C,) for (C, V1, V2) joints, each under its own x-map.
+
+    `xmaps` is (C, V1, V2, X).  Every sum runs over one candidate's own
+    axes, so a row's terms do not depend on the other rows of its batch.
+    I(V1;V2) depends on the joint alone; callers add it as "i_v1_v2".
+    """
+    p_v1y1 = np.einsum("cvw,cvwy->cvy", joint_batch, np.einsum("cvwx,xy->cvwy", xmaps, my1))
+    p_v2y2 = np.einsum("cvw,cvwy->cwy", joint_batch, np.einsum("cvwx,xy->cvwy", xmaps, my2))
+    p_vvz = np.einsum("cvw,cvwz->cvwz", joint_batch, np.einsum("cvwx,xz->cvwz", xmaps, mz))
     return {
         "i_v1_y1": _mi_from_joint(p_v1y1),
         "i_v2_y2": _mi_from_joint(p_v2y2),
         "i_v1v2_z": _mi_from_joint(p_vvz.reshape(len(p_vvz), -1, p_vvz.shape[-1])),
         "i_v1_z": _mi_from_joint(p_vvz.sum(axis=2)),
         "i_v2_z": _mi_from_joint(p_vvz.sum(axis=1)),
-        "i_v1_v2": _mi_from_joint(joint_batch),
     }
 
 
-def _general_corners(t) -> np.ndarray:
-    """Pentagon corner points (2C, 2) from the double-binning bound's terms.
+def _general_sides(t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unclamped pentagon sides (C,) each from the double-binning bound's terms.
 
     A = I(V1;Y1) - I(V1;Z), B = I(V2;Y2) - I(V2;Z),
-    S = I(V1;Y1) + I(V2;Y2) - I(V1,V2;Z) - I(V1;V2), each clamped at 0.
+    S = I(V1;Y1) + I(V2;Y2) - I(V1,V2;Z) - I(V1;V2).
     """
-    a = np.maximum(t["i_v1_y1"] - t["i_v1_z"], 0.0)
-    b = np.maximum(t["i_v2_y2"] - t["i_v2_z"], 0.0)
-    s = np.maximum(t["i_v1_y1"] + t["i_v2_y2"] - t["i_v1v2_z"] - t["i_v1_v2"], 0.0)
+    a = t["i_v1_y1"] - t["i_v1_z"]
+    b = t["i_v2_y2"] - t["i_v2_z"]
+    s = t["i_v1_y1"] + t["i_v2_y2"] - t["i_v1v2_z"] - t["i_v1_v2"]
+    return a, b, s
+
+
+def _general_corners(a, b, s) -> np.ndarray:
+    """Pentagon corner points (2C, 2) from the sides A, B, S, each clamped at 0."""
+    a, b, s = (np.maximum(side, 0.0) for side in (a, b, s))
     r1a = np.minimum(a, s)
     r2a = np.minimum(b, s - r1a)
     r2b = np.minimum(b, s)
     r1b = np.minimum(a, s - r2b)
     return np.vstack([np.column_stack([r1a, r2a]), np.column_stack([r1b, r2b])])
+
+
+def _general_targets(a, b, s, corners) -> np.ndarray:
+    """Targets (2, 2, C) for `_dominated`: r1 and r2 of each candidate's two corners.
+
+    A target is the corner's coordinate, or -inf where that coordinate is
+    exactly 0 in every relabelling of the candidate: the sides move by
+    round-off under relabelling, so a side below -PRUNE_MARGIN clamps to
+    0 in all of them, and A > S + PRUNE_MARGIN makes r1 = S and so r2 = 0
+    at the first corner (B > S + PRUNE_MARGIN: r1 = 0 at the second).
+    """
+    targets = corners.reshape(2, -1, 2).transpose(2, 0, 1).copy()
+    t1, t2 = targets
+    zero_s = s < -PRUNE_MARGIN
+    t1[:, zero_s | (a < -PRUNE_MARGIN)] = -np.inf
+    t2[:, zero_s | (b < -PRUNE_MARGIN)] = -np.inf
+    t2[0, a > s + PRUNE_MARGIN] = -np.inf
+    t1[1, b > s + PRUNE_MARGIN] = -np.inf
+    return targets
 
 
 def general_rate_terms(
@@ -577,7 +609,8 @@ def general_rate_terms(
     _check_sizes(xmap.shape, expected, "x-map shape does not match joint and input alphabet")
     joint = _check_stochastic(joint, 2, 0, "joint")
     xmap = _check_stochastic(xmap, 3, 2, "x-map")
-    terms = _general_terms(joint[None], xmap, py1x.matrix, py2x.matrix, pzx.matrix)
+    terms = _general_terms(joint[None], xmap[None], py1x.matrix, py2x.matrix, pzx.matrix)
+    terms["i_v1_v2"] = _mi_from_joint(joint[None])
     return {key: float(value[0]) for key, value in terms.items()}
 
 
@@ -590,8 +623,64 @@ def general_rate_corners(
 ) -> tuple[RatePoint, RatePoint]:
     """Dominant pentagon corners for one (P(v1,v2), P(x|v1,v2)) candidate."""
     terms = general_rate_terms(joint_v1v2, x_given_pair, py1x, py2x, pzx)
-    first, second = _general_corners(terms).tolist()
+    first, second = _general_corners(*_general_sides(terms)).tolist()
     return RatePoint(*first), RatePoint(*second)
+
+
+def _picks(numbers, n_rows: int, v1: int, v2: int) -> np.ndarray:
+    """Pick matrices (N, V1, V2) of pick numbers: their row-major digits in base n_rows."""
+    digits = numbers[:, None] // n_rows ** np.arange(v1 * v2 - 1, -1, -1) % n_rows
+    return digits.reshape(-1, v1, v2)
+
+
+def _xmap_orbits(n_rows: int, v1: int, v2: int):
+    """The x-maps up to relabelling V1 and V2, each with the maps that relabel it.
+
+    An x-map is a pick matrix (V1, V2) of row indices in range(n_rows),
+    numbered by its row-major digits (itertools.product order).  A pick's
+    orbit under S_{V1} x S_{V2} is named by its least number over the
+    group: for each permutation of the shorter axis, sorting the lines of
+    the other axis minimises over that factor.  The pick with the least
+    number represents its orbit.  Picks are named a block at a time, so
+    the listing holds a few dozen bytes per pick.
+
+    Returns the representatives' numbers (R,) and, for every other pick,
+    sorted by orbit: its representative's index `owner`, its number, and
+    `perm1`, `perm2` with pick[i, j] == rep[perm1[i], perm2[j]].
+    """
+    n_picks, flip = n_rows ** (v1 * v2), v2 > v1
+    n_long, n_short = (v2, v1) if flip else (v1, v2)
+    entry_place = n_rows ** np.arange(n_short - 1, -1, -1)
+    line_place = (n_rows**n_short) ** np.arange(n_long - 1, -1, -1)
+    # One row index fixes every pick, and the group acts on nothing.
+    shorts = list(itertools.permutations(range(n_short))) if n_rows > 1 else [range(n_short)]
+    pick_place = n_rows ** np.arange(v1 * v2 - 1, -1, -1)
+    chunk = max(1, ENVELOPE_BLOCK_CELLS // (v1 * v2))
+    rep_of = np.empty(n_picks, dtype=np.int64)
+    sigma1, sigma2 = np.empty((n_picks, v1), np.int8), np.empty((n_picks, v2), np.int8)
+    for start in range(0, n_picks, chunk):
+        numbers = np.arange(start, min(start + chunk, n_picks))
+        picks = _picks(numbers, n_rows, v1, v2)
+        lines = picks.transpose(0, 2, 1) if flip else picks
+        least = np.full(len(numbers), np.iinfo(np.int64).max)
+        long_perm = np.zeros((len(numbers), n_long), dtype=np.intp)
+        short_perm = np.zeros((len(numbers), n_short), dtype=np.intp)
+        for cols in shorts:
+            codes = lines[:, :, cols] @ entry_place
+            order = np.argsort(codes, axis=1, kind="stable")
+            number = np.take_along_axis(codes, order, axis=1) @ line_place
+            better = number < least
+            least[better], long_perm[better] = number[better], order[better]
+            short_perm[better] = cols
+        s1, s2 = (short_perm, long_perm) if flip else (long_perm, short_perm)
+        rep = picks[np.arange(len(numbers))[:, None, None], s1[:, :, None], s2[:, None, :]]
+        rep_of[numbers] = rep.reshape(len(numbers), -1) @ pick_place
+        sigma1[numbers], sigma2[numbers] = s1, s2
+    reps, orbit = np.unique(rep_of, return_inverse=True)
+    others = np.flatnonzero(rep_of != np.arange(n_picks))
+    others = others[np.argsort(orbit[others], kind="stable")]
+    perm1, perm2 = (np.argsort(sigma[others], axis=1).astype(np.int8) for sigma in (sigma1, sigma2))
+    return reps, orbit[others], others, perm1, perm2
 
 
 def general_inner_bound(
@@ -611,6 +700,21 @@ def general_inner_bound(
     the input map P(x|v1, v2) ranges over deterministic functions (any
     stochastic map is a mixture of them, reachable by enlarging the
     auxiliaries), or over gridded rows when `deterministic_x` is false.
+
+    Relabelling V1 and V2 moves a candidate to another (joint, x-map) with
+    the same rates up to round-off, so every joint goes through the kernel
+    under one x-map per relabelling orbit (_xmap_orbits).  The candidates
+    whose two corners the running staircase does not both beat by
+    PRUNE_MARGIN then go through it again under every other map of their
+    orbit, each on its joint relabelled the same way.  A corner coordinate
+    that is exactly 0 in every relabelling is a -inf target, which any
+    point beats (_general_targets).  A candidate on the exact Pareto
+    staircase has a representative whose kernel point lies within
+    round-off of its rates, so it passes that test and is evaluated
+    itself: the frontier is the full search's, bit for bit.  The kernel
+    runs on blocks of ENVELOPE_BLOCK_CELLS cells of x-maps and channel
+    rows.  The budget counts every joint under every x-map, before
+    anything is built.
     """
     steps = _grid_steps(resolution)
     nx = _check_shared_input(py1x, py2x, pzx)
@@ -618,14 +722,57 @@ def general_inner_bound(
     v2 = nx if v2_card is None else _check_integer(v2_card, "v2_card", 1, MAX_AUX_CARD)
     # A deterministic map picks a one-hot row for every (v1, v2) pair.
     n_rows = nx if deterministic_x else _simplex_count(nx, steps)
+    my1, my2, mz = py1x.matrix, py2x.matrix, pzx.matrix
+    cells = v1 * v2 * (nx + my1.shape[1] + my2.shape[1] + mz.shape[1])
+    block = max(1, ENVELOPE_BLOCK_CELLS // cells)
 
     def fill(add):
-        joint_batch = simplex_grid(v1 * v2, steps).reshape(-1, v1, v2)
+        counts = _compositions(v1 * v2, steps)
+        joints = (counts / steps).reshape(-1, v1, v2)
+        i_v1_v2 = _mi_from_joint(joints)
         x_rows = np.eye(nx) if deterministic_x else simplex_grid(nx, steps)
-        for pick in itertools.product(range(n_rows), repeat=v1 * v2):
-            xmap = x_rows[list(pick)].reshape(v1, v2, nx)
-            terms = _general_terms(joint_batch, xmap, py1x.matrix, py2x.matrix, pzx.matrix)
-            add(_general_corners(terms))
+        rep_numbers, owner, mates, perm1, perm2 = _xmap_orbits(n_rows, v1, v2)
+        reps = _picks(rep_numbers, n_rows, v1, v2)
+
+        def corners(joint_rows, picks):
+            """Sides and corners of the candidates joints[joint_rows[i]] under x-map picks[i]."""
+            terms = _general_terms(joints[joint_rows], x_rows[picks], my1, my2, mz)
+            sides = _general_sides({**terms, "i_v1_v2": i_v1_v2[joint_rows]})
+            return sides, _general_corners(*sides)
+
+        def beaten(targets, staircase):
+            """Mask of the candidates whose two corners `staircase` beats by PRUNE_MARGIN."""
+            dropped = _dominated(*targets.reshape(2, -1), staircase - PRUNE_MARGIN)
+            return dropped.reshape(2, -1).all(axis=0)
+
+        # Every joint under each representative map: candidate c is joint c % |joints|.
+        n_first = len(reps) * len(joints)
+        kept, targets = [], []
+        for start in range(0, n_first, block):
+            flat = np.arange(start, min(start + block, n_first))
+            sides, points = corners(flat % len(joints), reps[flat // len(joints)])
+            staircase = add(points)
+            target = _general_targets(*sides, points)
+            live = ~beaten(target, staircase)
+            kept.append(flat[live])
+            targets.append(target[..., live])
+        # Each block's survivors, tested again against the final staircase.
+        live = [flat[~beaten(target, staircase)] for flat, target in zip(kept, targets)]
+        rep, joint = np.divmod(np.concatenate(live), len(joints))
+        # Each survivor k under every other map of its orbit, on its joint relabelled the
+        # same way.  Its candidates end at ends[k], and its orbit's entries of `mates` end at
+        # orbit_ends[rep[k]], so candidate c takes mate c - ends[k] + orbit_ends[rep[k]].
+        orbit_ends = np.cumsum(np.bincount(owner, minlength=len(reps)))
+        per_row = np.diff(orbit_ends, prepend=0)[rep]
+        ends = np.cumsum(per_row)
+        grid = counts.reshape(-1, v1, v2)
+        for start in range(0, per_row.sum(), block):
+            flat = np.arange(start, min(start + block, ends[-1]))
+            k = np.searchsorted(ends, flat, side="right")
+            mate = flat - ends[k] + orbit_ends[rep[k]]
+            moved = grid[joint[k, None, None], perm1[mate][:, :, None], perm2[mate][:, None, :]]
+            joint_rows = _lex_rank(list(moved.reshape(len(flat), -1)[:, :-1].T), steps)
+            add(corners(joint_rows, _picks(mates[mate], n_rows, v1, v2))[1])
 
     return _search(_simplex_count(v1 * v2, steps), n_rows ** (v1 * v2), budget, fill)
 

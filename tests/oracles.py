@@ -5,7 +5,9 @@ definition-level sums, exact rational arithmetic where ties matter.  None
 of it shares code with the library's vectorized paths, except
 `degraded_terms_full` and `degraded_region_full`: they are the reference
 for the pruned degraded search's bits, so they run its kernel on every
-candidate.
+candidate.  `general_inner_bound_full` is the former general search, one
+kernel call per x-map with the former one-map kernel: the reference for
+the orbit search's bits.
 """
 
 from __future__ import annotations
@@ -122,6 +124,53 @@ def degraded_region_full(py1x, py2x, pzx, steps: int, u_card: int) -> np.ndarray
 
     steps_terms = degraded_terms_full(py1x, py2x, pzx, steps, u_card)
     return np.vstack([regions._degraded_rates(terms) for _, terms in steps_terms])
+
+
+def general_terms_one_map(joint_batch, xmap, my1, my2, mz) -> dict[str, np.ndarray]:
+    """The former general kernel: terms (C,) for (C, V1, V2) joints under one (V1, V2, X) x-map."""
+    from bcc_secrecy import regions
+
+    t_y1 = np.einsum("vwx,xy->vwy", xmap, my1)
+    t_y2 = np.einsum("vwx,xy->vwy", xmap, my2)
+    t_z = np.einsum("vwx,xz->vwz", xmap, mz)
+    p_v1y1 = np.einsum("cvw,vwy->cvy", joint_batch, t_y1)
+    p_v2y2 = np.einsum("cvw,vwy->cwy", joint_batch, t_y2)
+    p_vvz = np.einsum("cvw,vwz->cvwz", joint_batch, t_z)
+    mi = regions._mi_from_joint
+    return {
+        "i_v1_y1": mi(p_v1y1),
+        "i_v2_y2": mi(p_v2y2),
+        "i_v1v2_z": mi(p_vvz.reshape(len(p_vvz), -1, p_vvz.shape[-1])),
+        "i_v1_z": mi(p_vvz.sum(axis=2)),
+        "i_v2_z": mi(p_vvz.sum(axis=1)),
+        "i_v1_v2": mi(joint_batch),
+    }
+
+
+def general_inner_bound_full(py1x, py2x, pzx, steps: int, v1: int, v2: int, deterministic_x=True):
+    """Corner points of every candidate of the former general search, x-map by x-map.
+
+    Each x-map of the grid, in itertools.product order of its row picks,
+    goes through the former one-map kernel with every joint; the corners
+    are clamped as that search clamped them.  Returns the (N, 2) cloud.
+    """
+    from bcc_secrecy import regions
+
+    nx = py1x.input_size
+    mats = (py1x.matrix, py2x.matrix, pzx.matrix)
+    joint_batch = regions.simplex_grid(v1 * v2, steps).reshape(-1, v1, v2)
+    x_rows = np.eye(nx) if deterministic_x else regions.simplex_grid(nx, steps)
+    cloud = []
+    for pick in itertools.product(range(len(x_rows)), repeat=v1 * v2):
+        t = general_terms_one_map(joint_batch, x_rows[list(pick)].reshape(v1, v2, nx), *mats)
+        a = np.maximum(t["i_v1_y1"] - t["i_v1_z"], 0.0)
+        b = np.maximum(t["i_v2_y2"] - t["i_v2_z"], 0.0)
+        s = np.maximum(t["i_v1_y1"] + t["i_v2_y2"] - t["i_v1v2_z"] - t["i_v1_v2"], 0.0)
+        r1a = np.minimum(a, s)
+        r2b = np.minimum(b, s)
+        cloud += [np.column_stack([r1a, np.minimum(b, s - r1a)])]
+        cloud += [np.column_stack([np.minimum(a, s - r2b), r2b])]
+    return np.vstack(cloud)
 
 
 def marton_corners_direct(joint, xmap, my1, my2) -> list[tuple[float, float]]:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -37,14 +38,18 @@ from bcc_secrecy import (
 )
 from bcc_secrecy.cli import run
 from bcc_secrecy.regions import (
+    ENVELOPE_BLOCK_CELLS,
     _composition_blocks,
     _compositions,
     _degraded_bounds,
     _degraded_tables,
+    _general_terms,
     _lower_facets,
     _pareto,
+    _picks,
     _relabellings,
     _wiretap_phi,
+    _xmap_orbits,
 )
 from oracles import (
     binary_entropy,
@@ -54,6 +59,8 @@ from oracles import (
     degraded_terms_full,
     frontier_deviation,
     gaussian_point_scalar,
+    general_inner_bound_full,
+    general_terms_one_map,
     hull_two_chain,
     pareto_lexsort,
     simplex_grid_compositions,
@@ -891,6 +898,30 @@ class TestDegradedGoldenBytes:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+class TestGeneralGoldenBytes:
+    """The README chain's `region general` CSVs, recorded before the orbit search.
+
+    Both grids reach the same two vertices, (0, max r2) and (max r1, 0), so
+    their CSVs have the same bytes.
+    """
+
+    DIGEST = "1390cd56dcd4155f78e7d6cbf8629f0dc2d047086485dbbad6037f7f8f73b374"
+
+    @pytest.mark.parametrize(
+        "grid",
+        [["--grid", "0.05"], ["--stochastic-x", "--grid", "0.25"]],
+        ids=["deterministic-1/20", "stochastic-x-1/4"],
+    )
+    def test_readme_chain_csv(self, tmp_path, grid):
+        crossovers = {"py1x": 0.05, "py2x": 0.14, "pzx": 0.2336}
+        chain = {key: BSC(p).matrix.tolist() for key, p in crossovers.items()}
+        channel = tmp_path / "channel.json"
+        channel.write_text(json.dumps({"type": "bcc-marginals", **chain}))
+        out = tmp_path / "frontier.csv"
+        assert run(["region", "general", "--file", str(channel), *grid, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.DIGEST
+
+
 TERNARY = [
     DiscreteChannel(m)
     for m in (
@@ -1068,6 +1099,247 @@ class TestGeneralInnerBound:
             general_rate_terms(np.full(4, 0.25), xmap[0], *channels)
         with pytest.raises(DimensionMismatch, match="does not match joint"):
             general_rate_terms(np.full((2, 2), 0.25), xmap[:, :, 0], *channels)
+
+
+def seeded_binary(seed):
+    """A random binary triple (py1x, py2x, pzx), every channel 2 x 2."""
+    rng = np.random.default_rng(seed)
+    return [DiscreteChannel(stochastic(rng, 2, 2)) for _ in range(3)]
+
+
+def general_orbit_cases():
+    """(name, chain, steps, v1, v2, deterministic_x): the orbit search's bits cases.
+
+    Seeds 207, 210, 218 and 311 and the TERNARY triple have frontier
+    vertices that only a relabelled x-map reaches, so the second pass is
+    checked too (test_relabelled_maps_carry_vertices).
+    """
+    held_out = [BSC(p) for p in (0.044, 0.15, 0.2369)]
+    return [
+        ("readme", list(DEGRADED), 20, 2, 2, True),
+        ("held-out", held_out, 20, 2, 2, True),
+        *((f"binary-{seed}", seeded_binary(seed), 20, 2, 2, True) for seed in (207, 210, 218)),
+        ("readme-stochastic-x", list(DEGRADED), 4, 2, 2, False),
+        ("binary-311-stochastic-x", seeded_binary(311), 4, 2, 2, False),
+        ("ternary", TERNARY, 4, 2, 2, True),
+        ("binary-311-v3-v2", seeded_binary(311), 10, 3, 2, True),
+        ("ternary-v3-v3", TERNARY, 2, 3, 3, True),
+    ]
+
+
+GENERAL_ORBIT_CASES = general_orbit_cases()
+GENERAL_ORBIT_IDS = [case[0] for case in GENERAL_ORBIT_CASES]
+# Frontier vertices that, bit for bit, only x-maps representing no orbit reach.
+RELABELLED_VERTICES = {
+    "binary-207": 1,
+    "binary-210": 1,
+    "binary-218": 1,
+    "binary-311-stochastic-x": 2,
+    "ternary": 1,
+    "binary-311-v3-v2": 1,
+}
+RELABELLED_CASES = [case for case in GENERAL_ORBIT_CASES if case[0] in RELABELLED_VERTICES]
+RELABELLED_IDS = [case[0] for case in RELABELLED_CASES]
+
+
+def orbit_search(chain, steps, v1, v2, deterministic_x):
+    return general_inner_bound(
+        *chain, resolution=1 / steps, v1_card=v1, v2_card=v2, deterministic_x=deterministic_x
+    )
+
+
+class TestGeneralOrbitSearch:
+    """One x-map per relabelling orbit for every joint; the others only where they can count."""
+
+    @pytest.mark.parametrize(
+        "n_rows,v1,v2,orbits",
+        [
+            (2, 2, 2, 7),
+            (2, 3, 2, 13),
+            (2, 2, 3, 13),
+            (3, 2, 2, 27),
+            (5, 2, 2, 175),
+            (2, 3, 3, 36),
+            (3, 3, 3, 738),
+            (2, 1, 4, 5),
+            (2, 4, 1, 5),
+            (3, 1, 1, 3),
+            (1, 12, 12, 1),
+        ],
+    )
+    def test_orbits_cover_every_pick_once(self, n_rows, v1, v2, orbits):
+        rep_numbers, owner, numbers, perm1, perm2 = _xmap_orbits(n_rows, v1, v2)
+        assert len(rep_numbers) == orbits
+        assert np.all(owner[:-1] <= owner[1:])
+        assert sorted([*rep_numbers, *numbers]) == list(range(n_rows ** (v1 * v2)))
+        reps, mates = (_picks(n, n_rows, v1, v2) for n in (rep_numbers, numbers))
+        picks = sorted(tuple(p.ravel()) for p in (*reps, *mates))
+        assert picks == list(itertools.product(range(n_rows), repeat=v1 * v2))
+        for r, pick, p1, p2 in zip(owner, mates, perm1, perm2):
+            assert sorted(p1) == list(range(v1)) and sorted(p2) == list(range(v2))
+            assert np.array_equal(reps[r][p1[:, None], p2[None, :]], pick)
+
+    @pytest.mark.parametrize("n_rows,v1,v2", [(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3)])
+    def test_representative_is_least_over_the_group(self, n_rows, v1, v2):
+        rep_numbers, owner, numbers, _, _ = _xmap_orbits(n_rows, v1, v2)
+        reps, mates = (_picks(n, n_rows, v1, v2) for n in (rep_numbers, numbers))
+        for r, rep in enumerate(reps):
+            orbit = {
+                tuple(rep[np.ix_(p1, p2)].ravel())
+                for p1 in itertools.permutations(range(v1))
+                for p2 in itertools.permutations(range(v2))
+            }
+            assert tuple(rep.ravel()) == min(orbit)
+            assert orbit == {tuple(rep.ravel()), *(tuple(m.ravel()) for m in mates[owner == r])}
+
+    @pytest.mark.parametrize(
+        "name,chain,steps,v1,v2,deterministic_x", GENERAL_ORBIT_CASES, ids=GENERAL_ORBIT_IDS
+    )
+    def test_frontier_bits_equal_full_search(self, name, chain, steps, v1, v2, deterministic_x):
+        frontier = orbit_search(chain, steps, v1, v2, deterministic_x)
+        full = upper_right_hull(general_inner_bound_full(*chain, steps, v1, v2, deterministic_x))
+        assert bits(frontier.points) == bits(full.points)
+
+    @pytest.mark.parametrize(
+        "name,chain,steps,v1,v2,deterministic_x", RELABELLED_CASES, ids=RELABELLED_IDS
+    )
+    def test_relabelled_maps_carry_vertices(self, name, chain, steps, v1, v2, deterministic_x):
+        # The full search's cloud holds each x-map's corners in turn, in
+        # itertools.product order of its picks, which is the order of pick
+        # numbers; some frontier vertices come, bit for bit, only from maps
+        # that represent no orbit.
+        frontier = orbit_search(chain, steps, v1, v2, deterministic_x)
+        nx = chain[0].input_size
+        n_rows = nx if deterministic_x else len(simplex_grid(nx, steps))
+        cloud = general_inner_bound_full(*chain, steps, v1, v2, deterministic_x)
+        per_map = cloud.reshape(n_rows ** (v1 * v2), -1, 2)
+        from_reps = set(bits(per_map[_xmap_orbits(n_rows, v1, v2)[0]].reshape(-1, 2)))
+        only_relabelled = [point not in from_reps for point in bits(frontier.points)]
+        assert sum(only_relabelled) == RELABELLED_VERTICES[name]
+
+    @pytest.mark.parametrize(
+        "name,chain,steps,v1,v2,deterministic_x", RELABELLED_CASES, ids=RELABELLED_IDS
+    )
+    def test_targets_hold_for_every_relabelling(self, name, chain, steps, v1, v2, deterministic_x):
+        # A -inf target stands for a coordinate that is exactly 0 in every
+        # relabelling of the candidate; a finite one lies within round-off
+        # of the relabelled candidates' coordinates.
+        nx = chain[0].input_size
+        mats = [ch.matrix for ch in chain]
+        joints = simplex_grid(v1 * v2, steps).reshape(-1, v1, v2)
+        x_rows = np.eye(nx) if deterministic_x else simplex_grid(nx, steps)
+        rep_numbers, owner, numbers, perm1, perm2 = _xmap_orbits(len(x_rows), v1, v2)
+        reps, mates = (_picks(n, len(x_rows), v1, v2) for n in (rep_numbers, numbers))
+
+        def corners(joint_batch, picks):
+            terms = _general_terms(joint_batch, x_rows[picks], *mats)
+            i_v1_v2 = regions._mi_from_joint(joint_batch)
+            sides = regions._general_sides({**terms, "i_v1_v2": i_v1_v2})
+            return sides, regions._general_corners(*sides)
+
+        infinite = 0
+        for r, rep in enumerate(reps):
+            sides, points = corners(joints, np.broadcast_to(rep, (len(joints), v1, v2)))
+            targets = regions._general_targets(*sides, points)
+            exact_zero = np.isneginf(targets)
+            infinite += exact_zero.sum()
+            for pick, p1, p2 in zip(mates[owner == r], perm1[owner == r], perm2[owner == r]):
+                moved = joints[:, p1[:, None], p2[None, :]]
+                _, mate = corners(moved, np.broadcast_to(pick, (len(joints), v1, v2)))
+                mate = mate.reshape(2, -1, 2).transpose(2, 0, 1)
+                assert np.all(mate[exact_zero] == 0.0)
+                assert np.max(np.abs(mate - targets)[~exact_zero], initial=0.0) <= 1e-12
+        assert infinite > 0
+
+    @staticmethod
+    def kernel_rows(monkeypatch, chain):
+        """The frontier at 1/20 and the rows of each kernel call that made it."""
+        scored = []
+        real = regions._general_terms
+
+        def count(joint_batch, xmaps, my1, my2, mz):
+            scored.append(len(joint_batch))
+            return real(joint_batch, xmaps, my1, my2, mz)
+
+        monkeypatch.setattr(regions, "_general_terms", count)
+        return general_inner_bound(*chain, resolution=0.05), scored
+
+    def test_kernel_rows_on_the_readme_chain(self, monkeypatch):
+        # 1,771 joints: 7 representative maps of 16 in 4,096-row blocks,
+        # then 642 relabelled rows.
+        frontier, scored = self.kernel_rows(monkeypatch, DEGRADED)
+        assert len(frontier.points) == 2
+        assert scored == [4096, 4096, 4096, 7 * 1771 - 3 * 4096, 642]
+
+    def test_exact_zeros_keep_relabelled_rows_few(self, monkeypatch):
+        # Without -inf targets for corner coordinates that are exactly 0 in
+        # every relabelling, all 15,939 relabelled rows of this chain reach
+        # the kernel, more than its 12,397 representative rows; with them, 565.
+        _, scored = self.kernel_rows(monkeypatch, seeded_binary(210))
+        assert sum(scored) - 7 * 1771 < 1000
+
+    def test_peak_memory_follows_the_block_rule(self):
+        # The kernel takes ENVELOPE_BLOCK_CELLS // (v1 v2 (|X| + |Y1| + |Y2| + |Z|))
+        # rows at a time: 4,096 here, one block of float cells for their
+        # x-maps and channel rows.  Their joints, joint-channel products and
+        # entropy terms fit in one more, and the grid, the staircase and the
+        # first pass's survivors in a third.  Scoring all 12,397 first-pass
+        # rows at once holds about 5.3 MiB.
+        general_inner_bound(*DEGRADED, resolution=0.05)
+        tracemalloc.start()
+        try:
+            general_inner_bound(*DEGRADED, resolution=0.05)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * ENVELOPE_BLOCK_CELLS * 8
+
+
+# (name, chain, v1, v2, deterministic_x) for the kernel's row tests.
+KERNEL_SHAPES = [
+    ("binary", list(DEGRADED), 2, 2, True),
+    ("binary-stochastic-x", seeded_binary(311), 2, 2, False),
+    ("ternary", TERNARY, 2, 2, True),
+    ("binary-v3-v2", seeded_binary(311), 3, 2, True),
+    ("ternary-v3-v3", TERNARY, 3, 3, True),
+]
+KERNEL_IDS = [shape[0] for shape in KERNEL_SHAPES]
+
+
+class TestGeneralKernel:
+    """Each row of a batch is scored under its own x-map, independently of the others."""
+
+    def batch(self, chain, v1, v2, deterministic_x, rows=300, seed=0):
+        rng = np.random.default_rng(seed)
+        nx = chain[0].input_size
+        joints = simplex_grid(v1 * v2, 6).reshape(-1, v1, v2)
+        x_rows = np.eye(nx) if deterministic_x else simplex_grid(nx, 4)
+        picks = rng.integers(0, len(x_rows), (rows, v1, v2))
+        return joints[rng.integers(0, len(joints), rows)], x_rows[picks]
+
+    @pytest.mark.parametrize("name,chain,v1,v2,deterministic_x", KERNEL_SHAPES, ids=KERNEL_IDS)
+    def test_per_row_maps_equal_one_map_calls(self, name, chain, v1, v2, deterministic_x):
+        joints, xmaps = self.batch(chain, v1, v2, deterministic_x)
+        mats = [ch.matrix for ch in chain]
+        terms = _general_terms(joints, xmaps, *mats)
+        for row in range(len(joints)):
+            one_map = _general_terms(joints, np.broadcast_to(xmaps[row], xmaps.shape), *mats)
+            former = general_terms_one_map(joints, xmaps[row], *mats)
+            for key, values in terms.items():
+                assert values[row].tobytes() == one_map[key][row].tobytes(), key
+                assert values[row].tobytes() == former[key][row].tobytes(), key
+
+    @pytest.mark.parametrize("name,chain,v1,v2,deterministic_x", KERNEL_SHAPES, ids=KERNEL_IDS)
+    def test_rows_do_not_depend_on_the_batch(self, name, chain, v1, v2, deterministic_x):
+        joints, xmaps = self.batch(chain, v1, v2, deterministic_x)
+        mats = [ch.matrix for ch in chain]
+        terms = _general_terms(joints, xmaps, *mats)
+        rng = np.random.default_rng(1)
+        subsets = [[0], [len(joints) - 1], rng.choice(len(joints), 37, replace=False)]
+        for subset in [*subsets, np.arange(5, 200, 3)]:
+            part = _general_terms(joints[subset], xmaps[subset], *mats)
+            for key, values in terms.items():
+                assert part[key].tobytes() == values[subset].tobytes(), key
 
 
 class TestWiretapSecrecyCapacity:
