@@ -248,9 +248,11 @@ class DiscreteChannel:
 class DegradednessReport:
     """Outcome of a stochastic-degradedness search.
 
-    `residual` is the max-norm reconstruction error of the best intermediate
-    found; `feasible` means it is within DEGRADED_TOL.  `intermediate` is the
-    recovered row-stochastic matrix (None only if the solver failed outright).
+    `intermediate` is the row-stochastic witness M found (None only if the
+    LP failed outright) and `residual` its max-norm reconstruction error
+    max|stronger @ M - weaker|: of the least-squares witness when that is
+    within DEGRADED_TOL, else of the LP's optimum.  `feasible` means the
+    residual is within DEGRADED_TOL.
     """
 
     feasible: bool
@@ -264,23 +266,42 @@ def cascade(first: DiscreteChannel, second: DiscreteChannel) -> DiscreteChannel:
     return DiscreteChannel(first.matrix @ second.matrix)
 
 
+def _witness(a: np.ndarray, b: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, float]:
+    """`m` clipped at 0 with unit row sums, and its residual max|a @ m - b|.
+
+    A row with nothing left becomes uniform; unless it meets a zero column
+    of `a` (an output never produced), the residual shows it.
+    """
+    m = np.clip(m, 0.0, None)
+    sums = m.sum(axis=1, keepdims=True)
+    m = np.divide(m, sums, out=np.full_like(m, 1.0 / m.shape[1]), where=sums > 0.0)
+    return m, float(np.max(np.abs(a @ m - b)))
+
+
 def check_stochastic_degraded(
     stronger: DiscreteChannel, weaker: DiscreteChannel
 ) -> DegradednessReport:
     """Search for a row-stochastic M with stronger . M ~ weaker.
 
-    The search is a linear program: minimize t subject to
+    The least-squares solution of stronger @ M = weaker, clipped at 0 and
+    with its rows renormalised, is tried first: if its residual is within
+    DEGRADED_TOL it is a checked witness, and the answer is feasible.
+    Otherwise a linear program decides: minimize t subject to
     |(stronger @ M - weaker)[x, j]| <= t for all entries, M >= 0, and unit
     row sums.  The optimum t is the smallest achievable max-norm residual,
-    so feasibility (residual <= DEGRADED_TOL) is decided exactly up to solver
-    tolerance.  The feasible set can be a polytope; one point of it is
-    returned, with no uniqueness claim.
+    so infeasibility (residual > DEGRADED_TOL) is decided exactly up to
+    solver tolerance.  The feasible set can be a polytope; one point of it
+    is returned, with no uniqueness claim.
     """
-    from scipy.optimize import linprog  # deferred: the import costs more than most commands
-
     _check_shared_input(stronger, weaker)
     a = stronger.matrix
     b = weaker.matrix
+    m, residual = _witness(a, b, np.linalg.lstsq(a, b, rcond=None)[0])
+    if residual <= DEGRADED_TOL:
+        return DegradednessReport(feasible=True, residual=residual, intermediate=DiscreteChannel(m))
+
+    from scipy.optimize import linprog  # deferred: the import costs more than most commands
+
     n_mid = stronger.output_size
     n_out = weaker.output_size
     n_var = n_mid * n_out + 1  # vec(M) row-major, then the residual bound t
@@ -303,9 +324,7 @@ def check_stochastic_degraded(
     if not res.success:
         return DegradednessReport(feasible=False, residual=float("inf"), intermediate=None)
 
-    m = np.clip(res.x[:-1].reshape(n_mid, n_out), 0.0, None)
-    m /= m.sum(axis=1, keepdims=True)
-    residual = float(np.max(np.abs(a @ m - b)))
+    m, residual = _witness(a, b, res.x[:-1].reshape(n_mid, n_out))
     return DegradednessReport(
         feasible=residual <= DEGRADED_TOL,
         residual=residual,

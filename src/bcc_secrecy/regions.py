@@ -23,6 +23,8 @@ Four computations are provided, all in bits per channel use:
 * ``wiretap_secrecy_capacity``: max I(V;Y) - I(V;Z), evaluated as
   max_p [phi(p) - vex phi(p)] with phi(q) = H(qW_Y) - H(qW_Z): one lower
   convex hull over the gridded rows P(x|v), so P(v) and |V| need no grid.
+  For binary X the hull is a monotone chain, as in ``upper_right_hull``;
+  only |X| >= 3 imports scipy for Qhull.
 
 Auxiliary distributions are searched on an explicit simplex grid: every
 probability vector whose entries are integer multiples of the resolution
@@ -63,11 +65,11 @@ from .information import entropy_last_axis
 DEFAULT_RESOLUTION = 0.05
 DEFAULT_BUDGET = 5_000_000
 MAX_AUX_CARD = 12
-# A lower facet of the wiretap envelope has a value component of
-# -1/sqrt(1 + |slope|^2) in its unit normal.  Differences of entropies on a
-# 1/k grid have slopes of a few times log2(k |Y| |Z|) at most, so that
+# A lower Qhull facet of the wiretap envelope (|X| >= 3) has a value component
+# of -1/sqrt(1 + |slope|^2) in its unit normal.  Differences of entropies on
+# a 1/k grid have slopes of a few times log2(k |Y| |Z|) at most, so that
 # component lies far below -1e-9; the vertical faces over the simplex's
-# edges (|X| >= 3) come out of Qhull as +-1e-17 and must not count.
+# edges come out of Qhull as +-1e-17 and must not count.
 LOWER_FACET_TOL = 1e-9
 # float64 cells of one (points x facets) block of the envelope, or of the
 # x-maps and channel rows of one general kernel call: 1 MiB.
@@ -178,6 +180,19 @@ def _cross(o, a, b) -> float:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
+def _convex_chain(points: list[list[float]]) -> list[list[float]]:
+    """Andrew's monotone chain: the lower hull of points in ascending x, the upper in descending.
+
+    Points that make no strict left turn, collinear ones included, are dropped.
+    """
+    chain: list[list[float]] = []
+    for p in points:
+        while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
 def upper_right_hull(points: Sequence[RatePoint] | np.ndarray) -> RegionFrontier:
     """Pareto-maximal vertices of the convex hull of the points and (0, 0).
 
@@ -186,11 +201,7 @@ def upper_right_hull(points: Sequence[RatePoint] | np.ndarray) -> RegionFrontier
     """
     if np.size(points) == 0:
         raise InvalidDistribution("empty point set")
-    chain: list[list[float]] = []
-    for p in _pareto(points)[::-1].tolist() + [[0.0, 0.0]]:
-        while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
-            chain.pop()
-        chain.append(p)
+    chain = _convex_chain(_pareto(points)[::-1].tolist() + [[0.0, 0.0]])
     return RegionFrontier(points=[RatePoint(x, y) for x, y in chain[-2::-1]])
 
 
@@ -786,13 +797,19 @@ def _lower_facets(rows: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.
     """Slopes (F, |X| - 1) and offsets (F,) of the lower hull of (q[:-1], value).
 
     The lower convex envelope over the hull of the rows is the maximum of
-    these affine functions of q[:-1].  One lid point above the centroid
-    makes the cloud full-dimensional even when it is flat (equal channels)
-    and lies in no lower facet, so the lower hull is unchanged.
+    these affine functions of q[:-1].  For |X| = 2 the rows are simplex_grid's,
+    q[0] ascending, and the facets are the edges of one monotone chain.  For
+    |X| >= 3 Qhull builds the hull: one lid point above the centroid makes
+    the cloud full-dimensional even when it is flat (equal channels) and
+    lies in no lower facet, so the lower hull is unchanged.
     """
+    nx = rows.shape[1]
+    if nx == 2:
+        x, y = np.array(_convex_chain(np.column_stack([rows[:, 0], values]).tolist())).T
+        slopes = np.diff(y) / np.diff(x)
+        return slopes[:, None], y[:-1] - slopes * x[:-1]
     from scipy.spatial import ConvexHull  # deferred: the import costs more than most commands
 
-    nx = rows.shape[1]
     lid = np.append(np.full(nx - 1, 1.0 / nx), values.max() + 1.0)
     hull = ConvexHull(np.vstack([np.column_stack([rows[:, :-1], values]), lid]))
     # Each row of `equations` is (normal, offset) with normal . x + offset = 0.

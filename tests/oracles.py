@@ -7,7 +7,8 @@ of it shares code with the library's vectorized paths, except
 for the pruned degraded search's bits, so they run its kernel on every
 candidate.  `general_inner_bound_full` is the former general search, one
 kernel call per x-map with the former one-map kernel: the reference for
-the orbit search's bits.
+the orbit search's bits.  `lower_facets_qhull` and `degradedness_lp` are
+the former scipy paths of the wiretap hull and the degradedness check.
 """
 
 from __future__ import annotations
@@ -556,3 +557,50 @@ def wiretap_two_point_binary(main, eve, steps: int) -> float:
                 chord = ((hi - m) * values[lo] + (m - lo) * values[hi]) / (hi - lo)
                 best = max(best, values[m] - chord)
     return best
+
+
+def lower_facets_qhull(rows, values, tol=1e-9) -> tuple[np.ndarray, np.ndarray]:
+    """The former `_lower_facets`: lower facets of (q[:-1], value) from Qhull, for any |X| >= 2.
+
+    A lid point above the centroid makes the cloud full-dimensional; facets
+    whose unit normal has a value component below -tol are the lower ones.
+    """
+    from scipy.spatial import ConvexHull
+
+    nx = rows.shape[1]
+    lid = np.append(np.full(nx - 1, 1.0 / nx), values.max() + 1.0)
+    hull = ConvexHull(np.vstack([np.column_stack([rows[:, :-1], values]), lid]))
+    lower = hull.equations[hull.equations[:, -2] < -tol]
+    value_part = lower[:, -2]
+    return -lower[:, :-2] / value_part[:, None], -lower[:, -1] / value_part
+
+
+def degradedness_lp(stronger, weaker, tol=1e-7) -> tuple[bool, float, np.ndarray | None]:
+    """The former degradedness check: (feasible, residual, M) from the min-max-residual LP.
+
+    Minimize t subject to |(stronger @ M - weaker)[x, j]| <= t, M >= 0 and
+    unit row sums; M is clipped at 0 and renormalised before its residual
+    is measured.
+    """
+    from scipy.optimize import linprog
+
+    a = np.asarray(stronger, dtype=float)
+    b = np.asarray(weaker, dtype=float)
+    n_mid, n_out = a.shape[1], b.shape[1]
+    n_var = n_mid * n_out + 1
+    cost = np.zeros(n_var)
+    cost[-1] = 1.0
+    g = np.kron(a, np.eye(n_out))
+    ones = np.ones((g.shape[0], 1))
+    a_ub = np.vstack([np.hstack([g, -ones]), np.hstack([-g, -ones])])
+    b_ub = np.concatenate([b.ravel(), -b.ravel()])
+    a_eq = np.zeros((n_mid, n_var))
+    for i in range(n_mid):
+        a_eq[i, i * n_out : (i + 1) * n_out] = 1.0
+    res = linprog(cost, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=np.ones(n_mid), method="highs")
+    if not res.success:
+        return False, math.inf, None
+    m = np.clip(res.x[:-1].reshape(n_mid, n_out), 0.0, None)
+    m /= m.sum(axis=1, keepdims=True)
+    residual = float(np.max(np.abs(a @ m - b)))
+    return residual <= tol, residual, m

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -26,8 +27,9 @@ from bcc_secrecy import (
     transmit,
     upper_right_hull,
 )
-from bcc_secrecy.channels import _check_budget, _check_finite, _check_integer, _check_range
+from bcc_secrecy.channels import DEGRADED_TOL, _check_budget, _check_finite, _check_integer, _check_range
 from bcc_secrecy.formats import parse_channel, parse_experiment
+from oracles import degradedness_lp
 
 BSC = DiscreteChannel.binary_symmetric
 
@@ -517,3 +519,45 @@ class TestCheckStochasticDegraded:
         rng = np.random.default_rng(1)
         with pytest.raises(DimensionMismatch):
             check_stochastic_degraded(random_stochastic(rng, 2, 2), random_stochastic(rng, 3, 2))
+
+    def test_verdict_matches_the_lp(self):
+        # The least-squares witness decides only "feasible", and only once
+        # checked; every verdict must be the LP's, and every feasible
+        # witness a row-stochastic M within DEGRADED_TOL.
+        rng = np.random.default_rng(1978)
+        verdicts = []
+        for trial in range(300):
+            n_in, n_mid, n_out = (int(v) for v in rng.integers(1, 6, size=3))
+            if trial % 3 == 0:
+                n_mid = n_out = n_in
+            a = DiscreteChannel(rng.dirichlet(np.full(n_mid, 0.5), size=n_in))
+            if trial % 2 == 0:
+                weaker = cascade(a, DiscreteChannel(rng.dirichlet(np.full(n_out, 0.5), size=n_mid)))
+            else:
+                weaker = DiscreteChannel(rng.dirichlet(np.full(n_out, 0.5), size=n_in))
+            report = check_stochastic_degraded(a, weaker)
+            feasible, _, _ = degradedness_lp(a.matrix, weaker.matrix)
+            assert report.feasible == feasible, (trial, report)
+            m = report.intermediate.matrix
+            residual = float(np.max(np.abs(a.matrix @ m - weaker.matrix)))
+            assert report.residual == residual
+            if feasible:
+                assert m.min() >= 0.0 and np.max(np.abs(m.sum(axis=1) - 1.0)) <= 1e-12
+                assert residual <= DEGRADED_TOL
+            verdicts.append(feasible)
+        assert 150 <= sum(verdicts) <= 250
+
+    def test_unused_output_of_the_stronger_channel(self):
+        # Output 2 of `a` never occurs: column 2 is zero, and so is row 2 of
+        # the least-squares solution, which must not be divided by its sum.
+        a = DiscreteChannel([[0.5, 0.5, 0.0], [0.2, 0.8, 0.0]])
+        m0 = DiscreteChannel([[0.7, 0.3], [0.1, 0.9], [0.4, 0.6]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = check_stochastic_degraded(a, cascade(a, m0))
+            anti = check_stochastic_degraded(a, BSC(0.1))
+        assert report.feasible and report.residual <= DEGRADED_TOL
+        assert np.max(np.abs(report.intermediate.matrix.sum(axis=1) - 1.0)) <= 1e-12
+        assert degradedness_lp(a.matrix, cascade(a, m0).matrix)[0]
+        assert not anti.feasible and anti.residual > DEGRADED_TOL
+        assert not degradedness_lp(a.matrix, BSC(0.1).matrix)[0]

@@ -44,6 +44,19 @@ from oracles import binary_entropy, cmi_direct, equivocation_binning_direct
 BSC = DiscreteChannel.binary_symmetric
 
 
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def run_python(code: str, *args: str) -> str:
+    """Stdout of a fresh interpreter running `code` with `args`, the package on its path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout
+
+
 def bsc_marginals_dict(p1, p2, p3):
     return {
         "type": "bcc-marginals",
@@ -611,31 +624,50 @@ class TestCliWiretapAndCheck:
         code = (
             "import sys; from bcc_secrecy.cli import run; "
             f"[run(['simulate', '--config', c, '--out', c + '.out']) for c in sys.argv[1:]]; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            f"print({SCIPY_MODULES})"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         configs = [str(superposition_config), str(binning_config)]
-        done = subprocess.run(
-            [sys.executable, "-c", code, *configs], env=env, capture_output=True, text=True, check=True
-        )
-        assert done.stdout.splitlines()[-1] == "[]"
+        assert run_python(code, *configs).splitlines()[-1] == "[]"
         for config in configs:
             trials = json.loads(Path(config + ".out").read_text())["trials"]
             lo, hi = trials["confidence_interval"]
             assert 0.0 <= lo <= trials["pe_estimate"] <= hi <= 1.0 and lo < hi
 
     def test_cli_import_loads_no_scipy(self):
+        assert run_python(f"import sys, bcc_secrecy.cli; print({SCIPY_MODULES})") == "[]\n"
+
+    def test_binary_wiretap_and_feasible_check_load_no_scipy(self, tmp_path, cascade_file):
+        # The binary hull is a monotone chain and a checked least-squares
+        # witness proves degradedness; Qhull (|X| >= 3) and the LP (no
+        # witness found) still run, with the values they gave before.
+        ternary = tmp_path / "ternary.json"
+        ternary.write_text(json.dumps({
+            "type": "bcc-marginals",
+            "py1x": [[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]],
+            "py2x": [[0.7, 0.2, 0.1], [0.1, 0.7, 0.2], [0.2, 0.1, 0.7]],
+            "pzx": [[0.5, 0.3, 0.2], [0.2, 0.5, 0.3], [0.3, 0.2, 0.5]],
+        }))
+        anti = tmp_path / "anti.json"
+        anti.write_text(json.dumps(bsc_marginals_dict(0.1, 0.05, 0.2)))
         code = (
-            "import sys, bcc_secrecy.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+            "import sys; from bcc_secrecy.cli import run; "
+            "run(['wiretap', '--file', sys.argv[1], '--grid', '0.005']); "
+            "run(['check', 'degraded', '--file', sys.argv[1]]); "
+            f"print({SCIPY_MODULES}); "
+            "run(['wiretap', '--file', sys.argv[2], '--grid', '0.1']); "
+            "run(['check', 'degraded', '--file', sys.argv[3]]); "
+            "print('scipy.spatial' in sys.modules, 'scipy.optimize' in sys.modules)"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        done = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        assert done.stdout == "[]\n"
+        lines = run_python(code, cascade_file, str(ternary), str(anti)).splitlines()
+        assert lines[0] == "secrecy_capacity_bits=0.497837358907"
+        assert lines[1].startswith("y1->y2: feasible=true ")
+        assert lines[2].startswith("y2->z: feasible=true ")
+        assert lines[4] == "[]"
+        assert lines[5] == "secrecy_capacity_bits=0.563486767603"
+        assert lines[6] == "y1->y2: feasible=false residual=5.000000e-02"
+        assert lines[7].startswith("y2->z: feasible=true ")
+        assert json.loads(lines[8])["y1->y2"] == [[1.0, 0.0], [0.0, 1.0]]
+        assert lines[9] == "True True"
 
     def test_check_degraded_on_cascade(self, capsys, cascade_file):
         assert run(["check", "degraded", "--file", cascade_file]) == 0

@@ -62,6 +62,7 @@ from oracles import (
     general_inner_bound_full,
     general_terms_one_map,
     hull_two_chain,
+    lower_facets_qhull,
     pareto_lexsort,
     simplex_grid_compositions,
     verify_frontier_shape,
@@ -70,6 +71,16 @@ from oracles import (
 )
 
 BSC = DiscreteChannel.binary_symmetric
+
+
+def benchmark_chains():
+    """The BSC crossovers (p1, p2, p3) of bench/workloads.py's ten seeds."""
+    workloads = {}
+    source = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    exec(compile(source.read_text(), str(source), "exec"), workloads)
+    return [workloads["bsc_chain"](seed) for seed in (0, 20080626, *range(101, 109))]
+
+
 CANONICAL = GaussianParams(power=1.0, n1=0.25, n2=0.5, n3=1.0)
 
 
@@ -1401,14 +1412,10 @@ class TestWiretapSecrecyCapacity:
                 assert value == pytest.approx(expected, abs=1e-12), (steps, value, expected)
 
     def test_benchmark_chains_attain_the_closed_form(self):
-        workloads = {}
-        source = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-        exec(compile(source.read_text(), str(source), "exec"), workloads)
-        for seed in (0, 20080626, *range(101, 109)):
-            p1, _, p3 = workloads["bsc_chain"](seed)
+        for p1, _, p3 in benchmark_chains():
             value = wiretap_secrecy_capacity(BSC(p1), BSC(p3), resolution=0.005)
             expected = binary_entropy(p3) - binary_entropy(p1)
-            assert value == pytest.approx(expected, abs=1e-12), seed
+            assert value == pytest.approx(expected, abs=1e-12), (p1, p3)
 
     def test_lower_facets_support_phi_and_skip_vertical_faces(self):
         from scipy.spatial import ConvexHull
@@ -1445,6 +1452,35 @@ class TestWiretapSecrecyCapacity:
         assert value == pytest.approx(0.0, abs=1e-12)
         # Qhull's own heap is not traced; it holds only the 501 rows.
         assert peak < 4 * 2**20, peak
+
+    def test_binary_chain_envelope_equals_qhull(self):
+        # Binary X takes its lower hull from a monotone chain, not Qhull:
+        # the envelope must be the former facets' at every 1/k^2 point P(x),
+        # and the value the one those facets give.
+        rng = np.random.default_rng(1957)
+        pairs = [
+            tuple(rng.dirichlet(np.ones(int(rng.integers(2, 4))), size=2) for _ in "ab")
+            for _ in range(100)
+        ]
+        pairs += [(BSC(p1).matrix, BSC(p3).matrix) for p1, _, p3 in benchmark_chains()]
+        pairs += [(BSC(0.3).matrix, BSC(0.05).matrix), (BSC(0.2).matrix, BSC(0.2).matrix)]
+        positive = 0
+        for main, eve in pairs:
+            for steps in (1, 2, 5, 20, 200):
+                rows = simplex_grid(2, steps)
+                phi = _wiretap_phi(rows, main, eve)
+                p = simplex_grid(2, steps * steps)
+                chain, qhull = (
+                    (np.multiply.outer(slopes[:, 0], p[:, 0]) + offsets[:, None]).max(axis=0)
+                    for slopes, offsets in (_lower_facets(rows, phi), lower_facets_qhull(rows, phi))
+                )
+                assert np.max(np.abs(chain - qhull)) <= 1e-12, (main, eve, steps)
+                expected = max(0.0, float(np.max(_wiretap_phi(p, main, eve) - qhull)))
+                channels = (DiscreteChannel(main), DiscreteChannel(eve))
+                value = wiretap_secrecy_capacity(*channels, resolution=1 / steps)
+                assert value == pytest.approx(expected, abs=1e-12), (main, eve, steps)
+                positive += expected > 0.01
+        assert positive >= 200
 
 
 def relabel(channels, names, alphabet):
