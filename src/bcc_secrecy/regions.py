@@ -6,10 +6,10 @@ Four computations are provided, all in bits per channel use:
   discrete channels, driven by a pair of auxiliary variables (V1, V2).
   Each auxiliary candidate yields a pentagon {r1 <= A, r2 <= B,
   r1 + r2 <= S}; its two dominant corners are collected and hulled.
-  Every joint is evaluated under one x-map per relabelling orbit of
-  (V1, V2), and under the other maps of the orbit only where its corners
-  can reach the Pareto staircase: the frontier is the full grid search's,
-  bit for bit.
+  One joint per relabelling orbit of (V1, V2) is evaluated under every
+  x-map, and the other joints of its orbit, under its x-maps relabelled,
+  only where its corners can reach the Pareto staircase: the frontier is
+  the full grid search's, bit for bit.
 * ``degraded_region_inner``: the layered (cloud/satellite) region for
   degraded channels, driven by a single auxiliary U.  Its rates split per
   letter (Csiszar-Korner), so per-row tables bound the candidates of
@@ -36,7 +36,11 @@ than silently truncated.  Both region searches share one search loop:
 the budget is checked before any grid is built, the loop folds each
 chunk of candidates into one running Pareto staircase, and one hull runs
 on the final staircase.  Candidates are independent, so the result
-depends neither on evaluation order nor on how the grid is split.
+depends neither on evaluation order nor on how the grid is split.  Both
+name the relabelling orbits of their grid of P(u) or P(v1, v2) alike
+(``_orbits``), by the lexicographically largest member.  Where P(u) or
+P(v1, v2) has weight 0, both fix the conditional row to row 0, since it
+adds +0.0 to every kernel sum.
 
 Each region kernel computes the per-letter terms of a batch of
 candidates (one candidate's, unclamped: ``degraded_rate_terms`` and
@@ -72,7 +76,7 @@ MAX_AUX_CARD = 12
 # edges come out of Qhull as +-1e-17 and must not count.
 LOWER_FACET_TOL = 1e-9
 # float64 cells of one (points x facets) block of the envelope, or of the
-# x-maps and channel rows of one general kernel call: 1 MiB.
+# x-maps and channel rows of one general kernel call in either pass: 1 MiB.
 ENVELOPE_BLOCK_CELLS = 1 << 17
 # A degraded candidate's rates, bounded from per-row tables, differ from
 # the kernel's by round-off, about 1e-15.  A candidate is skipped only when
@@ -267,15 +271,16 @@ def _compositions(parts: int, total: int) -> np.ndarray:
 def _composition_blocks(parts: int, total: int, block: int) -> Iterator[np.ndarray]:
     """The rows of _compositions(parts, total) in order, at most `block` at a time.
 
-    Memory stays proportional to `block`: a split with too many rows recurses
-    on its first part, and two parts run as ranges of the first.
+    Memory stays proportional to `block`: two parts run as ranges of the
+    first, which is far faster than stars and bars, and a split of more parts
+    with too many rows recurses on its first part.
     """
-    if _simplex_count(parts, total) <= block:
-        yield _compositions(parts, total)
-    elif parts == 2:
+    if parts == 2:
         for start in range(0, total + 1, block):
             first = np.arange(start, min(start + block, total + 1))
             yield np.column_stack([first, total - first])
+    elif _simplex_count(parts, total) <= block:
+        yield _compositions(parts, total)
     else:
         for first in range(total + 1):
             for rest in _composition_blocks(parts - 1, total - first, block):
@@ -461,20 +466,34 @@ def _degraded_survivors(weights, axes, tables, staircase) -> np.ndarray:
     return np.stack([axis[i] for axis, i in zip(axes, kept)], axis=1)
 
 
-def _relabellings(u_card: int, steps: int) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Each non-increasing P(u) step, with every other step that relabels it.
+def _orbits(counts: np.ndarray, v1: int, v2: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each grid row's orbit under relabelling the two axes of its (V1, V2) matrix.
 
-    Yields (weights, targets, perms) for each non-increasing composition of
-    `steps` into `u_card` parts, in _compositions order: the rows of
-    `targets` are the other compositions with the same entries, and
-    weights[perms[j]] == targets[j], one fixed permutation per target.
+    `counts` is _compositions(v1 * v2, steps), each row a row-major (V1, V2)
+    matrix.  An orbit of S_{V1} x S_{V2} is named by its lexicographically
+    largest member: for each permutation of the shorter axis, stable sorts
+    in descending order, last entry first, put the lines of the longer axis
+    in descending order, which maximises over the other factor.  That
+    member's rank in _compositions order is its own grid row.
+
+    Returns, for every row i, the row rep[i] of its orbit's representative
+    and a cell permutation sigma[i] with counts[rep[i]] == counts[i][sigma[i]].
     """
-    grid = _compositions(u_card, steps)
-    order = np.argsort(-grid, axis=1, kind="stable")
-    reps, orbit = np.unique(np.take_along_axis(grid, order, axis=1), axis=0, return_inverse=True)
-    for r, weights in enumerate(reps):
-        others = (orbit.ravel() == r) & (grid != weights).any(axis=1)
-        yield weights, grid[others], np.argsort(order[others], axis=1)
+    flip = v2 > v1
+    cells = np.arange(v1 * v2).reshape(v1, v2)
+    lines = cells.T if flip else cells  # cell numbers, (long axis, short axis)
+    rep, sigma = np.full(len(counts), -1), np.empty(counts.shape, dtype=np.intp)
+    for cols in itertools.permutations(range(lines.shape[1])):
+        source = np.broadcast_to(lines[:, cols], (len(counts), *lines.shape))
+        for col in reversed(range(lines.shape[1])):
+            entries = np.take_along_axis(counts, source[:, :, col], axis=1)
+            order = np.argsort(-entries, axis=1, kind="stable")
+            source = np.take_along_axis(source, order[:, :, None], axis=1)
+        perm = (source.transpose(0, 2, 1) if flip else source).reshape(len(counts), -1)
+        rank = _lex_rank(list(np.take_along_axis(counts, perm[:, :-1], axis=1).T), steps)
+        better = rank > rep
+        rep, sigma = np.where(better, rank, rep), np.where(better[:, None], perm, sigma)
+    return rep, sigma
 
 
 def degraded_region_inner(
@@ -529,7 +548,12 @@ def degraded_region_inner(
             terms = _degraded_terms(weights / steps, np.take(rows, picks, axis=0), mz, picked)
             return _degraded_rates(terms)
 
-        for weights, targets, perms in _relabellings(u_card, steps):
+        grid = _compositions(u_card, steps)
+        rep, sigma = _orbits(grid, u_card, 1, steps)
+        for r in np.flatnonzero(rep == np.arange(len(grid))):
+            weights, others = grid[r], np.flatnonzero(rep == r)
+            others = others[others != r]
+            targets, perms = grid[others], np.argsort(sigma[others], axis=1)
             axes = [np.arange(len(rows) if w else 1) for w in weights]
             per_block = max(1, DEGRADED_BLOCK // math.prod(len(axis) for axis in axes[1:]))
             for start in range(0, len(axes[0]), per_block):
@@ -638,62 +662,6 @@ def general_rate_corners(
     return RatePoint(*first), RatePoint(*second)
 
 
-def _picks(numbers, n_rows: int, v1: int, v2: int) -> np.ndarray:
-    """Pick matrices (N, V1, V2) of pick numbers: their row-major digits in base n_rows."""
-    digits = numbers[:, None] // n_rows ** np.arange(v1 * v2 - 1, -1, -1) % n_rows
-    return digits.reshape(-1, v1, v2)
-
-
-def _xmap_orbits(n_rows: int, v1: int, v2: int):
-    """The x-maps up to relabelling V1 and V2, each with the maps that relabel it.
-
-    An x-map is a pick matrix (V1, V2) of row indices in range(n_rows),
-    numbered by its row-major digits (itertools.product order).  A pick's
-    orbit under S_{V1} x S_{V2} is named by its least number over the
-    group: for each permutation of the shorter axis, sorting the lines of
-    the other axis minimises over that factor.  The pick with the least
-    number represents its orbit.  Picks are named a block at a time, so
-    the listing holds a few dozen bytes per pick.
-
-    Returns the representatives' numbers (R,) and, for every other pick,
-    sorted by orbit: its representative's index `owner`, its number, and
-    `perm1`, `perm2` with pick[i, j] == rep[perm1[i], perm2[j]].
-    """
-    n_picks, flip = n_rows ** (v1 * v2), v2 > v1
-    n_long, n_short = (v2, v1) if flip else (v1, v2)
-    entry_place = n_rows ** np.arange(n_short - 1, -1, -1)
-    line_place = (n_rows**n_short) ** np.arange(n_long - 1, -1, -1)
-    # One row index fixes every pick, and the group acts on nothing.
-    shorts = list(itertools.permutations(range(n_short))) if n_rows > 1 else [range(n_short)]
-    pick_place = n_rows ** np.arange(v1 * v2 - 1, -1, -1)
-    chunk = max(1, ENVELOPE_BLOCK_CELLS // (v1 * v2))
-    rep_of = np.empty(n_picks, dtype=np.int64)
-    sigma1, sigma2 = np.empty((n_picks, v1), np.int8), np.empty((n_picks, v2), np.int8)
-    for start in range(0, n_picks, chunk):
-        numbers = np.arange(start, min(start + chunk, n_picks))
-        picks = _picks(numbers, n_rows, v1, v2)
-        lines = picks.transpose(0, 2, 1) if flip else picks
-        least = np.full(len(numbers), np.iinfo(np.int64).max)
-        long_perm = np.zeros((len(numbers), n_long), dtype=np.intp)
-        short_perm = np.zeros((len(numbers), n_short), dtype=np.intp)
-        for cols in shorts:
-            codes = lines[:, :, cols] @ entry_place
-            order = np.argsort(codes, axis=1, kind="stable")
-            number = np.take_along_axis(codes, order, axis=1) @ line_place
-            better = number < least
-            least[better], long_perm[better] = number[better], order[better]
-            short_perm[better] = cols
-        s1, s2 = (short_perm, long_perm) if flip else (long_perm, short_perm)
-        rep = picks[np.arange(len(numbers))[:, None, None], s1[:, :, None], s2[:, None, :]]
-        rep_of[numbers] = rep.reshape(len(numbers), -1) @ pick_place
-        sigma1[numbers], sigma2[numbers] = s1, s2
-    reps, orbit = np.unique(rep_of, return_inverse=True)
-    others = np.flatnonzero(rep_of != np.arange(n_picks))
-    others = others[np.argsort(orbit[others], kind="stable")]
-    perm1, perm2 = (np.argsort(sigma[others], axis=1).astype(np.int8) for sigma in (sigma1, sigma2))
-    return reps, orbit[others], others, perm1, perm2
-
-
 def general_inner_bound(
     py1x: DiscreteChannel,
     py2x: DiscreteChannel,
@@ -713,14 +681,15 @@ def general_inner_bound(
     auxiliaries), or over gridded rows when `deterministic_x` is false.
 
     Relabelling V1 and V2 moves a candidate to another (joint, x-map) with
-    the same rates up to round-off, so every joint goes through the kernel
-    under one x-map per relabelling orbit (_xmap_orbits).  The candidates
-    whose two corners the running staircase does not both beat by
-    PRUNE_MARGIN then go through it again under every other map of their
-    orbit, each on its joint relabelled the same way.  A corner coordinate
-    that is exactly 0 in every relabelling is a -inf target, which any
-    point beats (_general_targets).  A candidate on the exact Pareto
-    staircase has a representative whose kernel point lies within
+    the same rates up to round-off, so the kernel first runs one joint per
+    relabelling orbit (_orbits) under every x-map.  A cell of weight 0 adds
+    +0.0 whatever row it picks, so it is fixed to row 0.  The candidates
+    whose two corners the staircase of that pass does not both beat by
+    PRUNE_MARGIN then go through the kernel again on every other joint of
+    their orbit, each under its x-map relabelled the same way.  A corner
+    coordinate that is exactly 0 in every relabelling is a -inf target,
+    which any point beats (_general_targets).  A candidate on the exact
+    Pareto staircase has a representative whose kernel point lies within
     round-off of its rates, so it passes that test and is evaluated
     itself: the frontier is the full search's, bit for bit.  The kernel
     runs on blocks of ENVELOPE_BLOCK_CELLS cells of x-maps and channel
@@ -742,12 +711,29 @@ def general_inner_bound(
         joints = (counts / steps).reshape(-1, v1, v2)
         i_v1_v2 = _mi_from_joint(joints)
         x_rows = np.eye(nx) if deterministic_x else simplex_grid(nx, steps)
-        rep_numbers, owner, mates, perm1, perm2 = _xmap_orbits(n_rows, v1, v2)
-        reps = _picks(rep_numbers, n_rows, v1, v2)
+        # With one row every x-map is the same, so no joint needs another of
+        # its orbit, and naming orbits would sort the grid min(V1, V2)! times.
+        grid_rows = np.arange(len(counts))
+        rep, sigma = _orbits(counts, v1, v2, steps) if n_rows > 1 else (grid_rows, None)
+        # Representative joint own[r] takes every pick of its nonzero cells,
+        # numbered by their row-major digits in base n_rows; its candidates
+        # end at rep_ends[r].
+        own = np.flatnonzero(rep == grid_rows)
+        used = counts[own] > 0
+        place = n_rows ** (np.cumsum(used[:, ::-1], axis=1)[:, ::-1] - used)
+        per_rep = n_rows ** used.sum(axis=1)
+        rep_ends = np.cumsum(per_rep)
+
+        def first_pass(flat):
+            """Joint rows and picks (C, V1 V2) of first-pass candidates, weight-0 cells on row 0."""
+            r = np.searchsorted(rep_ends, flat, side="right")
+            number = flat - rep_ends[r] + per_rep[r]
+            return own[r], number[:, None] // place[r] % n_rows * used[r]
 
         def corners(joint_rows, picks):
             """Sides and corners of the candidates joints[joint_rows[i]] under x-map picks[i]."""
-            terms = _general_terms(joints[joint_rows], x_rows[picks], my1, my2, mz)
+            xmaps = x_rows[picks].reshape(len(picks), v1, v2, nx)
+            terms = _general_terms(joints[joint_rows], xmaps, my1, my2, mz)
             sides = _general_sides({**terms, "i_v1_v2": i_v1_v2[joint_rows]})
             return sides, _general_corners(*sides)
 
@@ -756,12 +742,10 @@ def general_inner_bound(
             dropped = _dominated(*targets.reshape(2, -1), staircase - PRUNE_MARGIN)
             return dropped.reshape(2, -1).all(axis=0)
 
-        # Every joint under each representative map: candidate c is joint c % |joints|.
-        n_first = len(reps) * len(joints)
         kept, targets = [], []
-        for start in range(0, n_first, block):
-            flat = np.arange(start, min(start + block, n_first))
-            sides, points = corners(flat % len(joints), reps[flat // len(joints)])
+        for start in range(0, rep_ends[-1], block):
+            flat = np.arange(start, min(start + block, rep_ends[-1]))
+            sides, points = corners(*first_pass(flat))
             staircase = add(points)
             target = _general_targets(*sides, points)
             live = ~beaten(target, staircase)
@@ -769,21 +753,20 @@ def general_inner_bound(
             targets.append(target[..., live])
         # Each block's survivors, tested again against the final staircase.
         live = [flat[~beaten(target, staircase)] for flat, target in zip(kept, targets)]
-        rep, joint = np.divmod(np.concatenate(live), len(joints))
-        # Each survivor k under every other map of its orbit, on its joint relabelled the
-        # same way.  Its candidates end at ends[k], and its orbit's entries of `mates` end at
-        # orbit_ends[rep[k]], so candidate c takes mate c - ends[k] + orbit_ends[rep[k]].
-        orbit_ends = np.cumsum(np.bincount(owner, minlength=len(reps)))
-        per_row = np.diff(orbit_ends, prepend=0)[rep]
-        ends = np.cumsum(per_row)
-        grid = counts.reshape(-1, v1, v2)
-        for start in range(0, per_row.sum(), block):
+        joint, pick = first_pass(np.concatenate(live))
+        # Each survivor k on every other joint of its orbit, under its x-map relabelled the
+        # same way.  `mates` lists those joints by orbit, k's ending at hi[k], and k's
+        # candidates end at ends[k], so candidate c takes mates[c - ends[k] + hi[k]].
+        mates = np.flatnonzero(rep != grid_rows)
+        mates = mates[np.argsort(rep[mates], kind="stable")]
+        lo, hi = (np.searchsorted(rep[mates], joint, side=side) for side in ("left", "right"))
+        ends = np.cumsum(hi - lo)
+        for start in range(0, (hi - lo).sum(), block):
             flat = np.arange(start, min(start + block, ends[-1]))
             k = np.searchsorted(ends, flat, side="right")
-            mate = flat - ends[k] + orbit_ends[rep[k]]
-            moved = grid[joint[k, None, None], perm1[mate][:, :, None], perm2[mate][:, None, :]]
-            joint_rows = _lex_rank(list(moved.reshape(len(flat), -1)[:, :-1].T), steps)
-            add(corners(joint_rows, _picks(mates[mate], n_rows, v1, v2))[1])
+            mate = mates[flat - ends[k] + hi[k]]
+            moved = np.take_along_axis(pick[k], np.argsort(sigma[mate], axis=1), axis=1)
+            add(corners(mate, moved)[1])
 
     return _search(_simplex_count(v1 * v2, steps), n_rows ** (v1 * v2), budget, fill)
 

@@ -7,8 +7,10 @@ of it shares code with the library's vectorized paths, except
 for the pruned degraded search's bits, so they run its kernel on every
 candidate.  `general_inner_bound_full` is the former general search, one
 kernel call per x-map with the former one-map kernel: the reference for
-the orbit search's bits.  `lower_facets_qhull` and `degradedness_lp` are
-the former scipy paths of the wiretap hull and the degradedness check.
+the orbit search's bits.  `relabellings` is the former orbit listing of
+the degraded search, the reference for the joint orbits at |V2| = 1.
+`lower_facets_qhull` and `degradedness_lp` are the former scipy paths of
+the wiretap hull and the degradedness check.
 """
 
 from __future__ import annotations
@@ -125,6 +127,24 @@ def degraded_region_full(py1x, py2x, pzx, steps: int, u_card: int) -> np.ndarray
 
     steps_terms = degraded_terms_full(py1x, py2x, pzx, steps, u_card)
     return np.vstack([regions._degraded_rates(terms) for _, terms in steps_terms])
+
+
+def relabellings(u_card: int, steps: int):
+    """Each non-increasing P(u) step, with every other step that relabels it.
+
+    Yields (weights, targets, perms) for each non-increasing composition of
+    `steps` into `u_card` parts, in _compositions order: the rows of
+    `targets` are the other compositions with the same entries, and
+    weights[perms[j]] == targets[j], one fixed permutation per target.
+    """
+    from bcc_secrecy import regions
+
+    grid = regions._compositions(u_card, steps)
+    order = np.argsort(-grid, axis=1, kind="stable")
+    reps, orbit = np.unique(np.take_along_axis(grid, order, axis=1), axis=0, return_inverse=True)
+    for r, weights in enumerate(reps):
+        others = (orbit.ravel() == r) & (grid != weights).any(axis=1)
+        yield weights, grid[others], np.argsort(order[others], axis=1)
 
 
 def general_terms_one_map(joint_batch, xmap, my1, my2, mz) -> dict[str, np.ndarray]:

@@ -45,11 +45,9 @@ from bcc_secrecy.regions import (
     _degraded_tables,
     _general_terms,
     _lower_facets,
+    _orbits,
     _pareto,
-    _picks,
-    _relabellings,
     _wiretap_phi,
-    _xmap_orbits,
 )
 from oracles import (
     binary_entropy,
@@ -64,6 +62,7 @@ from oracles import (
     hull_two_chain,
     lower_facets_qhull,
     pareto_lexsort,
+    relabellings,
     simplex_grid_compositions,
     verify_frontier_shape,
     wiretap_grid_search,
@@ -482,6 +481,10 @@ class TestSimplexGrid:
                     pieces = list(_composition_blocks(parts, total, block))
                     assert max(len(piece) for piece in pieces) <= block
                     assert np.array_equal(np.vstack(pieces), whole), (parts, total, block)
+        # The binary wiretap's P(x) grid at 1/200^2 fits one block, as ranges.
+        (piece,) = _composition_blocks(2, 40000, ENVELOPE_BLOCK_CELLS)
+        whole = _compositions(2, 40000)
+        assert piece.dtype == whole.dtype and np.array_equal(piece, whole)
 
 
 DEGRADED = (BSC(0.05), BSC(0.14), BSC(0.2336))
@@ -792,15 +795,26 @@ class TestOrbitSearch:
 
     @pytest.mark.parametrize("u_card,steps", [(1, 7), (2, 9), (3, 12), (4, 6), (5, 3)])
     def test_relabellings_cover_the_grid_once(self, u_card, steps):
+        # With |V2| = 1 the joint orbits are the degraded search's P(u)
+        # orbits: the same representatives in the same order, the same
+        # targets and the same permutations as the former listing.
+        grid = _compositions(u_card, steps)
+        rep, sigma = _orbits(grid, u_card, 1, steps)
+        reps = np.flatnonzero(rep == np.arange(len(grid)))
         seen = []
-        for weights, targets, perms in _relabellings(u_card, steps):
+        for r, (weights, targets, perms) in zip(reps, relabellings(u_card, steps), strict=True):
+            others = np.flatnonzero(rep == r)
+            others = others[others != r]
+            assert np.array_equal(grid[r], weights)
+            assert np.array_equal(grid[others], targets)
+            assert np.array_equal(np.argsort(sigma[others], axis=1), perms)
             assert np.all(weights[:-1] >= weights[1:])
             assert len({w.tobytes() for w in targets}) == len(targets)
             for target, perm in zip(targets, perms):
                 assert sorted(perm) == list(range(u_card))
                 assert np.array_equal(weights[perm], target)
             seen += [tuple(weights), *map(tuple, targets)]
-        assert sorted(seen) == sorted(map(tuple, _compositions(u_card, steps)))
+        assert sorted(seen) == sorted(map(tuple, grid))
 
     def test_bound_pass_sees_only_non_increasing_p_u(self, monkeypatch):
         # At 1/20 and u_card 3, 44 of the 231 steps are non-increasing, and
@@ -1121,9 +1135,9 @@ def seeded_binary(seed):
 def general_orbit_cases():
     """(name, chain, steps, v1, v2, deterministic_x): the orbit search's bits cases.
 
-    Seeds 207, 210, 218 and 311 and the TERNARY triple have frontier
-    vertices that only a relabelled x-map reaches, so the second pass is
-    checked too (test_relabelled_maps_carry_vertices).
+    Seeds 210 and 311 (at |V1| = 3) have frontier vertices that only a
+    joint representing no orbit reaches, so the second pass is checked
+    too (test_relabelled_maps_carry_vertices).
     """
     held_out = [BSC(p) for p in (0.044, 0.15, 0.2369)]
     return [
@@ -1140,14 +1154,14 @@ def general_orbit_cases():
 
 GENERAL_ORBIT_CASES = general_orbit_cases()
 GENERAL_ORBIT_IDS = [case[0] for case in GENERAL_ORBIT_CASES]
-# Frontier vertices that, bit for bit, only x-maps representing no orbit reach.
+# Frontier vertices that, bit for bit, only joints representing no orbit reach.
 RELABELLED_VERTICES = {
-    "binary-207": 1,
-    "binary-210": 1,
-    "binary-218": 1,
-    "binary-311-stochastic-x": 2,
-    "ternary": 1,
-    "binary-311-v3-v2": 1,
+    "binary-207": 0,
+    "binary-210": 2,
+    "binary-218": 0,
+    "binary-311-stochastic-x": 0,
+    "ternary": 0,
+    "binary-311-v3-v2": 2,
 }
 RELABELLED_CASES = [case for case in GENERAL_ORBIT_CASES if case[0] in RELABELLED_VERTICES]
 RELABELLED_IDS = [case[0] for case in RELABELLED_CASES]
@@ -1159,49 +1173,61 @@ def orbit_search(chain, steps, v1, v2, deterministic_x):
     )
 
 
+def group_images(row, v1, v2):
+    """Every relabelling of a row-major (V1, V2) matrix, brute force."""
+    matrix = np.asarray(row).reshape(v1, v2)
+    return {
+        tuple(matrix[np.ix_(p1, p2)].ravel())
+        for p1 in itertools.permutations(range(v1))
+        for p2 in itertools.permutations(range(v2))
+    }
+
+
 class TestGeneralOrbitSearch:
-    """One x-map per relabelling orbit for every joint; the others only where they can count."""
+    """One joint per relabelling orbit under every x-map; the others only where they can count."""
+
+    @pytest.mark.parametrize("steps", [1, 2, 5])
+    @pytest.mark.parametrize("v1,v2", [(2, 2), (3, 2), (2, 3), (1, 4), (4, 1), (3, 3)])
+    def test_representative_is_largest_over_the_group(self, v1, v2, steps):
+        counts = _compositions(v1 * v2, steps)
+        rep, _ = _orbits(counts, v1, v2, steps)
+        for row, r in zip(counts, rep):
+            assert tuple(counts[r]) == max(group_images(row, v1, v2))
 
     @pytest.mark.parametrize(
-        "n_rows,v1,v2,orbits",
-        [
-            (2, 2, 2, 7),
-            (2, 3, 2, 13),
-            (2, 2, 3, 13),
-            (3, 2, 2, 27),
-            (5, 2, 2, 175),
-            (2, 3, 3, 36),
-            (3, 3, 3, 738),
-            (2, 1, 4, 5),
-            (2, 4, 1, 5),
-            (3, 1, 1, 3),
-            (1, 12, 12, 1),
-        ],
+        "v1,v2,steps,orbits",
+        [(2, 2, 20, 451), (3, 2, 10, 280), (2, 3, 2, 4), (3, 3, 5, 51), (1, 4, 5, 6), (1, 1, 7, 1)],
     )
-    def test_orbits_cover_every_pick_once(self, n_rows, v1, v2, orbits):
-        rep_numbers, owner, numbers, perm1, perm2 = _xmap_orbits(n_rows, v1, v2)
-        assert len(rep_numbers) == orbits
-        assert np.all(owner[:-1] <= owner[1:])
-        assert sorted([*rep_numbers, *numbers]) == list(range(n_rows ** (v1 * v2)))
-        reps, mates = (_picks(n, n_rows, v1, v2) for n in (rep_numbers, numbers))
-        picks = sorted(tuple(p.ravel()) for p in (*reps, *mates))
-        assert picks == list(itertools.product(range(n_rows), repeat=v1 * v2))
-        for r, pick, p1, p2 in zip(owner, mates, perm1, perm2):
-            assert sorted(p1) == list(range(v1)) and sorted(p2) == list(range(v2))
-            assert np.array_equal(reps[r][p1[:, None], p2[None, :]], pick)
+    def test_orbits_cover_every_composition_once(self, v1, v2, steps, orbits):
+        # Each row's representative lies in its orbit through a relabelling
+        # of the two axes, and rows share a representative exactly when
+        # they share an orbit.
+        counts = _compositions(v1 * v2, steps)
+        rep, sigma = _orbits(counts, v1, v2, steps)
+        own = np.flatnonzero(rep == np.arange(len(counts)))
+        assert len(own) == orbits
+        assert np.array_equal(rep[own], own)
+        assert np.array_equal(counts[rep], np.take_along_axis(counts, sigma, axis=1))
+        cells = sigma.reshape(-1, v1, v2)
+        p1, p2 = cells[:, :, 0] // v2, cells[:, 0, :] % v2
+        assert np.array_equal(cells, p1[:, :, None] * v2 + p2[:, None, :])
+        assert np.array_equal(np.sort(p1, axis=1), np.broadcast_to(np.arange(v1), p1.shape))
+        assert np.array_equal(np.sort(p2, axis=1), np.broadcast_to(np.arange(v2), p2.shape))
+        images = [group_images(counts[r], v1, v2) for r in own]
+        assert sum(map(len, images)) == len(counts)
+        for r, image in zip(own, images):
+            assert set(map(tuple, counts[rep == r])) == image
 
-    @pytest.mark.parametrize("n_rows,v1,v2", [(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 2, 3)])
-    def test_representative_is_least_over_the_group(self, n_rows, v1, v2):
-        rep_numbers, owner, numbers, _, _ = _xmap_orbits(n_rows, v1, v2)
-        reps, mates = (_picks(n, n_rows, v1, v2) for n in (rep_numbers, numbers))
-        for r, rep in enumerate(reps):
-            orbit = {
-                tuple(rep[np.ix_(p1, p2)].ravel())
-                for p1 in itertools.permutations(range(v1))
-                for p2 in itertools.permutations(range(v2))
-            }
-            assert tuple(rep.ravel()) == min(orbit)
-            assert orbit == {tuple(rep.ravel()), *(tuple(m.ravel()) for m in mates[owner == r])}
+    def test_one_row_names_no_orbits(self, monkeypatch):
+        # With one x-map row every map is the same, so each joint runs once;
+        # naming orbits at |V1| = |V2| = 12 would take 12! passes over the grid.
+        def refuse(*args):
+            raise AssertionError("orbits named for one x-map row")
+
+        monkeypatch.setattr(regions, "_orbits", refuse)
+        flat = [DiscreteChannel(np.array([[0.5, 0.5]]))] * 3
+        frontier = general_inner_bound(*flat, resolution=1, v1_card=12, v2_card=12)
+        assert frontier.points == [RatePoint(0.0, 0.0)]
 
     @pytest.mark.parametrize(
         "name,chain,steps,v1,v2,deterministic_x", GENERAL_ORBIT_CASES, ids=GENERAL_ORBIT_IDS
@@ -1215,16 +1241,16 @@ class TestGeneralOrbitSearch:
         "name,chain,steps,v1,v2,deterministic_x", RELABELLED_CASES, ids=RELABELLED_IDS
     )
     def test_relabelled_maps_carry_vertices(self, name, chain, steps, v1, v2, deterministic_x):
-        # The full search's cloud holds each x-map's corners in turn, in
-        # itertools.product order of its picks, which is the order of pick
-        # numbers; some frontier vertices come, bit for bit, only from maps
-        # that represent no orbit.
+        # The full search's cloud holds each x-map's corners in turn, first
+        # corners then second, each over the joints in grid order; some
+        # frontier vertices come, bit for bit, only from joints that
+        # represent no orbit, each under its x-map relabelled.
         frontier = orbit_search(chain, steps, v1, v2, deterministic_x)
-        nx = chain[0].input_size
-        n_rows = nx if deterministic_x else len(simplex_grid(nx, steps))
+        counts = _compositions(v1 * v2, steps)
+        rep, _ = _orbits(counts, v1, v2, steps)
         cloud = general_inner_bound_full(*chain, steps, v1, v2, deterministic_x)
-        per_map = cloud.reshape(n_rows ** (v1 * v2), -1, 2)
-        from_reps = set(bits(per_map[_xmap_orbits(n_rows, v1, v2)[0]].reshape(-1, 2)))
+        per_map = cloud.reshape(-1, 2, len(counts), 2)
+        from_reps = set(bits(per_map[:, :, rep == np.arange(len(counts))].reshape(-1, 2)))
         only_relabelled = [point not in from_reps for point in bits(frontier.points)]
         assert sum(only_relabelled) == RELABELLED_VERTICES[name]
 
@@ -1234,33 +1260,34 @@ class TestGeneralOrbitSearch:
     def test_targets_hold_for_every_relabelling(self, name, chain, steps, v1, v2, deterministic_x):
         # A -inf target stands for a coordinate that is exactly 0 in every
         # relabelling of the candidate; a finite one lies within round-off
-        # of the relabelled candidates' coordinates.
+        # of the relabelled candidates' coordinates.  Every joint runs under
+        # every x-map, against its representative under that map relabelled.
         nx = chain[0].input_size
         mats = [ch.matrix for ch in chain]
-        joints = simplex_grid(v1 * v2, steps).reshape(-1, v1, v2)
+        counts = _compositions(v1 * v2, steps)
+        joints = (counts / steps).reshape(-1, v1, v2)
         x_rows = np.eye(nx) if deterministic_x else simplex_grid(nx, steps)
-        rep_numbers, owner, numbers, perm1, perm2 = _xmap_orbits(len(x_rows), v1, v2)
-        reps, mates = (_picks(n, len(x_rows), v1, v2) for n in (rep_numbers, numbers))
+        rep, sigma = _orbits(counts, v1, v2, steps)
+        picks = np.array(list(itertools.product(range(len(x_rows)), repeat=v1 * v2)))
+        member = np.repeat(np.arange(len(counts)), len(picks))
+        rep_picks = np.tile(picks, (len(counts), 1))
+        moved = np.take_along_axis(rep_picks, np.argsort(sigma[member], axis=1), axis=1)
 
-        def corners(joint_batch, picks):
-            terms = _general_terms(joint_batch, x_rows[picks], *mats)
-            i_v1_v2 = regions._mi_from_joint(joint_batch)
+        def corners(joint_rows, picks):
+            xmaps = x_rows[picks].reshape(len(picks), v1, v2, nx)
+            terms = _general_terms(joints[joint_rows], xmaps, *mats)
+            i_v1_v2 = regions._mi_from_joint(joints[joint_rows])
             sides = regions._general_sides({**terms, "i_v1_v2": i_v1_v2})
             return sides, regions._general_corners(*sides)
 
-        infinite = 0
-        for r, rep in enumerate(reps):
-            sides, points = corners(joints, np.broadcast_to(rep, (len(joints), v1, v2)))
-            targets = regions._general_targets(*sides, points)
-            exact_zero = np.isneginf(targets)
-            infinite += exact_zero.sum()
-            for pick, p1, p2 in zip(mates[owner == r], perm1[owner == r], perm2[owner == r]):
-                moved = joints[:, p1[:, None], p2[None, :]]
-                _, mate = corners(moved, np.broadcast_to(pick, (len(joints), v1, v2)))
-                mate = mate.reshape(2, -1, 2).transpose(2, 0, 1)
-                assert np.all(mate[exact_zero] == 0.0)
-                assert np.max(np.abs(mate - targets)[~exact_zero], initial=0.0) <= 1e-12
-        assert infinite > 0
+        sides, points = corners(rep[member], rep_picks)
+        targets = regions._general_targets(*sides, points)
+        exact_zero = np.isneginf(targets)
+        _, mate = corners(member, moved)
+        mate = mate.reshape(2, -1, 2).transpose(2, 0, 1)
+        assert np.all(mate[exact_zero] == 0.0)
+        assert np.max(np.abs(mate - targets)[~exact_zero], initial=0.0) <= 1e-12
+        assert exact_zero.any()
 
     @staticmethod
     def kernel_rows(monkeypatch, chain):
@@ -1276,34 +1303,54 @@ class TestGeneralOrbitSearch:
         return general_inner_bound(*chain, resolution=0.05), scored
 
     def test_kernel_rows_on_the_readme_chain(self, monkeypatch):
-        # 1,771 joints: 7 representative maps of 16 in 4,096-row blocks,
-        # then 642 relabelled rows.
+        # 451 representative joints of 1,771, each under every pick of its
+        # nonzero cells (5,474 rows) in 4,096-row blocks, then 712 rows on
+        # the other joints of the survivors' orbits.
         frontier, scored = self.kernel_rows(monkeypatch, DEGRADED)
         assert len(frontier.points) == 2
-        assert scored == [4096, 4096, 4096, 7 * 1771 - 3 * 4096, 642]
+        assert scored == [4096, 5474 - 4096, 712]
 
     def test_exact_zeros_keep_relabelled_rows_few(self, monkeypatch):
         # Without -inf targets for corner coordinates that are exactly 0 in
-        # every relabelling, all 15,939 relabelled rows of this chain reach
-        # the kernel, more than its 12,397 representative rows; with them, 565.
+        # every relabelling, 15,966 relabelled rows of this chain reach the
+        # kernel, almost three times its 5,474 first-pass rows; with them, 256.
         _, scored = self.kernel_rows(monkeypatch, seeded_binary(210))
-        assert sum(scored) - 7 * 1771 < 1000
+        assert sum(scored) - 5474 < 1000
 
     def test_peak_memory_follows_the_block_rule(self):
         # The kernel takes ENVELOPE_BLOCK_CELLS // (v1 v2 (|X| + |Y1| + |Y2| + |Z|))
-        # rows at a time: 4,096 here, one block of float cells for their
-        # x-maps and channel rows.  Their joints, joint-channel products and
-        # entropy terms fit in one more, and the grid, the staircase and the
-        # first pass's survivors in a third.  Scoring all 12,397 first-pass
-        # rows at once holds about 5.3 MiB.
-        general_inner_bound(*DEGRADED, resolution=0.05)
+        # rows at a time: 4,096 at |V1| = |V2| = 2 and 2,730 at |V1| = 3, one
+        # block of float cells for their x-maps and channel rows.  Their
+        # joints, joint-channel products and entropy terms fit in one more,
+        # and the grid, the staircase and the first pass's survivors in a
+        # third.  Scoring all 5,598 first-pass rows at |V1| = 3 at once holds
+        # about 3.8 MiB.
+        for resolution, v1_card in ((0.05, 2), (0.1, 3)):
+            general_inner_bound(*DEGRADED, resolution=resolution, v1_card=v1_card)
+            tracemalloc.start()
+            try:
+                general_inner_bound(*DEGRADED, resolution=resolution, v1_card=v1_card)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 3 * ENVELOPE_BLOCK_CELLS * 8
+
+    def test_many_x_maps_few_joints_stay_small(self):
+        # 16 inputs at resolution 1: 4 joints in one orbit under 65,536
+        # x-maps.  The search holds what its one representative joint's 16
+        # picks need, where a listing of every x-map's orbit held 8.2 MiB.
+        rng = np.random.default_rng(16)
+        chain = [DiscreteChannel(stochastic(rng, 16, 2)) for _ in range(3)]
+        frontier = orbit_search(chain, 1, 2, 2, True)
         tracemalloc.start()
         try:
-            general_inner_bound(*DEGRADED, resolution=0.05)
+            orbit_search(chain, 1, 2, 2, True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * ENVELOPE_BLOCK_CELLS * 8
+        assert peak <= 1 << 20
+        full = upper_right_hull(general_inner_bound_full(*chain, 1, 2, 2))
+        assert bits(frontier.points) == bits(full.points)
 
 
 # (name, chain, v1, v2, deterministic_x) for the kernel's row tests.
