@@ -1,92 +1,43 @@
 """Secrecy rate regions and finite-blocklength coding experiments for
-broadcast channels with two legitimate receivers and an eavesdropper."""
+broadcast channels with two legitimate receivers and an eavesdropper.
 
-from .channels import (
-    BudgetExceeded,
-    DegradednessReport,
-    DimensionMismatch,
-    DiscreteChannel,
-    InvalidDistribution,
-    NegativeEntry,
-    Pmf,
-    SumNotOne,
-    cascade,
-    check_stochastic_degraded,
-)
-from .coding import (
-    BinningCodebook,
-    CodeParams,
-    EquivocationReport,
-    SuperpositionCodebook,
-    TrialResult,
-    build_double_binning,
-    build_superposition,
-    decode_rx1,
-    decode_rx2,
-    encode_double_binning,
-    encode_superposition,
-    exact_equivocation,
-    run_error_experiment,
-    transmit,
-)
-from .information import mutual_information
-from .regions import (
-    GaussianParams,
-    RatePoint,
-    RegionFrontier,
-    capacity_fn,
-    degraded_rate_pair,
-    degraded_rate_terms,
-    degraded_region_inner,
-    gaussian_region_point,
-    general_inner_bound,
-    general_rate_corners,
-    general_rate_terms,
-    simplex_grid,
-    upper_right_hull,
-    wiretap_secrecy_capacity,
-)
+Importing the package loads none of its modules: each public name is
+imported from the module that defines it on first access (PEP 562), so
+``bccsec --help`` does not pay for numpy.
+"""
+
+import importlib
+
+# Each module and the public names it defines.
+_EXPORTS = {
+    "limits": ("BudgetExceeded", "DimensionMismatch", "InvalidDistribution", "NegativeEntry",
+               "SumNotOne"),
+    "channels": ("DegradednessReport", "DiscreteChannel", "Pmf", "cascade",
+                 "check_stochastic_degraded"),
+    "coding": ("BinningCodebook", "CodeParams", "EquivocationReport", "SuperpositionCodebook",
+               "TrialResult", "build_double_binning", "build_superposition", "decode_rx1",
+               "decode_rx2", "encode_double_binning", "encode_superposition",
+               "exact_equivocation", "run_error_experiment", "transmit"),
+    "information": ("mutual_information",),
+    "regions": ("GaussianParams", "RatePoint", "RegionFrontier", "capacity_fn",
+                "degraded_rate_pair", "degraded_rate_terms", "degraded_region_inner",
+                "gaussian_region_point", "general_inner_bound", "general_rate_corners",
+                "general_rate_terms", "simplex_grid", "upper_right_hull",
+                "wiretap_secrecy_capacity"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinningCodebook",
-    "BudgetExceeded",
-    "CodeParams",
-    "DegradednessReport",
-    "DimensionMismatch",
-    "DiscreteChannel",
-    "EquivocationReport",
-    "GaussianParams",
-    "InvalidDistribution",
-    "NegativeEntry",
-    "Pmf",
-    "RatePoint",
-    "RegionFrontier",
-    "SumNotOne",
-    "SuperpositionCodebook",
-    "TrialResult",
-    "build_double_binning",
-    "build_superposition",
-    "capacity_fn",
-    "cascade",
-    "check_stochastic_degraded",
-    "decode_rx1",
-    "decode_rx2",
-    "degraded_rate_pair",
-    "degraded_rate_terms",
-    "degraded_region_inner",
-    "encode_double_binning",
-    "encode_superposition",
-    "exact_equivocation",
-    "gaussian_region_point",
-    "general_inner_bound",
-    "general_rate_corners",
-    "general_rate_terms",
-    "mutual_information",
-    "run_error_experiment",
-    "simplex_grid",
-    "transmit",
-    "upper_right_hull",
-    "wiretap_secrecy_capacity",
-]
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -15,30 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .limits import BudgetExceeded, DimensionMismatch, InvalidDistribution, NegativeEntry, SumNotOne
+
 SUM_TOL = 1e-9
 DEGRADED_TOL = 1e-7
 # Entry types that _check_numbers accepts; bool, an int subclass, is excluded there.
 _REAL = (int, float, np.integer, np.floating)
-
-
-class InvalidDistribution(ValueError):
-    """A malformed input: a probability array that violates an invariant, or a bad scalar."""
-
-
-class NegativeEntry(InvalidDistribution):
-    """A probability entry is below zero."""
-
-
-class SumNotOne(InvalidDistribution):
-    """Probabilities do not sum to one within tolerance."""
-
-
-class DimensionMismatch(InvalidDistribution):
-    """Operand shapes or alphabet sizes are incompatible."""
-
-
-class BudgetExceeded(RuntimeError):
-    """A configured enumeration or memory budget would be exceeded."""
 
 
 def _first(mask: np.ndarray) -> tuple[int, ...] | None:

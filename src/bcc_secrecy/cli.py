@@ -2,49 +2,73 @@
 
 Exit codes: 0 success, 2 usage error, 3 invalid input file or flag value
 (the violated invariant is named on stderr), 4 enumeration budget exceeded.
+
+Importing this module loads click and `limits` only.  numpy and the library
+load when a command body first runs, so --help, usage errors and shell
+completion stay fast.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import json
+import functools
+import importlib
 import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
-from .channels import BudgetExceeded, InvalidDistribution, Pmf, _check_budget, _check_finite
-from .channels import _check_integer, _check_range, check_stochastic_degraded
-from .coding import (
-    DEFAULT_Z_SEQUENCE_BUDGET,
-    build_double_binning,
-    build_superposition,
-    exact_equivocation,
-    run_error_experiment,
-)
-from .formats import (
-    SIG_DIGITS,
-    format_sig,
-    load_channel,
-    parse_experiment,
-    read_frontier_csv,
-    read_json,
-    write_csv,
-    write_json,
-)
-from .information import mutual_information
-from .regions import (
-    DEFAULT_BUDGET,
-    DEFAULT_RESOLUTION,
-    GaussianParams,
-    degraded_rate_terms,
-    degraded_region_inner,
-    gaussian_region_point,
-    general_inner_bound,
-    general_rate_terms,
-    wiretap_secrecy_capacity,
-)
+from .limits import DEFAULT_BUDGET, DEFAULT_RESOLUTION, DEFAULT_Z_SEQUENCE_BUDGET
+from .limits import BudgetExceeded, InvalidDistribution
+
+# The library names that command bodies call, by module.  They are bound as
+# globals of this module when a command first runs, or when one is first
+# read from outside.  A caller may rebind them here (the benchmark's tracer
+# does), before or after that first run: a bound name is never replaced.
+_LIBRARY = {
+    "channels": ("Pmf", "_check_budget", "_check_finite", "_check_integer", "_check_range",
+                 "check_stochastic_degraded"),
+    "coding": ("build_double_binning", "build_superposition", "exact_equivocation",
+               "run_error_experiment"),
+    "formats": ("SIG_DIGITS", "format_sig", "load_channel", "parse_experiment",
+                "read_frontier_csv", "read_json", "write_csv", "write_json"),
+    "information": ("mutual_information",),
+    "regions": ("GaussianParams", "degraded_rate_terms", "degraded_region_inner",
+                "gaussian_region_point", "general_inner_bound", "general_rate_terms",
+                "wiretap_secrecy_capacity"),
+}
+
+
+@functools.cache
+def _load() -> None:
+    """Bind every name in _LIBRARY that is not bound yet; later calls do nothing."""
+    for module, names in _LIBRARY.items():
+        found = importlib.import_module(f".{module}", __package__)
+        for name in names:
+            globals().setdefault(name, getattr(found, name))
+
+
+def __getattr__(name: str):
+    if not any(name in names for names in _LIBRARY.values()):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load()
+    return globals()[name]
+
+
+class _Command(click.Command):
+    """A leaf command: binds the library names before its body runs.
+
+    A group's callback runs before its subcommand parses its arguments, so
+    groups do not bind them.
+    """
+
+    def invoke(self, ctx):
+        _load()
+        return super().invoke(ctx)
+
+
+class _Group(click.Group):
+    command_class = _Command
+    group_class = type  # subgroups are _Group too
 
 
 def _echo(message: str, err: bool = False) -> None:
@@ -58,7 +82,7 @@ def _echo(message: str, err: bool = False) -> None:
     click.echo(message, file=click.get_text_stream("stderr" if err else "stdout", errors=None))
 
 
-@click.group()
+@click.group(cls=_Group)
 def cli():
     """Secrecy rate regions and coding experiments for broadcast channels."""
 
@@ -77,6 +101,8 @@ def region():
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def region_gaussian(power, n1, n2, n3, alphas, out):
     """Closed-form Gaussian region, one CSV row per alpha (pre-Pareto)."""
+    import numpy as np
+
     _check_integer(alphas, "--alphas", 2)
     _check_budget(alphas, DEFAULT_BUDGET, "grid too large: {} alphas", alphas)
     g = GaussianParams(power=power, n1=n1, n2=n2, n3=n3)
@@ -162,6 +188,8 @@ def check():
 @click.option("--file", "path", type=click.Path(exists=True, dir_okay=False), required=True)
 def check_degraded(path):
     """Check stochastic degradedness along the chain y1 -> y2 -> z."""
+    import json
+
     m = load_channel(path)
     intermediates = {}
     for label, stronger, weaker in (("y1->y2", m.py1x, m.py2x), ("y2->z", m.py2x, m.pzx)):
@@ -184,6 +212,8 @@ def check_degraded(path):
 @click.option("--tol", type=float, default=1e-12, show_default=True)
 def check_frontier(path, power, n1, n2, n3, tol):
     """Recompute a Gaussian sweep CSV; --tol bounds deviation beyond its rounding."""
+    import numpy as np
+
     _check_finite(tol, "--tol", 0)
     header, rows = read_frontier_csv(path)
     if header != ["alpha", "r1_bits", "r2_bits"]:
@@ -221,6 +251,10 @@ def check_frontier(path, power, n1, n2, n3, tol):
 )
 def simulate(config_path, out, seed, trials, budget):
     """Run a coding experiment described by a JSON config."""
+    import dataclasses
+
+    import numpy as np
+
     raw = read_json(config_path)
     if isinstance(raw, dict):
         raw.update({k: v for k, v in (("seed", seed), ("trials", trials)) if v is not None})

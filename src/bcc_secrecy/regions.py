@@ -61,13 +61,12 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import DiscreteChannel, InvalidDistribution, Pmf, _check_budget, _check_finite
+from .channels import DiscreteChannel, Pmf, _check_budget, _check_finite
 from .channels import _check_integer, _check_numbers, _check_range, _check_shared_input
 from .channels import _check_sizes, _check_stochastic
 from .information import entropy_last_axis
+from .limits import DEFAULT_BUDGET, DEFAULT_RESOLUTION, InvalidDistribution
 
-DEFAULT_RESOLUTION = 0.05
-DEFAULT_BUDGET = 5_000_000
 MAX_AUX_CARD = 12
 # A lower Qhull facet of the wiretap envelope (|X| >= 3) has a value component
 # of -1/sqrt(1 + |slope|^2) in its unit normal.  Differences of entropies on

@@ -45,6 +45,28 @@ BSC = DiscreteChannel.binary_symmetric
 
 
 SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+# The modules that only a command body may load.
+LIBRARY_MODULES = (
+    "[m for m in ('numpy', 'bcc_secrecy.channels', 'bcc_secrecy.coding', 'bcc_secrecy.regions')"
+    " if m in sys.modules]"
+)
+# Code that starts the command line without running a command: each of
+# these must load click and no library module.
+START_UPS = {
+    "import": "import bcc_secrecy",
+    "help": "from bcc_secrecy.cli import run\nassert run(['--help']) == 0",
+    "subcommand-help": "from bcc_secrecy.cli import run\nassert run(['region', 'degraded', '--help']) == 0",
+    "usage-error": "from bcc_secrecy.cli import run\nassert run(['region', 'degraded']) == 2",
+    # Click answers a completion request from main() and exits.
+    "completion": (
+        "from bcc_secrecy.cli import main\n"
+        "completion = {'_BCCSEC_COMPLETE': 'bash_complete', 'COMP_WORDS': 'bccsec reg', 'COMP_CWORD': '1'}\n"
+        "os.environ.update(completion)\n"
+        "sys.argv[0] = 'bccsec'\n"
+        "try:\n    main()\nexcept SystemExit as exc:\n    assert exc.code == 0\n"
+        "for key in completion:\n    del os.environ[key]"
+    ),
+}
 
 
 def run_python(code: str, *args: str) -> str:
@@ -634,7 +656,32 @@ class TestCliWiretapAndCheck:
             assert 0.0 <= lo <= trials["pe_estimate"] <= hi <= 1.0 and lo < hi
 
     def test_cli_import_loads_no_scipy(self):
-        assert run_python(f"import sys, bcc_secrecy.cli; print({SCIPY_MODULES})") == "[]\n"
+        code = f"import sys, bcc_secrecy.cli; print({SCIPY_MODULES}, {LIBRARY_MODULES})"
+        assert run_python(code) == "[] []\n"
+
+    @pytest.mark.parametrize("start", START_UPS)
+    def test_start_up_loads_click_alone(self, capsys, cascade_file, start):
+        # The first real command then loads the library and prints what it
+        # prints in a process that loaded everything up front.
+        code = (
+            f"import os, sys\n{START_UPS[start]}\nprint('loaded', {LIBRARY_MODULES})\n"
+            "from bcc_secrecy.cli import run\n"
+            "assert run(['check', 'degraded', '--file', sys.argv[1]]) == 0\n"
+        )
+        out = "\n" + run_python(code, cascade_file)
+        assert run(["check", "degraded", "--file", cascade_file]) == 0
+        assert out.endswith("\nloaded []\n" + capsys.readouterr().out)
+        if start == "completion":
+            assert out.startswith("\nplain,region\n")
+
+    def test_name_rebound_before_the_first_command_is_kept(self, cascade_file):
+        code = (
+            "import sys\nfrom bcc_secrecy import cli\n"
+            "def rebound(path):\n    raise cli.InvalidDistribution('rebound')\n"
+            "cli.load_channel = rebound\n"
+            "print(cli.run(['check', 'degraded', '--file', sys.argv[1]]))\n"
+        )
+        assert run_python(code, cascade_file) == "3\n"
 
     def test_binary_wiretap_and_feasible_check_load_no_scipy(self, tmp_path, cascade_file):
         # The binary hull is a monotone chain and a checked least-squares
