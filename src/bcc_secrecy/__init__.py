@@ -1,8 +1,8 @@
 """Secrecy rate regions and finite-blocklength coding experiments for
 broadcast channels with two legitimate receivers and an eavesdropper.
 
-Importing the package loads none of its modules: each public name is
-imported from the module that defines it on first access (PEP 562), so
+Importing the package loads none of its modules: each public name, and each
+module named in ``_EXPORTS``, is imported on first access (PEP 562), so
 ``bccsec --help`` does not pay for numpy.
 """
 
@@ -33,6 +33,8 @@ __all__ = sorted(_OWNER)
 
 
 def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
     if name not in _OWNER:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = globals()[name] = getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)

@@ -50,10 +50,7 @@ import numpy as np
 
 from .channels import DiscreteChannel, Pmf, _check_budget, _check_finite, _check_integer, cascade
 from .channels import _check_sizes, _check_stochastic, _check_symbols
-from .limits import DEFAULT_Z_SEQUENCE_BUDGET
-
-DEFAULT_CODEBOOK_SYMBOL_BUDGET = 1 << 22
-DEFAULT_COMBO_BUDGET = 1 << 16
+from .limits import DEFAULT_CODEBOOK_SYMBOL_BUDGET, DEFAULT_COMBO_BUDGET, DEFAULT_Z_SEQUENCE_BUDGET
 
 # Floats in one z^n tile of exact_equivocation, counted over its m1 + m2 + 3
 # rows (pz, the message rows, a pair's joint and its p*log p terms): 1 MiB,

@@ -65,9 +65,8 @@ from .channels import DiscreteChannel, Pmf, _check_budget, _check_finite
 from .channels import _check_integer, _check_numbers, _check_range, _check_shared_input
 from .channels import _check_sizes, _check_stochastic
 from .information import entropy_last_axis
-from .limits import DEFAULT_BUDGET, DEFAULT_RESOLUTION, InvalidDistribution
+from .limits import DEFAULT_BUDGET, DEFAULT_RESOLUTION, MAX_AUX_CARD, InvalidDistribution
 
-MAX_AUX_CARD = 12
 # A lower Qhull facet of the wiretap envelope (|X| >= 3) has a value component
 # of -1/sqrt(1 + |slope|^2) in its unit normal.  Differences of entropies on
 # a 1/k grid have slopes of a few times log2(k |Y| |Z|) at most, so that

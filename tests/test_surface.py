@@ -78,12 +78,15 @@ PUBLIC_NAMES = [
 ]
 
 # In a fresh interpreter, so that every name goes through the package's
-# __getattr__: prints the names that dir() misses or that were loaded before
-# their first access, then each name whose `from` import, getattr and
-# defining module disagree.
+# __getattr__: prints the modules that are not attributes of the bare
+# package, the names that dir() misses or that were loaded before their
+# first access, then each name whose `from` import, getattr and defining
+# module disagree.
 LAZY_ACCESS = """
 import sys
 import bcc_secrecy
+modules = ("limits", "channels", "coding", "information", "regions")
+print([m for m in modules if getattr(bcc_secrecy, m) is not sys.modules[f"bcc_secrecy.{m}"]])
 names = bcc_secrecy.__all__
 print(sorted(set(names) - set(dir(bcc_secrecy))), sorted(set(names) & set(vars(bcc_secrecy))))
 found = {}
@@ -105,7 +108,7 @@ def test_package_surface():
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     done = subprocess.run([sys.executable, "-c", LAZY_ACCESS], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True)
-    assert done.stdout == "[] []\n[]\n"
+    assert done.stdout == "[]\n[] []\n[]\n"
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
