@@ -15,11 +15,10 @@ Two code constructions are implemented at small blocklength n:
 Both schemes share one trial path: one inverse-CDF sampler draws every
 codeword, x^n and channel output; one batched ML index (`_ml_index`)
 serves every receiver, one loop over word tiles and observation blocks
-whose block score counts each word's symbols that meet each distinct
-log-likelihood value, which one 0/1 matrix product gives exactly (or
-sums its sorted terms, where a channel has too many distinct values for
-the counts to pay); and `run_error_experiment` picks the scheme's
-encoder and decoder once, then runs blocks of trials through one body.
+whose block score, for any alphabet, sums integer-valued parts of the
+log-likelihoods exactly by one 0/1 matrix product and rounds only where
+it adds the parts; and `run_error_experiment` picks the scheme's encoder
+and decoder once, then runs blocks of trials through one body.
 The encoders take message arrays and the decoders observation arrays with
 a leading batch axis, so a block makes one call of each.
 
@@ -64,17 +63,11 @@ _TILE = 1 << 17
 _TABLE_BYTES = 1 << 30
 # Trials that run_error_experiment draws, encodes, sends and decodes at once.
 _TRIAL_BLOCK = 256
-# Elements of each array _ml_index builds per block (one-hot words, class
-# indicator, counts, scores; or cell offsets, gathered terms): 128 KiB.  Of
-# 1 << 13 to 1 << 17, 1 << 14 scored 256 words of n = 12 against 256
-# observations fastest.
+# Elements of each array _ml_index builds per block (one-hot words, part
+# cells, part sums, scores): 128 KiB.  Of 1 << 12 to 1 << 17, 1 << 14 and
+# 1 << 15 scored 256 words of n = 12 against 256 observations fastest at
+# |X| = |Y| = 2, 3 and 9, within 20% of each other; 1 << 14 is half the size.
 _SCORE_FLOATS = 1 << 14
-# Largest V*|X| (distinct log values times input symbols) that _ml_index
-# scores by class counts, at V*n*|X| multiply-adds per (observation, word)
-# pair; wider channels get the sorted sum as block score in the same loop.
-# 256 words of n = 12 against 256 observations took 2.3 ms at 64 and
-# 5.7 ms at 125, where the sorted sum takes 3.6 ms at any size.
-_COUNT_CELLS = 64
 # Terms of a binomial tail that _clopper_pearson sums at a time.
 _TAIL_TERMS = 1 << 12
 # Blocks of log-binomial coefficients, with the block's i and n - i, that one
@@ -307,71 +300,77 @@ def _log_matrix(matrix: np.ndarray) -> np.ndarray:
     return np.where(matrix > 0.0, np.log2(np.where(matrix > 0.0, matrix, 1.0)), -np.inf)
 
 
+def _log_parts(log_matrix: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer-valued parts (P, *log_matrix.shape) of the finite entries, and their units (P,).
+
+    The units are descending powers of two, one grid for the whole table,
+    and each part holds 53 - n.bit_length() bits, so any n-term sum of one
+    part is exact in float64 (after Rump, Ogita and Oishi, 2008); sum_p
+    parts[p] * units[p] is each finite entry exactly (0 at -inf).  A log2
+    table spans at most 116 bits, from log2 of the least subnormal, -1074,
+    to the last bit of log2(1 - 2^-53).
+    """
+    rest = np.where(np.isneginf(log_matrix), 0.0, log_matrix)
+    # Every entry is below 2^top in magnitude and a multiple of 2^bottom, the
+    # last bit of the entry nearest zero; a table of zeros has no parts.
+    exponents = np.frexp(rest[rest != 0.0])[1]
+    top, bottom = exponents.max(initial=0), exponents.min(initial=53) - 53
+    bits = 53 - n.bit_length()
+    units = np.ldexp(1.0, top - bits * np.arange(1, -(-(top - bottom) // bits) + 1))
+    parts = np.empty((len(units), *log_matrix.shape))
+    for part, unit in zip(parts, units):
+        np.trunc(rest / unit, out=part)
+        rest -= part * unit
+    return parts, units
+
+
 def _ml_index(words: np.ndarray, ys: np.ndarray, log_matrix: np.ndarray) -> np.ndarray:
     """Flat row-major index into words[..., n] of the likeliest word for each row of ys (B, n).
 
-    A memoryless likelihood depends only on how many of a word's symbols
-    meet each distinct value of log_matrix (its V classes, ascending, -inf
-    first if present).  Where V*|X| is at most _COUNT_CELLS, a block score
-    gets those counts exactly, as integers in float64, from one product of
-    a tile's one-hot rows (T, n*|X|) with the block's class indicator
-    (V, n*|X|, B), adds values[v] * counts[v] over the finite classes in
-    ascending order, and is -inf where a -inf class is met; wider channels
-    sum each word's gathered terms after sorting them.  Either way words
-    with the same multiset of factors get bit-identical scores.  One loop
-    runs both: words in tiles, observations in blocks, every array a block
-    builds at most _SCORE_FLOATS elements (but one word's and one
-    observation's at least), and the lowest index wins a tie, since only a
-    strictly higher score in a later tile displaces a winner.
+    A table holds log_matrix's _log_parts times their units, plus a 0/1 part
+    marking -inf entries if any.  The one block score, for every alphabet,
+    gathers the observations' cells (parts, B, n*|X|), and one product with
+    a tile's one-hot words (n*|X|, T) sums every part over each word's
+    symbols exactly.  It adds those sums smallest unit first, so it is the
+    exact log-likelihood up to the rounding of those few additions, and -inf
+    where a -inf entry is met.  Words with the same multiset of factors get
+    the same sums, so the same bits.  Words go in tiles and observations in
+    blocks; every array a block builds holds at most _SCORE_FLOATS elements
+    (but one word's and one observation's at least) and is freed before the
+    next block's.  The lowest index wins a tie, since only a strictly higher
+    score in a later tile displaces a winner.
     """
     n, size = words.shape[-1], log_matrix.shape[0]
     rows = words.reshape(-1, n)
-    values, classes = np.unique(log_matrix, return_inverse=True)
-    if len(values) * size <= _COUNT_CELLS:
-        classes = classes.reshape(log_matrix.shape).T
-        first = int(np.isneginf(values[0]))
-        levels = np.arange(len(values))[:, None, None]
-        width = n * size
-        per_word, per_pair, per_obs = width, len(values), len(values) * width
+    parts, units = _log_parts(log_matrix.T, n)
+    # table[p, y, x]: part p of log_matrix[x, y] times its unit (still exact).
+    table = parts * units[:, None, None]
+    if np.isneginf(log_matrix).any():
+        table = np.concatenate([table, np.isneginf(log_matrix.T)[None]])
+    planes, width = len(table), n * size
 
-        def prepare(part):
-            # onehot[w, i * |X| + x]: word w has symbol x at position i.
-            return (part[:, :, None] == np.arange(size)).reshape(len(part), width).astype(np.float64)
-
-        def score(onehot, obs):
-            # indicator[v, i * |X| + x, b]: log_matrix[x, obs[b, i]] is in class v.
-            cells = classes[obs.T].transpose(0, 2, 1).reshape(width, -1)
-            counts = onehot @ (cells == levels).astype(np.float64)
-            # Summed over the class axis one class at a time, in ascending order.
-            scores = (values[first:, None, None] * counts[first:]).sum(axis=0)
-            if first:
-                scores[counts[0] > 0.0] = -np.inf
-            return scores
-
-    else:
-        flat = log_matrix.ravel()
-        per_word = per_pair = per_obs = n
-
-        def prepare(part):
-            return part * log_matrix.shape[1]
-
-        def score(offsets, obs):
-            terms = flat[offsets[:, None, :] + obs]
-            terms.sort(axis=-1)
-            return terms.sum(axis=-1)
+    def tile_best(onehot, obs):
+        # cells[p, b, i * |X| + x]: part p of log_matrix[x, obs[b, i]].
+        sums = np.take(table, obs, axis=1).reshape(planes, len(obs), width) @ onehot
+        # Summed over the part axis one part at a time, smallest unit first.
+        scores = sums[: len(units)][::-1].sum(axis=0)
+        if planes > len(units):
+            scores[sums[-1] > 0.0] = -np.inf
+        top = scores.argmax(axis=1)
+        return top, scores[np.arange(len(obs)), top]
 
     best = np.full(len(ys), -np.inf)
     index = np.zeros(len(ys), np.int64)
-    tile = max(_SCORE_FLOATS // max(per_word, per_pair), 1)
+    tile = max(_SCORE_FLOATS // max(width, planes), 1)
     for w0 in range(0, len(rows), tile):
-        part = rows[w0 : w0 + tile]
-        prepared = prepare(part)
-        step = max(_SCORE_FLOATS // max(per_pair * len(part), per_obs), 1)
+        chunk = rows[w0 : w0 + tile]
+        # onehot[i * |X| + x, w]: word w has symbol x at position i.
+        onehot = (chunk.T[:, None, :] == np.arange(size)[:, None]).reshape(width, -1).astype(np.float64)
+        # An observation's cells, and per word its part sums (or score, if none).
+        step = max(_SCORE_FLOATS // max(planes * width, max(planes, 1) * len(chunk)), 1)
         for y0 in range(0, len(ys), step):
             block = slice(y0, y0 + step)
-            scores = score(prepared, ys[block])
-            top = scores.argmax(axis=0)
-            top_scores = scores[top, np.arange(scores.shape[1])]
+            top, top_scores = tile_best(onehot, ys[block])
             better = top_scores > best[block]
             best[block][better] = top_scores[better]
             index[block][better] = top[better] + w0

@@ -332,6 +332,22 @@ def ml_index_per_sequence(words, y, log_matrix) -> int:
     return int(np.argmax(scores))
 
 
+def ml_index_exact_sum(words, y, log_matrix) -> int:
+    """Flat index into words[..., n] of the word whose float log terms have the largest exact sum.
+
+    Each term log_matrix[x, y_i] is a float, so Fraction(term) is exact and
+    the sums are compared without rounding; a word that meets a -inf term
+    scores below every finite sum, and ties go to the lowest index.
+    """
+    best_idx, best = 0, None
+    for idx, word in enumerate(np.reshape(words, (-1, len(y)))):
+        terms = [float(log_matrix[x][yi]) for x, yi in zip(word, y)]
+        score = -math.inf if -math.inf in terms else sum(map(Fraction, terms))
+        if best is None or score > best:
+            best_idx, best = idx, score
+    return best_idx
+
+
 def frontier_deviation(points_a, points_b) -> float:
     """Max vertical gap between two frontier polylines (sorted by r1)."""
     ax = np.array([p[0] for p in points_a])

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from bcc_secrecy.coding import (
     _TRIAL_BLOCK,
     _clopper_pearson,
     _log_matrix,
+    _log_parts,
     _ml_index,
     _rng,
     _sample_conditional,
@@ -44,6 +46,7 @@ from oracles import (
     equivocation_digit_table,
     equivocation_binning_direct,
     equivocation_direct,
+    ml_index_exact_sum,
     ml_index_per_sequence,
     posterior_argmax_exact,
     sample_iid_searchsorted,
@@ -437,21 +440,13 @@ def assert_matches(report, expected):
 class TestBatchedScorer:
     """_ml_index against the per-sequence scorer, compared with ==."""
 
-    # _COUNT_CELLS for every case; None keeps the library's, so small channels take counts.
-    count_cells = None
-
-    @pytest.fixture(autouse=True)
-    def scorer(self, monkeypatch):
-        if self.count_cells is not None:
-            monkeypatch.setattr(coding, "_COUNT_CELLS", self.count_cells)
-
     @staticmethod
     def assert_matches_per_sequence(words, ys, log_matrix):
         got = _ml_index(words, ys, log_matrix)
         want = [ml_index_per_sequence(words, y, log_matrix) for y in ys]
         assert got.tolist() == want
 
-    @pytest.mark.parametrize("size", [2, 3])
+    @pytest.mark.parametrize("size", [2, 3, 5, 9])
     def test_random_codebooks(self, size):
         rng = np.random.default_rng(900 + size)
         for n in (1, 2, 5, 8, 9, 12, 17):
@@ -480,6 +475,12 @@ class TestBatchedScorer:
         for p in (0.05, 0.25):
             self.assert_matches_per_sequence(cb.u_words, ys, _log_matrix(BSC(p).matrix))
 
+    def test_one_output_channel(self):
+        # Every log is 0, so no part is split off and every word scores 0.
+        words = np.random.default_rng(912).integers(3, size=(5, 4, 7))
+        ys = np.zeros((9, 7), np.int64)
+        self.assert_matches_per_sequence(words, ys, _log_matrix(np.ones((3, 1))))
+
     @pytest.mark.parametrize("cap", [1, 5, 6, 7, 13, 47])
     def test_scoring_blocks_move_no_decision(self, monkeypatch, cap):
         rng = np.random.default_rng(925)
@@ -492,12 +493,6 @@ class TestBatchedScorer:
         matrix = random_channel(rng, 3, 3).matrix.copy()
         matrix[0, 1] = 0.0
         self.assert_matches_per_sequence(words, all_outputs(3, 5), _log_matrix(matrix))
-
-
-class TestSortedScorer(TestBatchedScorer):
-    """Every TestBatchedScorer case with _COUNT_CELLS = 0, so every channel takes the sorted sum."""
-
-    count_cells = 0
 
 
 class TestCountScorer:
@@ -534,18 +529,52 @@ class TestCountScorer:
                     ties += int(same.sum() > 1)
         assert ties > 0
 
-    @pytest.mark.parametrize("cells", [None, 1 << 30])
-    def test_wide_channels(self, monkeypatch, cells):
-        # |X| = |Y| = 9 with distinct entries: V * |X| is far above _COUNT_CELLS,
-        # so the scorer is the sorted sum, bit for bit; raising the limit takes
-        # the counts (V = 78) through one-observation blocks instead.
-        if cells is not None:
-            monkeypatch.setattr(coding, "_COUNT_CELLS", cells)
+    def test_decisions_are_within_an_ulp_of_the_exact_best(self):
+        # The scores round only where the part sums are added, so a decision
+        # loses at most an ulp against the exact sums of the float terms.
+        composite = self.seed0_v2_composite()
+        log_matrix = _log_matrix(composite)
+        rng = np.random.default_rng(2210)
+        moved = 0
+        cases = ((4, all_outputs(2, 4)), (8, all_outputs(2, 8)), (12, rng.integers(2, size=(256, 12))))
+        for n, ys in cases:
+            words = rng.integers(2, size=(4, 8, n))
+            flat = words.reshape(-1, n)
+            for y, index in zip(ys, _ml_index(words, ys, log_matrix), strict=True):
+                best = ml_index_exact_sum(words, y, log_matrix)
+                got, want = (sum(map(Fraction, log_matrix[word, y].tolist())) for word in flat[[index, best]])
+                assert want - got <= math.ulp(float(want))
+                moved += index != best
+        # Some decisions do land on a word a fraction of an ulp short of the best.
+        assert moved > 0
+
+    def test_joint_permutation_keeps_every_decision(self):
+        # Permuting the positions of every word and observation together
+        # permutes each word's factors, which must leave its score's bits,
+        # so every decision and tie-break, unchanged.
+        log_matrix = _log_matrix(self.seed0_v2_composite())
+        rng = np.random.default_rng(2211)
+        n = 8
+        base = rng.integers(2, size=(6, n))
+        # Four rearrangements of each base word: equal multisets, many ties.
+        words = np.stack([rng.permuted(base, axis=1) for _ in range(4)])
+        ys = all_outputs(2, n)
+        want = _ml_index(words, ys, log_matrix)
+        flat = words.reshape(-1, n)
+        factors = np.sort(log_matrix[flat[:, None, :], ys[None]], axis=-1)
+        ties = (factors == factors[want, np.arange(len(ys))]).all(axis=-1).sum()
+        assert ties > len(ys)
+        for _ in range(5):
+            perm = rng.permutation(n)
+            assert np.array_equal(_ml_index(words[..., perm], ys[:, perm], log_matrix), want)
+
+    def test_wide_channels(self):
+        # |X| = |Y| = 9 with 78 distinct entries, four of them -inf: the
+        # decisions are the sorted sum's, ties included.
         rng = np.random.default_rng(2209)
         matrix = random_channel(rng, 9, 9).matrix.copy()
         matrix[0, :4] = 0.0
         log_matrix = _log_matrix(matrix)
-        assert len(np.unique(log_matrix)) * 9 > 64
         base = rng.integers(9, size=(40, 5))
         # A word and its reversal tie on a constant observation.
         words = np.concatenate([base, base[:, ::-1]])
@@ -579,6 +608,38 @@ class TestCountScorer:
             tracemalloc.stop()
         # A few arrays of _SCORE_FLOATS floats, plus the (B,) indices and best scores.
         assert peak <= 4 * coding._SCORE_FLOATS * 8 + 16 * n_obs, peak
+
+
+class TestLogParts:
+    """_log_parts on extreme log tables: exact, at most four parts, n-term sums below 2^53."""
+
+    TABLES = {
+        # log2(1 - 2^-53) is the nonzero log nearest 0 and log2 of the least
+        # subnormal, -1074, the farthest: 116 bits between them.
+        "extreme": [[1.0 - 2.0**-53, 2.0**-53], [5e-324, 1.0]],
+        "identity": np.eye(3),
+        "constant row": [[1 / 3, 1 / 3, 1 / 3], [0.1, 0.2, 0.7]],
+    }
+
+    @pytest.mark.parametrize("n", [1, 12, 2**14])
+    @pytest.mark.parametrize("table", sorted(TABLES))
+    def test_parts_rebuild_every_finite_log(self, table, n):
+        log_matrix = _log_matrix(np.array(self.TABLES[table]))
+        parts, units = _log_parts(log_matrix, n)
+        assert len(parts) == len(units) <= 4
+        assert np.array_equal(parts, np.trunc(parts))
+        assert (np.frexp(units)[0] == 0.5).all() and (units[1:] < units[:-1]).all()
+        # Any n terms of one part sum to an integer below 2^53, exact in float64.
+        assert (n * np.abs(parts).max(axis=(1, 2), initial=0.0) < 2.0**53).all()
+        for (x, y), value in np.ndenumerate(log_matrix):
+            terms = zip(parts[:, x, y].tolist(), units.tolist())
+            rebuilt = sum((Fraction(p) * Fraction(u) for p, u in terms), Fraction(0))
+            assert rebuilt == (0 if math.isinf(value) else Fraction(float(value)))
+
+    def test_extreme_table_needs_four_parts_at_the_longest_blocks(self):
+        log_matrix = _log_matrix(np.array(self.TABLES["extreme"]))
+        assert [len(_log_parts(log_matrix, n)[1]) for n in (1, 12, 2**14)] == [3, 3, 4]
+        assert len(_log_parts(_log_matrix(np.eye(3)), 12)[1]) == 0
 
 
 class TestExactEquivocation:
