@@ -568,9 +568,14 @@ class TestCountScorer:
             perm = rng.permutation(n)
             assert np.array_equal(_ml_index(words[..., perm], ys[:, perm], log_matrix), want)
 
-    def test_wide_channels(self):
+    @pytest.mark.parametrize("cap", [None, 1 << 30])
+    def test_wide_channels(self, monkeypatch, cap):
         # |X| = |Y| = 9 with 78 distinct entries, four of them -inf: the
-        # decisions are the sorted sum's, ties included.
+        # decisions are the sorted sum's, ties included, both with the
+        # default blocks (several observation blocks here) and with every
+        # word and observation in one block.
+        if cap is not None:
+            monkeypatch.setattr(coding, "_SCORE_FLOATS", cap)
         rng = np.random.default_rng(2209)
         matrix = random_channel(rng, 9, 9).matrix.copy()
         matrix[0, :4] = 0.0
